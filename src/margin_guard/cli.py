@@ -18,12 +18,9 @@ import os
 import sys
 from pathlib import Path
 
-from .counterexamples import (
-    many_point_instability,
-    near_boundary_instability,
-    single_point_instability,
-)
-from .dynamics import persistence_certificate, snapshot_partitions, step_sizes, stepwise_stability_check
+from .counterexamples import FIXTURE_NAMES, make_fixture
+from .dynamics import (instability_time, persistence_certificate, snapshot_partitions, step_sizes,
+                       stepwise_stability_check)
 from .errors import InvariantViolation
 from .formats import (
     SCHEMA_VERSION,
@@ -37,6 +34,7 @@ from .formats import (
     read_points,
     read_trajectory_file,
 )
+from .geometry import Assignment
 from .partitions import partition_distance
 from .presets import PRESET_NAMES, make_preset
 from .stability import analyze_stability, no_switch_certificate, switch_candidates
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("construct", help="emit an instability fixture with frozen expected partitions")
-    p.add_argument("name", choices=("single_point", "many_point", "near_boundary"))
+    p.add_argument("name", choices=FIXTURE_NAMES)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--delta", type=float, default=0.1)
@@ -181,9 +179,7 @@ def cmd_analyze(args) -> int:
         return 0
     payload = report.to_json_dict()
     if args.epsilon is not None:
-        from .geometry import assign_nearest
-
-        assignment = assign_nearest(config, centers)
+        assignment = Assignment(labels=report.labels, margins=report.margins, k=centers.k)
         payload["epsilon"] = args.epsilon
         payload["certified_no_switch"] = no_switch_certificate(assignment, args.epsilon)
         payload["switch_candidates"] = sorted(switch_candidates(assignment, args.epsilon))
@@ -285,8 +281,6 @@ def cmd_trajectory(args) -> int:
         "distance_from_initial": distances,
     }
     if args.eta is not None:
-        from .dynamics import instability_time
-
         tau = instability_time(traj, args.eta)
         payload["eta"] = args.eta
         payload["instability_time"] = tau
@@ -325,12 +319,7 @@ def cmd_montecarlo(args) -> int:
 def cmd_construct(args) -> int:
     if args.format != "json":
         raise ValueError("construct emits JSON fixtures only")
-    if args.name == "single_point":
-        fx = single_point_instability(args.epsilon)
-    elif args.name == "many_point":
-        fx = many_point_instability(args.epsilon, args.m)
-    else:
-        fx = near_boundary_instability(args.delta)
+    fx = make_fixture(args.name, epsilon=args.epsilon, m=args.m, delta=args.delta)
     _emit(dump_json(fx.to_json_dict()), args.out)
     return 0
 

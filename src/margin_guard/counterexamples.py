@@ -10,7 +10,7 @@ fixed ground truth rather than recomputed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,16 @@ from .partitions import Partition
 
 __all__ = [
     "STANDARD_CENTERS",
+    "FIXTURE_NAMES",
     "CounterexampleFixture",
     "single_point_instability",
     "many_point_instability",
     "near_boundary_instability",
+    "make_fixture",
 ]
 
 STANDARD_CENTERS = CenterSet(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+FIXTURE_NAMES = ("single_point", "many_point", "near_boundary")
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,7 @@ def single_point_instability(epsilon: float) -> CounterexampleFixture:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    delta = epsilon / 4.0
-    config = PointConfig(np.array([[-2.0, 0.0], [2.0, 0.0], [delta, 0.0]]))
-    perturbed = config.with_point(3, [-delta, 0.0])
-    return CounterexampleFixture(
-        kind="single_point",
-        config=config,
-        perturbed=perturbed,
-        centers=STANDARD_CENTERS,
-        expected_before=Partition([[1], [2, 3]], n=3),
-        expected_after=Partition([[1, 3], [2]], n=3),
-        perturbation_size=perturbation_size(config, perturbed),
-    )
+    return replace(near_boundary_instability(epsilon / 4.0), kind="single_point")
 
 
 def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
@@ -133,3 +125,14 @@ def near_boundary_instability(delta: float) -> CounterexampleFixture:
         expected_after=Partition([[1, 3], [2]], n=3),
         perturbation_size=perturbation_size(config, perturbed),
     )
+
+
+def make_fixture(name: str, epsilon: float = 1.0, m: int = 1, delta: float = 0.1) -> CounterexampleFixture:
+    """Resolve a fixture name from FIXTURE_NAMES to its construction."""
+    if name == "single_point":
+        return single_point_instability(epsilon)
+    if name == "many_point":
+        return many_point_instability(epsilon, m)
+    if name == "near_boundary":
+        return near_boundary_instability(delta)
+    raise ValueError(f"unknown fixture {name!r}; choose one of {', '.join(FIXTURE_NAMES)}")

@@ -152,6 +152,17 @@ class Assignment:
         return tuple(int(i) + 1 for i in np.flatnonzero(self.margins < threshold))
 
 
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each point row to each center row."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def _distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) Euclidean distances; bit-identical to np.linalg.norm over the last axis."""
+    return np.sqrt(_squared_distances(points, centers))
+
+
 def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     """Assign every point to its nearest center, ties to the lowest index.
 
@@ -161,23 +172,25 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     """
     if config.d != centers.d:
         raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
-    dist = np.linalg.norm(config.points[:, None, :] - centers.centers[None, :, :], axis=2)
+    dist = _distances(config.points, centers.centers)
     nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
     rows = np.arange(config.n)
     best = dist[rows, nearest]
-    competing = dist.copy()
-    competing[rows, nearest] = np.inf
-    margins = competing.min(axis=1) - best
+    dist[rows, nearest] = np.inf
+    margins = dist.min(axis=1) - best
     return Assignment(labels=nearest + 1, margins=margins, k=centers.k)
+
+
+def _point_distances(point, centers: CenterSet) -> np.ndarray:
+    p = np.asarray(point, dtype=float)
+    if p.shape != (centers.d,):
+        raise ValueError(f"point must be a {centers.d}-vector")
+    return _distances(p[None, :], centers.centers)[0]
 
 
 def nearest_label(point, centers: CenterSet) -> int:
     """1-based label of the nearest center, ties to the lowest index."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (centers.d,):
-        raise ValueError(f"point must be a {centers.d}-vector")
-    dist = np.linalg.norm(centers.centers - p[None, :], axis=1)
-    return int(dist.argmin()) + 1
+    return int(_point_distances(point, centers).argmin()) + 1
 
 
 def margin(point, centers: CenterSet, label: int) -> float:
@@ -186,13 +199,11 @@ def margin(point, centers: CenterSet, label: int) -> float:
     Raises if ``label`` is not what the nearest-center rule produces, which
     signals misuse rather than a geometric condition.
     """
-    p = np.asarray(point, dtype=float)
-    actual = nearest_label(p, centers)
+    dist = _point_distances(point, centers)
+    actual = int(dist.argmin()) + 1
     if label != actual:
         raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    dist = np.linalg.norm(centers.centers - p[None, :], axis=1)
-    competing = np.delete(dist, label - 1)
-    return float(competing.min() - dist[label - 1])
+    return float(np.delete(dist, label - 1).min() - dist[label - 1])
 
 
 def perturbation_size(a: PointConfig, b: PointConfig) -> float:

@@ -5,17 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counterexamples import (
-    STANDARD_CENTERS,
-    many_point_instability,
-    near_boundary_instability,
-    single_point_instability,
-)
+from .counterexamples import FIXTURE_NAMES, STANDARD_CENTERS, make_fixture
 from .geometry import CenterSet, PointConfig
 
 __all__ = ["PRESET_NAMES", "two_gaussians", "make_preset"]
 
-PRESET_NAMES = ("two_gaussians", "single_point", "many_point", "near_boundary")
+PRESET_NAMES = ("two_gaussians", *FIXTURE_NAMES)
 
 
 def two_gaussians(n: int = 200, sigma0: float = 0.2, seed: int = 0) -> tuple[PointConfig, CenterSet]:
@@ -48,12 +43,7 @@ def make_preset(
     """Resolve a preset name to a (points, centers) pair."""
     if name == "two_gaussians":
         return two_gaussians(n=n, sigma0=sigma0, seed=seed)
-    if name == "single_point":
-        fx = single_point_instability(epsilon)
-    elif name == "many_point":
-        fx = many_point_instability(epsilon, m)
-    elif name == "near_boundary":
-        fx = near_boundary_instability(delta)
-    else:
+    if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
+    fx = make_fixture(name, epsilon=epsilon, m=m, delta=delta)
     return fx.config, fx.centers

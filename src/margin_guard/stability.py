@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import Assignment, CenterSet, PointConfig, assign_nearest, nearest_label, perturbation_size
+from .geometry import (Assignment, CenterSet, PointConfig, _distances, _squared_distances, assign_nearest,
+                       nearest_label, perturbation_size)
 from .partitions import Partition, induced_partition
 
 __all__ = [
@@ -56,6 +57,21 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
+def _bisector_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(n, k) distance from each point to the bisector of its own center and center j.
+
+    Entry (i, j) is (dist(x_i, c_j)^2 - dist(x_i, c_own)^2) / (2 dist(c_j, c_own))
+    for the 1-based own ``labels``; the own column is inf.
+    """
+    sq = _squared_distances(points, centers)
+    rows = np.arange(points.shape[0])
+    own = labels - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (sq - sq[rows, own][:, None]) / (2.0 * _distances(centers, centers)[own])
+    out[rows, own] = np.inf
+    return out
+
+
 def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     """Infimum displacement of one point that reaches some decision boundary.
 
@@ -68,27 +84,14 @@ def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     actual = nearest_label(p, centers)
     if label != actual:
         raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    sq = ((centers.centers - p[None, :]) ** 2).sum(axis=1)
-    own = sq[label - 1]
-    gaps = np.linalg.norm(centers.centers - centers.centers[label - 1][None, :], axis=1)
-    radii = np.delete((sq - own), label - 1) / (2.0 * np.delete(gaps, label - 1))
-    return float(radii.min())
+    return float(_bisector_distances(p[None, :], centers.centers, np.array([label])).min())
 
 
 def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: Assignment | None = None) -> np.ndarray:
     """Exact single-point switch radius for every index of a configuration."""
     if assignment is None:
         assignment = assign_nearest(config, centers)
-    sq = ((config.points[:, None, :] - centers.centers[None, :, :]) ** 2).sum(axis=2)
-    gaps = np.linalg.norm(centers.centers[:, None, :] - centers.centers[None, :, :], axis=2)
-    rows = np.arange(config.n)
-    own_idx = assignment.labels - 1
-    diffs = sq - sq[rows, own_idx][:, None]
-    denom = 2.0 * gaps[own_idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = diffs / denom
-    ratios[rows, own_idx] = np.inf
-    return ratios.min(axis=1)
+    return _bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -123,23 +126,14 @@ def empirical_partition_radius_search(
     assignment = assign_nearest(config, centers)
     before = induced_partition(assignment)
 
-    candidates: list[tuple[float, int, int]] = []
-    for pos in range(config.n):
-        own = assignment.labels[pos]
-        p = config.points[pos]
-        sq_own = float(((p - centers.centers[own - 1]) ** 2).sum())
-        for j in range(1, centers.k + 1):
-            if j == own:
-                continue
-            gap = float(np.linalg.norm(centers.centers[j - 1] - centers.centers[own - 1]))
-            bisector = (float(((p - centers.centers[j - 1]) ** 2).sum()) - sq_own) / (2.0 * gap)
-            step = bisector + max(slack_rel * bisector, slack_floor)
-            candidates.append((step, pos, j))
-    candidates.sort()
+    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    rows, cols = np.nonzero(np.arange(centers.k) != (assignment.labels - 1)[:, None])
+    radii = bisectors[rows, cols]
+    steps = radii + np.maximum(slack_rel * radii, slack_floor)
 
-    for step, pos, j in candidates:
-        own = assignment.labels[pos]
-        direction = centers.centers[j - 1] - centers.centers[own - 1]
+    for c in np.lexsort((cols, rows, steps)):
+        pos, step = int(rows[c]), float(steps[c])
+        direction = centers.centers[cols[c]] - centers.centers[assignment.labels[pos] - 1]
         direction = direction / np.linalg.norm(direction)
         moved = config.with_point(pos + 1, config.points[pos] + step * direction)
         after = induced_partition(assign_nearest(moved, centers))

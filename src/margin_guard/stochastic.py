@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .geometry import Assignment, CenterSet, PointConfig, assign_nearest
+from .geometry import Assignment, CenterSet, PointConfig, _distances, assign_nearest
+from .partitions import _pair_disagreement_count
 
 __all__ = [
     "PerturbationModel",
@@ -152,16 +153,22 @@ def label_pair_distance(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     """Partition distance between the groupings induced by two label vectors.
 
     Same quantity as partition_distance(induced partitions), computed directly
-    from labels: pairs are in the same block exactly when their labels match.
+    from nonnegative integer labels (such as 1-based center labels): pairs are
+    in the same block exactly when their labels match.
     """
     la = np.asarray(labels_a)
     lb = np.asarray(labels_b)
     if la.shape != lb.shape or la.ndim != 1 or la.size < 2:
         raise ValueError("label vectors must be equal-length 1-d arrays, n >= 2")
-    same_a = la[:, None] == la[None, :]
-    same_b = lb[:, None] == lb[None, :]
-    iu, ju = np.triu_indices(la.size, k=1)
-    return float((same_a != same_b)[iu, ju].sum()) / (la.size * (la.size - 1) // 2)
+    return _pair_disagreement_count(la, lb) / (la.size * (la.size - 1) // 2)
+
+
+def _perturbed_labels(
+    points: np.ndarray, centers: np.ndarray, model: PerturbationModel, rng: np.random.Generator
+) -> np.ndarray:
+    """1-based nearest-center labels of one noisy copy of ``points``."""
+    noisy = points + _noise(model, points.shape[0], rng)
+    return _distances(noisy, centers).argmin(axis=1) + 1
 
 
 @dataclass(frozen=True)
@@ -224,22 +231,15 @@ def monte_carlo(
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
     base = assign_nearest(config, centers)
-    points = config.points
-    cpts = centers.centers
-    base_labels = base.labels
-
     switch_counts = np.zeros(config.n, dtype=np.int64)
     trial_switches = np.empty(trials, dtype=np.int64)
     trial_dists = np.empty(trials, dtype=float)
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        perturbed = points + _noise(model, config.n, rng)
-        dist = np.linalg.norm(perturbed[:, None, :] - cpts[None, :, :], axis=2)
-        labels = dist.argmin(axis=1) + 1
-        switched = labels != base_labels
+        labels = _perturbed_labels(config.points, centers.centers, model, trial_rng(seed, t))
+        switched = labels != base.labels
         switch_counts += switched
         trial_switches[t] = int(switched.sum())
-        trial_dists[t] = label_pair_distance(base_labels, labels)
+        trial_dists[t] = label_pair_distance(base.labels, labels)
 
     freq = switch_counts / trials
     per_index_bound = np.array(
@@ -330,10 +330,7 @@ def sweep_table(
         model = PerturbationModel.bounded_disk(eps, dim=config.d)
         dists = np.empty(trials)
         for t in range(trials):
-            rng = _sweep_rng(seed, eps, t)
-            perturbed = config.points + _noise(model, config.n, rng)
-            dist = np.linalg.norm(perturbed[:, None, :] - centers.centers[None, :, :], axis=2)
-            labels = dist.argmin(axis=1) + 1
+            labels = _perturbed_labels(config.points, centers.centers, model, _sweep_rng(seed, eps, t))
             dists[t] = label_pair_distance(base.labels, labels)
         rows.append(
             SweepRow(

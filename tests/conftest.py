@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def random_instance(rng, n_max=50, d_max=5, k_max=5, spread=4.0):
             break
     config = PointConfig(rng.uniform(-spread, spread, (n, d)))
     return config, CenterSet(centers)
+
+
+def peak_traced_mib(fn):
+    """(peak traced allocation in MiB while fn() runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, result
 
 
 @pytest.fixture

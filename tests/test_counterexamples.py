@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from margin_guard import (
     Partition,
     assign_nearest,
     induced_partition,
+    make_preset,
     many_point_instability,
     near_boundary_instability,
     partition_distance,
@@ -13,6 +15,7 @@ from margin_guard import (
     single_point_instability,
     switched_index_distance_bound,
 )
+from margin_guard.counterexamples import FIXTURE_NAMES, make_fixture
 
 
 def reevaluate(fixture):
@@ -116,6 +119,20 @@ def test_parameter_validation():
         many_point_instability(1.0, 0)
     with pytest.raises(ValueError):
         near_boundary_instability(0.0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_presets_resolve_through_fixture_dispatch(name):
+    config, centers = make_preset(name, epsilon=0.5, m=2, delta=0.05)
+    fx = make_fixture(name, epsilon=0.5, m=2, delta=0.05)
+    assert fx.kind == name
+    assert np.array_equal(config.points, fx.config.points)
+    assert np.array_equal(centers.centers, fx.centers.centers)
+
+
+def test_unknown_fixture_name_rejected():
+    with pytest.raises(ValueError, match="unknown fixture"):
+        make_fixture("two_gaussians")
 
 
 def test_json_dict_round_trips_partitions():

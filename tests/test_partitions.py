@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from margin_guard import (
     CenterSet,
@@ -10,10 +10,13 @@ from margin_guard import (
     assign_nearest,
     induced_partition,
     iter_partitions,
+    label_pair_distance,
     pair_disagreements,
     partition_distance,
     switched_index_distance_bound,
 )
+from margin_guard.partitions import _pair_disagreement_count
+from conftest import peak_traced_mib
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -99,7 +102,36 @@ class TestPartitionDistance:
             n = int(rng.integers(2, 12))
             p = Partition.from_labels(rng.integers(0, 4, n))
             q = Partition.from_labels(rng.integers(0, 4, n))
-            assert pair_disagreements(p, q) == pair_disagreements(p, q, method="contingency")
+            assert pair_disagreements(p, q, method="pairs") == pair_disagreements(p, q)
+
+
+@st.composite
+def label_array_pair(draw):
+    n = draw(st.integers(2, 40))
+    labels = st.lists(st.integers(0, 60), min_size=n, max_size=n)
+    return np.array(draw(labels)), np.array(draw(labels))
+
+
+class TestContingencyKernel:
+    @given(label_array_pair())
+    @example((7 * np.arange(9), 3 * np.arange(9)[::-1]))  # gaps, all singletons
+    @example((np.zeros(6, dtype=int), np.arange(6)))  # one block vs all singletons
+    @example((np.array([0, 5]), np.array([2, 2])))  # n = 2
+    @example((np.array([4, 4, 4]), np.array([9, 9, 9])))  # one block each
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_enumeration(self, pair):
+        a, b = pair
+        want = pair_disagreements(Partition.from_labels(a), Partition.from_labels(b), method="pairs")
+        assert _pair_disagreement_count(a, b) == want
+        assert label_pair_distance(a, b) == want / (a.size * (a.size - 1) // 2)
+
+    def test_singletons_against_pairs_in_linear_memory(self):
+        n = 3000
+        singletons = Partition.from_labels(np.arange(n))
+        pairs = Partition.from_labels(np.arange(n) // 2)
+        peak, count = peak_traced_mib(lambda: pair_disagreements(singletons, pairs))
+        assert count == n // 2
+        assert peak < 1.0
 
 
 class TestSwitchedIndexBound:

@@ -4,6 +4,7 @@ import pytest
 from margin_guard import (
     CenterSet,
     Partition,
+    PartitionRadiusWitness,
     PointConfig,
     analyze_stability,
     assign_nearest,
@@ -143,6 +144,72 @@ class TestPartitionRadiusSearch:
             after = induced_partition(assign_nearest(res.witness, centers))
             assert after != before
             assert perturbation_size(config, res.witness) == pytest.approx(res.radius, rel=1e-9)
+
+
+def candidate_loop_search(config, centers, slack_rel=1e-9, slack_floor=1e-12):
+    """Reference radius search: one bisector per (index, center) in a Python loop, tuple-sorted."""
+    assignment = assign_nearest(config, centers)
+    before = induced_partition(assignment)
+    candidates = []
+    for pos in range(config.n):
+        own = assignment.labels[pos]
+        p = config.points[pos]
+        sq_own = float(((p - centers.centers[own - 1]) ** 2).sum())
+        for j in range(1, centers.k + 1):
+            if j == own:
+                continue
+            gap = float(np.linalg.norm(centers.centers[j - 1] - centers.centers[own - 1]))
+            bisector = (float(((p - centers.centers[j - 1]) ** 2).sum()) - sq_own) / (2.0 * gap)
+            candidates.append((bisector + max(slack_rel * bisector, slack_floor), pos, j))
+    candidates.sort()
+    for step, pos, j in candidates:
+        own = assignment.labels[pos]
+        direction = centers.centers[j - 1] - centers.centers[own - 1]
+        direction = direction / np.linalg.norm(direction)
+        moved = config.with_point(pos + 1, config.points[pos] + step * direction)
+        after = induced_partition(assign_nearest(moved, centers))
+        if after != before:
+            return PartitionRadiusWitness(perturbation_size(config, moved), moved, pos + 1, after)
+    return None
+
+
+class TestSearchAgainstCandidateLoop:
+    def test_checkerboard_ties_match_loop(self):
+        # integer points and centers on a 3 x 3 grid: many candidate steps tie
+        # exactly, so the (step, index, center) order decides the witness
+        grid = CenterSet([[2.0 * a, 2.0 * b] for a in range(3) for b in range(3)])
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            config = PointConfig(rng.integers(-1, 6, (int(rng.integers(2, 14)), 2)))
+            got = empirical_partition_radius_search(config, grid)
+            want = candidate_loop_search(config, grid)
+            if want is None:
+                assert got is None
+                continue
+            assert got.moved_index == want.moved_index
+            assert got.radius == want.radius
+            assert got.witness.points.tobytes() == want.witness.points.tobytes()
+            assert got.new_partition == want.new_partition
+
+    def test_step_is_switch_radius_plus_slack_to_the_bit(self):
+        rng = np.random.default_rng(2604)
+        for _ in range(150):
+            config, centers = random_instance(rng, n_max=12, d_max=3, k_max=4)
+            report = analyze_stability(config, centers)
+            if report.witness is None:
+                continue
+            pos = report.witness.moved_index - 1
+            r = report.per_point_switch_radius[pos]
+            if not report.witness.radius == pytest.approx(r, rel=1e-6):
+                continue  # the witness is not this index's cheapest candidate
+            step = r + max(1e-9 * r, 1e-12)
+            own = centers.centers[report.labels[pos] - 1]
+            moves = [
+                config.points[pos] + step * ((c - own) / np.linalg.norm(c - own))
+                for j, c in enumerate(centers.centers)
+                if j != report.labels[pos] - 1
+            ]
+            assert any(np.array_equal(report.witness.witness.points[pos], m) for m in moves)
 
 
 class TestStabilityReport:

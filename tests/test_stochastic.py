@@ -20,6 +20,7 @@ from margin_guard import (
     trial_rng,
 )
 from margin_guard.stochastic import _noise
+from conftest import peak_traced_mib
 
 
 class TestModelValidation:
@@ -156,6 +157,15 @@ class TestLabelPairDistance:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             label_pair_distance(np.array([1, 2]), np.array([1, 2, 3]))
+
+    def test_linear_memory_at_n_5000(self):
+        rng = np.random.default_rng(45)
+        la = rng.integers(1, 5, 5000)
+        lb = rng.integers(1, 5, 5000)
+        expect = partition_distance(Partition.from_labels(la), Partition.from_labels(lb))
+        peak, got = peak_traced_mib(lambda: label_pair_distance(la, lb))
+        assert got == expect
+        assert peak < 1.0
 
 
 class TestPerTrialInvariants:
