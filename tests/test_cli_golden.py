@@ -5,19 +5,27 @@ under tests/golden/cli/. The inputs use the standard centers (-1, 0), (1, 0),
 so center differences are exact in floating point and any change in a report
 byte points at a change in the computation, not in rounding of the inputs.
 
-Regenerate the snapshots (only when a report is meant to change) with
+The long trajectory input is a seeded float random walk (T = 60, n = 8) in
+which one point drifts across the bisector x = 0. Its step sizes are not exact
+binary fractions, so its reports pin the order in which budgets are summed.
+
+Regenerate the snapshots (only when a report is meant to change), and the long
+trajectory input, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from margin_guard.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 TRAJECTORY = str(GOLDEN / "trajectory_input.json")
+LONG_TRAJECTORY = str(GOLDEN / "trajectory_long_input.json")
 
 GAUSS = ["--preset", "two_gaussians", "--n", "300", "--seed", "0"]
 NEAR = ["--preset", "near_boundary", "--seed", "0"]
@@ -39,6 +47,9 @@ CASES = {
     "montecarlo_sigma_near_boundary.json": ["montecarlo", *NEAR, "--sigma", "0.1", "--trials", "200"],
     "trajectory.json": ["trajectory", "--points", TRAJECTORY, "--eta", "0.5", "--seed", "0"],
     "trajectory.csv": ["trajectory", "--points", TRAJECTORY, "--eta", "0.5", "--seed", "0", "--format", "csv"],
+    "trajectory_long.json": ["trajectory", "--points", LONG_TRAJECTORY, "--eta", "0.2", "--seed", "0"],
+    "trajectory_long.csv": [
+        "trajectory", "--points", LONG_TRAJECTORY, "--eta", "0.2", "--seed", "0", "--format", "csv"],
     "construct_single_point.json": ["construct", "single_point", "--epsilon", "0.5"],
     "construct_many_point.json": ["construct", "many_point", "--epsilon", "0.5", "--m", "4"],
     "construct_near_boundary.json": ["construct", "near_boundary", "--delta", "0.05"],
@@ -55,6 +66,34 @@ def test_cli_report_matches_snapshot(name, tmp_path):
     assert render(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
 
 
+def test_long_trajectory_pins_budget_summation_order():
+    """Per-horizon budgets are numpy sums of a prefix, the budget column is a
+    running sum; on this input they differ in the last ulp somewhere, so a
+    switch from one summation to the other changes a snapshot byte."""
+    report = json.loads((GOLDEN / "trajectory_long.json").read_text())
+    running = report["cumulative_budget"]
+    assert any(p["cumulative_budget"] != running[p["horizon"] - 1] for p in report["persistence"])
+    assert 0.0 < max(report["distance_from_initial"])
+
+
+def long_trajectory_input(seed: int = 2026, n: int = 8, steps: int = 60) -> dict:
+    """Random walk around the standard centers; the last point drifts across x = 0."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    points = np.vstack([centers[np.arange(n - 1) % 2] + rng.normal(0.0, 0.3, (n - 1, 2)), [[-0.3, 0.1]]])
+    drift = np.zeros((n, 2))
+    drift[-1, 0] = 0.012
+    snapshots = [points]
+    for _ in range(steps):
+        snapshots.append(snapshots[-1] + drift + rng.normal(0.0, 0.02, (n, 2)))
+    return {"schema_version": 1, "centers": centers.tolist(), "snapshots": [s.tolist() for s in snapshots]}
+
+
 if __name__ == "__main__":
+    doc = long_trajectory_input()
+    rows = ",\n".join(f"    {json.dumps(s)}" for s in doc["snapshots"])
+    Path(LONG_TRAJECTORY).write_text(
+        f'{{\n  "schema_version": 1,\n  "centers": {json.dumps(doc["centers"])},\n  "snapshots": [\n{rows}\n  ]\n}}\n'
+    )
     for name, argv in CASES.items():
         render(argv, GOLDEN / name)
