@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from .counterexamples import FIXTURE_NAMES, make_fixture
-from .dynamics import (instability_time, persistence_certificate, snapshot_partitions, step_sizes,
-                       stepwise_stability_check)
+from .dynamics import _trajectory_pass
 from .errors import InvariantViolation
 from .formats import (
     SCHEMA_VERSION,
@@ -35,7 +34,6 @@ from .formats import (
     read_trajectory_file,
 )
 from .geometry import Assignment
-from .partitions import partition_distance
 from .presets import PRESET_NAMES, make_preset
 from .stability import analyze_stability, no_switch_certificate, switch_candidates
 from .stochastic import PerturbationModel, monte_carlo, sweep_table
@@ -139,13 +137,8 @@ def _resolve_inputs(args, seed: int):
     if args.preset is not None:
         epsilon = getattr(args, "epsilon", None)
         return make_preset(
-            args.preset,
-            n=args.n,
-            sigma0=args.sigma0,
-            seed=seed,
-            epsilon=1.0 if epsilon is None else epsilon,
-            m=args.m,
-            delta=args.delta,
+            args.preset, n=args.n, sigma0=args.sigma0, seed=seed,
+            epsilon=1.0 if epsilon is None else epsilon, m=args.m, delta=args.delta,
         )
     if args.points is None or args.centers is None:
         raise ValueError("need both --points and --centers, or a --preset")
@@ -189,10 +182,9 @@ def cmd_analyze(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"--grid must be comma-separated numbers, got {text!r}") from None
-    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -241,12 +233,10 @@ def cmd_trajectory(args) -> int:
         raise ValueError("trajectory needs at least two snapshots")
     if args.eta is not None and not 0.0 < args.eta <= 1.0:
         raise ValueError("--eta must lie in (0, 1]")
-    deltas = step_sizes(traj)
-    budgets = deltas.cumsum()
-    certs = [persistence_certificate(traj, t) for t in range(1, traj.horizon + 1)]
-    stepwise = stepwise_stability_check(traj)
-    parts = snapshot_partitions(traj)
-    distances = [partition_distance(parts[0], parts[t]) for t in range(traj.horizon + 1)]
+    run = _trajectory_pass(traj)
+    budgets = run.deltas.cumsum()
+    certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]
+    stepwise = run.stepwise()
 
     if args.format == "csv":
         buf = io.StringIO()
@@ -254,8 +244,8 @@ def cmd_trajectory(args) -> int:
         buf.write("step,delta,cumulative_budget,persistence_certified,stepwise_pass,distance_from_initial\n")
         for t in range(traj.horizon):
             buf.write(
-                f"{t},{format_float(deltas[t])},{format_float(budgets[t])},"
-                f"{int(certs[t].certified)},{int(stepwise[t])},{format_float(distances[t + 1])}\n"
+                f"{t},{format_float(run.deltas[t])},{format_float(budgets[t])},"
+                f"{int(certs[t].certified)},{int(stepwise[t])},{format_float(run.distances[t + 1])}\n"
             )
         _emit(buf.getvalue(), args.out)
         return 0
@@ -267,7 +257,7 @@ def cmd_trajectory(args) -> int:
         "centers_fixed_over_time": True,
         "initial_min_margin": certs[0].initial_radius_lower_bound * 2.0,
         "initial_radius_lower_bound": certs[0].initial_radius_lower_bound,
-        "step_sizes": [float(v) for v in deltas],
+        "step_sizes": [float(v) for v in run.deltas],
         "cumulative_budget": [float(v) for v in budgets],
         "persistence": [
             {
@@ -278,10 +268,10 @@ def cmd_trajectory(args) -> int:
             for c in certs
         ],
         "stepwise_pass": stepwise,
-        "distance_from_initial": distances,
+        "distance_from_initial": run.distances,
     }
     if args.eta is not None:
-        tau = instability_time(traj, args.eta)
+        tau = run.instability_time(args.eta)
         payload["eta"] = args.eta
         payload["instability_time"] = tau
         if tau is None:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import CenterSet, PointConfig, assign_nearest, perturbation_size
-from .partitions import Partition, induced_partition, partition_distance
+from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
     "Trajectory",
@@ -84,16 +84,45 @@ class PersistenceCertificate:
     certified: bool
 
 
+class _Pass(NamedTuple):
+    """Step sizes, plus the min margin and distance from time 0 of each assigned snapshot."""
+
+    deltas: np.ndarray
+    min_margins: list[float]
+    distances: list[float]
+
+    def certificate(self, t: int) -> PersistenceCertificate:
+        budget = float(self.deltas[:t].sum())  # a numpy sum, not a cumsum entry: they differ in the last ulp
+        bound = self.min_margins[0] / 2.0
+        return PersistenceCertificate(t, budget, bound, budget < bound)
+
+    def stepwise(self) -> list[bool]:
+        return [bool(delta < m / 2.0) for delta, m in zip(self.deltas, self.min_margins)]
+
+    def instability_time(self, eta: float) -> int | None:
+        return next((t for t, dist in enumerate(self.distances) if t > 0 and dist >= eta), None)
+
+
+def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
+    """One O(T·n·k) pass: all step sizes, then the first ``assigned`` snapshots (default
+    all) assigned one at a time, in O(n·k) memory beyond one stacked copy of the snapshots."""
+    steps = np.diff(np.stack([s.points for s in traj.snapshots]), axis=0)
+    # sqrt of a sum over the last axis, then max: bit-identical to perturbation_size
+    deltas = np.sqrt((steps * steps).sum(axis=2)).max(axis=1)
+    out = _Pass(deltas, [], [])
+    for snap in traj.snapshots[:assigned]:
+        assignment = assign_nearest(snap, traj.centers)
+        initial = assignment.labels if not out.min_margins else initial
+        out.min_margins.append(assignment.min_margin)
+        out.distances.append(_pair_disagreement_count(initial, assignment.labels) / (traj.n * (traj.n - 1) // 2))
+    return out
+
+
 def step_sizes(traj: Trajectory) -> np.ndarray:
     """One-step sizes delta_t = max per-point displacement between t and t+1."""
     if traj.horizon < 1:
         raise ValueError("step sizes need at least two snapshots")
-    return np.array(
-        [
-            perturbation_size(traj.snapshots[t], traj.snapshots[t + 1])
-            for t in range(traj.horizon)
-        ]
-    )
+    return _trajectory_pass(traj, assigned=0).deltas
 
 
 def cumulative_drift_check(traj: Trajectory, s: int, t: int) -> DriftCheck:
@@ -105,8 +134,7 @@ def cumulative_drift_check(traj: Trajectory, s: int, t: int) -> DriftCheck:
     if not 0 <= s < t <= traj.horizon:
         raise ValueError(f"need 0 <= s < t <= {traj.horizon}, got s={s}, t={t}")
     drift = perturbation_size(traj.snapshots[s], traj.snapshots[t])
-    deltas = step_sizes(traj)
-    budget = float(deltas[s:t].sum())
+    budget = float(_trajectory_pass(traj, assigned=0).deltas[s:t].sum())
     return DriftCheck(drift=drift, budget=budget, bound_holds=drift <= budget * (1.0 + DRIFT_SLACK))
 
 
@@ -119,14 +147,7 @@ def persistence_certificate(traj: Trajectory, t: int) -> PersistenceCertificate:
     """
     if not 0 <= t <= traj.horizon:
         raise ValueError(f"horizon t={t} outside 0..{traj.horizon}")
-    budget = float(step_sizes(traj)[:t].sum()) if t > 0 else 0.0
-    bound = assign_nearest(traj.snapshots[0], traj.centers).min_margin / 2.0
-    return PersistenceCertificate(
-        horizon=t,
-        cumulative_budget=budget,
-        initial_radius_lower_bound=bound,
-        certified=budget < bound,
-    )
+    return _trajectory_pass(traj, assigned=1).certificate(t)
 
 
 def stepwise_stability_check(traj: Trajectory) -> list[bool]:
@@ -137,12 +158,9 @@ def stepwise_stability_check(traj: Trajectory) -> list[bool]:
     initial margins would reject. If steps 0..t-1 all pass, the partitions at
     times 0..t are equal.
     """
-    deltas = step_sizes(traj)
-    out = []
-    for r in range(traj.horizon):
-        local_bound = assign_nearest(traj.snapshots[r], traj.centers).min_margin / 2.0
-        out.append(bool(deltas[r] < local_bound))
-    return out
+    if traj.horizon < 1:
+        raise ValueError("step sizes need at least two snapshots")
+    return _trajectory_pass(traj, assigned=traj.horizon).stepwise()
 
 
 def instability_time(traj: Trajectory, eta: float) -> int | None:
@@ -153,11 +171,7 @@ def instability_time(traj: Trajectory, eta: float) -> int | None:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    parts = snapshot_partitions(traj)
-    for t in range(1, traj.horizon + 1):
-        if partition_distance(parts[0], parts[t]) >= eta:
-            return t
-    return None
+    return _trajectory_pass(traj).instability_time(eta)
 
 
 def snapshot_partitions(traj: Trajectory) -> list[Partition]:

@@ -74,10 +74,18 @@ def centers_to_json_dict(centers: CenterSet) -> dict:
     return {"centers": [[float(v) for v in row] for row in centers.centers]}
 
 
-def _check_schema(doc: dict, path: str) -> None:
+def _json_doc(path: Path, key: str) -> dict:
+    """The JSON object in ``path``; it must hold ``key`` and a supported schema_version."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: expected a JSON object with a {key!r} array")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
+    return doc
 
 
 def _read_csv_matrix(text: str, path: str) -> np.ndarray:
@@ -106,17 +114,9 @@ def _load_matrix(path: str | Path, json_key: str) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise ValueError(f"{path}: file not found")
-    text = path.read_text()
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or json_key not in doc:
-            raise ValueError(f"{path}: expected a JSON object with a {json_key!r} array")
-        _check_schema(doc, str(path))
-        return np.asarray(doc[json_key], dtype=float)
-    return _read_csv_matrix(text, str(path))
+        return np.asarray(_json_doc(path, json_key)[json_key], dtype=float)
+    return _read_csv_matrix(path.read_text(), str(path))
 
 
 def read_points(path: str | Path) -> PointConfig:
@@ -148,13 +148,7 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     if not path.exists():
         raise ValueError(f"{path}: file not found")
     if path.suffix.lower() == ".json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "snapshots" not in doc:
-            raise ValueError(f"{path}: expected a JSON object with a 'snapshots' array")
-        _check_schema(doc, str(path))
+        doc = _json_doc(path, "snapshots")
         if centers_path is not None:
             centers = read_centers(centers_path)
         elif "centers" in doc:

@@ -162,6 +162,7 @@ class StabilityReport:
     partition: Partition
     fragile_indices: tuple[int, ...]
     witness: PartitionRadiusWitness | None
+    k: int
     search_note: str = SEARCH_NOTE
 
     @property
@@ -171,7 +172,7 @@ class StabilityReport:
     def to_json_dict(self) -> dict:
         out = {
             "n": int(self.labels.size),
-            "k": int(self.labels.max()) if self.labels.size else 0,
+            "k": self.k,
             "labels": [int(v) for v in self.labels],
             "margins": [float(v) for v in self.margins],
             "min_margin": float(self.min_margin),
@@ -209,4 +210,5 @@ def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = Tr
         partition=induced_partition(assignment),
         fragile_indices=assignment.fragile_indices(),
         witness=witness,
+        k=centers.k,
     )

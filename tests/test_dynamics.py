@@ -5,14 +5,30 @@ from margin_guard import (
     CenterSet,
     PointConfig,
     Trajectory,
+    assign_nearest,
     cumulative_drift_check,
     instability_time,
+    partition_distance,
     persistence_certificate,
+    perturbation_size,
     single_point_instability,
     snapshot_partitions,
     step_sizes,
     stepwise_stability_check,
 )
+from margin_guard import dynamics, geometry
+from margin_guard.cli import main
+from margin_guard.dynamics import _trajectory_pass
+from margin_guard.formats import dump_json, trajectory_to_json_dict
+from conftest import peak_traced_mib
+
+
+def random_walk(rng, centers, n, steps, scale=0.05):
+    """Trajectory of n points walking from uniform starts in [-3, 3]^d."""
+    snaps = [PointConfig(rng.uniform(-3, 3, (n, centers.d)))]
+    for _ in range(steps):
+        snaps.append(PointConfig(snaps[-1].points + rng.normal(0, scale, (n, centers.d))))
+    return Trajectory(snapshots=tuple(snaps), centers=centers)
 
 
 def straight_line_trajectory(centers, start, step_vectors):
@@ -226,3 +242,71 @@ class TestInstabilityTime:
             if persistence_certificate(traj, t).certified:
                 tau = instability_time(traj, 0.01)
                 assert tau is None or tau > t
+
+
+class TestTrajectoryPass:
+    def test_step_sizes_bit_identical_to_perturbation_size(self):
+        rng = np.random.default_rng(41)
+        for d in range(1, 13):
+            centers = CenterSet(rng.normal(size=(3, d)))
+            traj = random_walk(rng, centers, n=int(rng.integers(2, 40)), steps=5, scale=10.0 ** rng.integers(-3, 3))
+            snaps = traj.snapshots
+            expected = [perturbation_size(a, b) for a, b in zip(snaps, snaps[1:])]
+            assert step_sizes(traj).tolist() == expected
+
+    def test_pass_matches_per_snapshot_reference(self):
+        rng = np.random.default_rng(43)
+        centers = CenterSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5]])
+        for _ in range(20):
+            traj = random_walk(rng, centers, n=int(rng.integers(2, 9)), steps=int(rng.integers(1, 12)), scale=0.3)
+            run = _trajectory_pass(traj)
+            parts = snapshot_partitions(traj)
+            assert run.distances == [partition_distance(parts[0], p) for p in parts]
+            assert run.min_margins == [assign_nearest(s, centers).min_margin for s in traj.snapshots]
+            deltas = [perturbation_size(a, b) for a, b in zip(traj.snapshots, traj.snapshots[1:])]
+            for t in range(traj.horizon + 1):
+                cert = run.certificate(t)
+                # the budget is numpy's sum of the prefix, to the bit
+                assert cert.cumulative_budget == float(np.array(deltas[:t]).sum())
+                assert cert == persistence_certificate(traj, t)
+
+    def test_single_snapshot(self, two_centers, wide_pair):
+        traj = Trajectory(snapshots=(wide_pair,), centers=two_centers)
+        assert persistence_certificate(traj, 0).cumulative_budget == 0.0
+        assert instability_time(traj, 0.5) is None
+        with pytest.raises(ValueError):
+            stepwise_stability_check(traj)
+
+    def test_cli_work_is_linear_in_horizon(self, tmp_path, monkeypatch):
+        T, n = 60, 5
+        traj = random_walk(np.random.default_rng(47), CenterSet([[-1.0, 0.0], [1.0, 0.0]]), n, T)
+        path = tmp_path / "traj.json"
+        path.write_text(dump_json(trajectory_to_json_dict(traj.snapshots, traj.centers)))
+        sizes, rows = [], []
+
+        def counting_size(a, b):
+            sizes.append(1)
+            return perturbation_size(a, b)
+
+        squared_distances = geometry._squared_distances
+
+        def counting_rows(points, centers):
+            rows.append(points.shape[0])
+            return squared_distances(points, centers)
+
+        monkeypatch.setattr(dynamics, "perturbation_size", counting_size)
+        monkeypatch.setattr(geometry, "perturbation_size", counting_size)
+        # every nearest-center assignment goes through this kernel
+        monkeypatch.setattr(geometry, "_squared_distances", counting_rows)
+        assert main(["trajectory", "--points", str(path), "--eta", "0.5", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(sizes) <= T
+        assert 0 < sum(rows) <= (T + 1) * n
+
+    def test_pass_memory_is_linear(self):
+        # a (T + 1) x n x k float tensor would take 206 MB here
+        T, n, k = 200, 2000, 64
+        rng = np.random.default_rng(53)
+        traj = random_walk(rng, CenterSet(rng.uniform(-3, 3, (k, 2))), n, T)
+        peak, run = peak_traced_mib(lambda: _trajectory_pass(traj))
+        assert len(run.distances) == T + 1
+        assert peak < 32

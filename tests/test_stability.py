@@ -255,6 +255,14 @@ class TestStabilityReport:
         assert payload["empirical_partition_radius"]["moved_index"] == 3
         assert payload["empirical_partition_radius"]["kind"] == "upper bound (single-move adversary)"
 
+    def test_k_counts_given_centers_not_used_labels(self):
+        # the last center is empty: the highest used label is 2, but k is 3
+        centers = CenterSet([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0]])
+        config = PointConfig([[0.1, 0.0], [0.2, 0.1], [0.9, 0.0], [1.1, -0.1]])
+        report = analyze_stability(config, centers, search=False)
+        assert int(report.labels.max()) == 2
+        assert report.to_json_dict()["k"] == 3
+
     def test_search_can_be_disabled(self, anchored_config, two_centers):
         report = analyze_stability(anchored_config, two_centers, search=False)
         assert report.witness is None
