@@ -219,6 +219,24 @@ class TestTrajectory:
         out = capsys.readouterr().out
         assert "step,delta,cumulative_budget,persistence_certified,stepwise_pass" in out
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("x1,x2\n0.1,0\n-2,0\n0.15,0\n-2,0\n", "'t' column"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1.5,0.15,0\n1.5,-2,0\n", "record 4"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\nx,0.15,0\nx,-2,0\n", "record 4"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n2,0.15,0\n2,-2,0\n", "0..T"),
+        ],
+        ids=["missing_t", "fractional_t", "non_numeric_t", "time_gap"],
+    )
+    def test_bad_csv_times_exit_2(self, capsys, tmp_path, two_centers, rows, message):
+        path = tmp_path / "traj.csv"
+        path.write_text(rows)
+        centers = tmp_path / "ctr.csv"
+        centers.write_text(centers_to_csv(two_centers))
+        assert main(["trajectory", "--points", str(path), "--centers", str(centers)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_bounded_below_margin_never_switches(self, capsys, anchored_files):

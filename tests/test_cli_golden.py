@@ -8,9 +8,11 @@ byte points at a change in the computation, not in rounding of the inputs.
 The long trajectory input is a seeded float random walk (T = 60, n = 8) in
 which one point drifts across the bisector x = 0. Its step sizes are not exact
 binary fractions, so its reports pin the order in which budgets are summed.
+The same walk is also stored as a CSV trajectory whose rows run point by point,
+so the times interleave; its reports pin how CSV rows are grouped by time.
 
 Regenerate the snapshots (only when a report is meant to change), and the long
-trajectory input, with
+trajectory inputs, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -26,10 +28,14 @@ from margin_guard.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 TRAJECTORY = str(GOLDEN / "trajectory_input.json")
 LONG_TRAJECTORY = str(GOLDEN / "trajectory_long_input.json")
+LONG_TRAJECTORY_CSV = str(GOLDEN / "trajectory_long_input.csv")
+LONG_CENTERS_CSV = str(GOLDEN / "trajectory_long_centers.csv")
 
 GAUSS = ["--preset", "two_gaussians", "--n", "300", "--seed", "0"]
 NEAR = ["--preset", "near_boundary", "--seed", "0"]
 MANY = ["--preset", "many_point", "--m", "3", "--seed", "0"]
+FROM_CSV = ["--points", LONG_TRAJECTORY_CSV, "--centers", LONG_CENTERS_CSV]
+PRESET_CSV = ["preset", "two_gaussians", "--n", "300", "--seed", "0", "--format", "csv"]
 
 CASES = {
     "analyze_near_boundary.json": ["analyze", *NEAR, "--epsilon", "0.05"],
@@ -39,6 +45,8 @@ CASES = {
     "analyze_two_gaussians_n300.json": ["analyze", *GAUSS, "--epsilon", "0.1"],
     "analyze_two_gaussians_n300.csv": ["analyze", *GAUSS, "--epsilon", "0.1", "--format", "csv"],
     "sweep_two_gaussians_n300.json": ["sweep", *GAUSS, "--grid", "0.01,0.1,0.4,1.0", "--trials", "40"],
+    "sweep_two_gaussians_n300.csv": [
+        "sweep", *GAUSS, "--grid", "0.01,0.1,0.4,1.0", "--trials", "40", "--format", "csv"],
     "montecarlo_rho_two_gaussians_n300.json": ["montecarlo", *GAUSS, "--rho", "0.3", "--trials", "100"],
     "montecarlo_sigma_two_gaussians_n300.json": ["montecarlo", *GAUSS, "--sigma", "0.2", "--trials", "100"],
     "montecarlo_sigma_two_gaussians_n300.csv": [
@@ -50,6 +58,11 @@ CASES = {
     "trajectory_long.json": ["trajectory", "--points", LONG_TRAJECTORY, "--eta", "0.2", "--seed", "0"],
     "trajectory_long.csv": [
         "trajectory", "--points", LONG_TRAJECTORY, "--eta", "0.2", "--seed", "0", "--format", "csv"],
+    "trajectory_long_from_csv.json": ["trajectory", *FROM_CSV, "--eta", "0.2", "--seed", "0"],
+    "trajectory_long_from_csv.csv": ["trajectory", *FROM_CSV, "--eta", "0.2", "--seed", "0", "--format", "csv"],
+    "preset_two_gaussians_n300.points.csv": PRESET_CSV,
+    "preset_two_gaussians_n300.centers.csv": PRESET_CSV,
+    "preset_many_point_m3.json": ["preset", "many_point", "--m", "3", "--seed", "0"],
     "construct_single_point.json": ["construct", "single_point", "--epsilon", "0.5"],
     "construct_many_point.json": ["construct", "many_point", "--epsilon", "0.5", "--m", "4"],
     "construct_near_boundary.json": ["construct", "near_boundary", "--delta", "0.05"],
@@ -57,7 +70,9 @@ CASES = {
 
 
 def render(argv: list[str], out: Path) -> bytes:
-    assert main([*argv, "--out", str(out)]) == 0
+    # a csv preset writes <stem>.points.csv and <stem>.centers.csv, one case each
+    target = out.with_name(out.name.split(".")[0]) if argv is PRESET_CSV else out
+    assert main([*argv, "--out", str(target)]) == 0
     return out.read_bytes()
 
 
@@ -89,11 +104,22 @@ def long_trajectory_input(seed: int = 2026, n: int = 8, steps: int = 60) -> dict
     return {"schema_version": 1, "centers": centers.tolist(), "snapshots": [s.tolist() for s in snapshots]}
 
 
-if __name__ == "__main__":
-    doc = long_trajectory_input()
+def csv_rows(header: str, rows) -> str:
+    return "".join(f"{line}\n" for line in ["# schema_version=1", header, *(",".join(map(repr, r)) for r in rows)])
+
+
+def write_long_trajectory_inputs(doc: dict) -> None:
     rows = ",\n".join(f"    {json.dumps(s)}" for s in doc["snapshots"])
     Path(LONG_TRAJECTORY).write_text(
         f'{{\n  "schema_version": 1,\n  "centers": {json.dumps(doc["centers"])},\n  "snapshots": [\n{rows}\n  ]\n}}\n'
     )
+    snaps = doc["snapshots"]
+    point_by_point = ([t, *snap[i]] for i in range(len(snaps[0])) for t, snap in enumerate(snaps))
+    Path(LONG_TRAJECTORY_CSV).write_text(csv_rows("t,x1,x2", point_by_point))
+    Path(LONG_CENTERS_CSV).write_text(csv_rows("x1,x2", doc["centers"]))
+
+
+if __name__ == "__main__":
+    write_long_trajectory_inputs(long_trajectory_input())
     for name, argv in CASES.items():
         render(argv, GOLDEN / name)

@@ -149,6 +149,31 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match="0..T"):
             read_trajectory_file(traj_path, centers_path)
 
+    def test_csv_interleaved_rows_keep_file_order_within_each_time(self, tmp_path):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text("t,x1,x2\n1,0.15,0\n0,0.1,0\n1,-2,1\n0,-2,0\n# note\n1,3,0\n0,3,1\n")
+        centers_path = tmp_path / "ctr.csv"
+        centers_path.write_text(centers_to_csv(CenterSet([[-1.0, 0.0], [1.0, 0.0]])))
+        traj = read_trajectory_file(traj_path, centers_path)
+        assert np.array_equal(traj.snapshots[0].points, [[0.1, 0.0], [-2.0, 0.0], [3.0, 1.0]])
+        assert np.array_equal(traj.snapshots[1].points, [[0.15, 0.0], [-2.0, 1.0], [3.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2\n0.1,0\n-2,0\n", "'t' column"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1.5,0.15,0\n1.5,-2,0\n", "record 4"),
+        ],
+        ids=["missing_t", "fractional_t"],
+    )
+    def test_csv_bad_times_rejected(self, tmp_path, text, message):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text(text)
+        centers_path = tmp_path / "ctr.csv"
+        centers_path.write_text(centers_to_csv(CenterSet([[-1.0, 0.0], [1.0, 0.0]])))
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_file(traj_path, centers_path)
+
     def test_json_needs_snapshots_key(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"schema_version": 1, "centers": [[0, 0], [1, 1]]}))
