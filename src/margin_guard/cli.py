@@ -13,7 +13,6 @@ variable, which is in turn overridden by --seed.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from pathlib import Path
@@ -22,11 +21,10 @@ from .counterexamples import FIXTURE_NAMES, make_fixture
 from .dynamics import _trajectory_pass
 from .errors import InvariantViolation
 from .formats import (
-    SCHEMA_VERSION,
     centers_to_csv,
     centers_to_json_dict,
+    csv_table,
     dump_json,
-    format_float,
     points_to_csv,
     points_to_json_dict,
     read_centers,
@@ -41,15 +39,14 @@ from .stochastic import PerturbationModel, monte_carlo, sweep_table
 __all__ = ["main", "entry"]
 
 
-def _add_common_flags(p: argparse.ArgumentParser, *, inputs: bool = True) -> None:
-    if inputs:
-        p.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
-        p.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
-        p.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
-        p.add_argument("--n", type=int, default=200, help="point count for the two_gaussians preset")
-        p.add_argument("--sigma0", type=float, default=0.2, help="spread for the two_gaussians preset")
-        p.add_argument("--m", type=int, default=1, help="switching-point count for the many_point preset")
-        p.add_argument("--delta", type=float, default=0.1, help="boundary offset for the near_boundary preset")
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
+    p.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
+    p.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
+    p.add_argument("--n", type=int, default=200, help="point count for the two_gaussians preset")
+    p.add_argument("--sigma0", type=float, default=0.2, help="spread for the two_gaussians preset")
+    p.add_argument("--m", type=int, default=1, help="switching-point count for the many_point preset")
+    p.add_argument("--delta", type=float, default=0.1, help="boundary offset for the near_boundary preset")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: MARGIN_GUARD_SEED or 0)")
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
@@ -157,18 +154,9 @@ def cmd_analyze(args) -> int:
     config, centers = _resolve_inputs(args, seed)
     report = analyze_stability(config, centers)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-        buf.write(f"# min_margin={format_float(report.min_margin)}\n")
-        buf.write(f"# margin_lower_bound_radius={format_float(report.margin_lower_bound_radius)}\n")
-        buf.write(f"# assignment_radius={format_float(report.assignment_radius)}\n")
-        buf.write("index,label,margin,switch_radius\n")
-        for i in range(report.labels.size):
-            buf.write(
-                f"{i + 1},{int(report.labels[i])},{format_float(report.margins[i])},"
-                f"{format_float(report.per_point_switch_radius[i])}\n"
-            )
-        _emit(buf.getvalue(), args.out)
+        notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
+        rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
+        _emit(csv_table(["index", "label", "margin", "switch_radius"], rows, **notes), args.out)
         return 0
     payload = report.to_json_dict()
     if args.epsilon is not None:
@@ -192,16 +180,8 @@ def cmd_sweep(args) -> int:
     config, centers = _resolve_inputs(args, seed)
     result = sweep_table(config, centers, _parse_grid(args.grid), trials=args.trials, seed=seed)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-        buf.write(f"# threshold={format_float(result.threshold)}\n")
-        buf.write("epsilon,mean_S,max_S,threshold_flag\n")
-        for row in result.rows:
-            buf.write(
-                f"{format_float(row.epsilon)},{format_float(row.mean_distance)},"
-                f"{format_float(row.max_distance)},{int(row.below_threshold)}\n"
-            )
-        _emit(buf.getvalue(), args.out)
+        rows = [(r.epsilon, r.mean_distance, r.max_distance, r.below_threshold) for r in result.rows]
+        _emit(csv_table(["epsilon", "mean_S", "max_S", "threshold_flag"], rows, threshold=result.threshold), args.out)
     else:
         _emit(dump_json(result.to_json_dict()), args.out)
     return 0
@@ -239,15 +219,10 @@ def cmd_trajectory(args) -> int:
     stepwise = run.stepwise()
 
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-        buf.write("step,delta,cumulative_budget,persistence_certified,stepwise_pass,distance_from_initial\n")
-        for t in range(traj.horizon):
-            buf.write(
-                f"{t},{format_float(run.deltas[t])},{format_float(budgets[t])},"
-                f"{int(certs[t].certified)},{int(stepwise[t])},{format_float(run.distances[t + 1])}\n"
-            )
-        _emit(buf.getvalue(), args.out)
+        columns = ["step", "delta", "cumulative_budget", "persistence_certified", "stepwise_pass",
+                   "distance_from_initial"]
+        rows = zip(range(traj.horizon), run.deltas, budgets, [c.certified for c in certs], stepwise, run.distances[1:])
+        _emit(csv_table(columns, rows), args.out)
         return 0
 
     payload = {
@@ -293,14 +268,8 @@ def cmd_montecarlo(args) -> int:
         model = PerturbationModel.gaussian(args.sigma, dim=config.d)
     report = monte_carlo(config, centers, model, trials=args.trials, seed=seed)
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-        buf.write("trial,n_switched,partition_distance\n")
-        for t in range(report.trials):
-            buf.write(
-                f"{t},{int(report.trial_switch_counts[t])},{format_float(report.trial_distances[t])}\n"
-            )
-        _emit(buf.getvalue(), args.out)
+        rows = zip(range(report.trials), report.trial_switch_counts, report.trial_distances)
+        _emit(csv_table(["trial", "n_switched", "partition_distance"], rows), args.out)
     else:
         _emit(dump_json(report.to_json_dict()), args.out)
     return 0
@@ -322,10 +291,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -10,7 +10,6 @@ top-level field in JSON and as a leading "# schema_version=1" comment in CSV.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .partitions import Partition
 __all__ = [
     "SCHEMA_VERSION",
     "format_float",
+    "csv_table",
     "dump_json",
     "points_to_csv",
     "centers_to_csv",
@@ -48,22 +48,29 @@ def dump_json(payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _matrix_to_csv(rows: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema_version={SCHEMA_VERSION}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{j + 1}" for j in range(rows.shape[1])])
-    for row in rows:
-        writer.writerow([format_float(v) for v in row])
-    return buf.getvalue()
+def _csv_field(value) -> str:
+    return str(int(value)) if isinstance(value, (bool, int, np.bool_, np.integer)) else format_float(value)
+
+
+def csv_table(columns, rows, **notes) -> str:
+    """CSV text: the schema line, a "# key=value" line per note, the header, then the rows.
+    Floats are written by format_float, ints and bools as integers (flags as 0/1)."""
+    lines = [f"# schema_version={SCHEMA_VERSION}", *(f"# {k}={_csv_field(v)}" for k, v in notes.items())]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_csv_field, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _coordinate_columns(d: int) -> list[str]:
+    return [f"x{j + 1}" for j in range(d)]
 
 
 def points_to_csv(config: PointConfig) -> str:
-    return _matrix_to_csv(config.points)
+    return csv_table(_coordinate_columns(config.d), config.points)
 
 
 def centers_to_csv(centers: CenterSet) -> str:
-    return _matrix_to_csv(centers.centers)
+    return csv_table(_coordinate_columns(centers.d), centers.centers)
 
 
 def points_to_json_dict(config: PointConfig) -> dict:
@@ -74,13 +81,20 @@ def centers_to_json_dict(centers: CenterSet) -> dict:
     return {"centers": [[float(v) for v in row] for row in centers.centers]}
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise ValueError(f"{path}: file not found") from None
+
+
 def _json_doc(path: Path, key: str) -> dict:
     """The JSON object in ``path``; it must hold ``key`` and a supported schema_version."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise ValueError(f"{path}: expected a JSON object with a {key!r} array")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -88,35 +102,38 @@ def _json_doc(path: Path, key: str) -> dict:
     return doc
 
 
-def _read_csv_matrix(text: str, path: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.ndarray]:
+    """The integer t column (empty unless ``timed``) and the coordinates of a CSV file with
+    columns [t,]x1..xd. Errors number records among the lines that are not blank or "#"."""
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if len(lines) < 2:  # a header and at least one record
         raise ValueError(f"{path}: no data rows")
     reader = csv.reader(lines)
-    header = next(reader)
-    expected = [f"x{j + 1}" for j in range(len(header))]
-    if [h.strip() for h in header] != expected:
+    header = [h.strip() for h in next(reader)]
+    lead = ["t"] if timed else []
+    if header[: len(lead)] != lead:
+        raise ValueError(f"{path}: trajectory CSV header must start with a 't' column")
+    expected = lead + _coordinate_columns(len(header) - len(lead))
+    if header != expected:
         raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
-    rows = []
+    times, rows = [], []
     for lineno, rec in enumerate(reader, start=2):
         if len(rec) != len(header):
             raise ValueError(f"{path}: record {lineno} has {len(rec)} fields, expected {len(header)}")
         try:
-            rows.append([float(v) for v in rec])
+            if timed:
+                times.append(int(rec[0]))
+            rows.append([float(v) for v in rec[len(lead):]])
         except ValueError as exc:
             raise ValueError(f"{path}: record {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows after header")
-    return np.array(rows)
+    return times, np.array(rows)
 
 
 def _load_matrix(path: str | Path, json_key: str) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"{path}: file not found")
     if path.suffix.lower() == ".json":
         return np.asarray(_json_doc(path, json_key)[json_key], dtype=float)
-    return _read_csv_matrix(path.read_text(), str(path))
+    return _read_csv_records(path)[1]
 
 
 def read_points(path: str | Path) -> PointConfig:
@@ -129,63 +146,40 @@ def read_centers(path: str | Path) -> CenterSet:
 
 
 def trajectory_to_json_dict(snapshots, centers: CenterSet) -> dict:
-    return {
-        "centers": [[float(v) for v in row] for row in centers.centers],
-        "snapshots": [[[float(v) for v in row] for row in snap.points] for snap in snapshots],
-    }
+    return {**centers_to_json_dict(centers), "snapshots": [snap.points.tolist() for snap in snapshots]}
 
 
 def read_trajectory_file(path: str | Path, centers_path: str | Path | None = None):
     """Load (snapshots, centers) from a trajectory file.
 
     JSON files are self-contained ("centers" plus a "snapshots" array). The
-    CSV alternative has columns t,x1..xd with one row per (time, index) and
-    requires the centers from a separate file.
+    CSV alternative has columns t,x1..xd with one row per (time, index), in any
+    order, and requires the centers from a separate file.
     """
     from .dynamics import Trajectory  # local import to avoid a cycle
 
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"{path}: file not found")
+    doc = {}
     if path.suffix.lower() == ".json":
         doc = _json_doc(path, "snapshots")
-        if centers_path is not None:
-            centers = read_centers(centers_path)
-        elif "centers" in doc:
-            centers = CenterSet(np.asarray(doc["centers"], dtype=float))
-        else:
-            raise ValueError(f"{path}: no centers in file and no centers file given")
-        snaps = [PointConfig(np.asarray(s, dtype=float)) for s in doc["snapshots"]]
-        return Trajectory(snapshots=tuple(snaps), centers=centers)
-
-    if centers_path is None:
-        raise ValueError(f"{path}: CSV trajectories need a separate centers file")
-    centers = read_centers(centers_path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    reader = csv.reader(lines)
-    header = [h.strip() for h in next(reader)]
-    if not header or header[0] != "t":
-        raise ValueError(f"{path}: trajectory CSV header must start with a 't' column")
-    d = len(header) - 1
-    if header[1:] != [f"x{j + 1}" for j in range(d)]:
-        raise ValueError(f"{path}: coordinate columns must be x1..x{d}")
-    by_time: dict[int, list[list[float]]] = {}
-    for lineno, rec in enumerate(reader, start=2):
-        if len(rec) != d + 1:
-            raise ValueError(f"{path}: record {lineno} has {len(rec)} fields, expected {d + 1}")
-        try:
-            t = int(rec[0])
-            coords = [float(v) for v in rec[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: record {lineno}: {exc}") from None
-        by_time.setdefault(t, []).append(coords)
-    times = sorted(by_time)
-    if times != list(range(len(times))):
-        raise ValueError(f"{path}: snapshot times must be 0..T, got {times}")
-    snaps = [PointConfig(np.array(by_time[t])) for t in times]
-    return Trajectory(snapshots=tuple(snaps), centers=centers)
+        snaps = doc["snapshots"]
+    else:
+        times, coords = _read_csv_records(path, timed=True)
+        # one stable sort groups the rows by time and keeps file order within each time
+        order = np.argsort(times, kind="stable")
+        times = np.asarray(times)[order]
+        cuts = np.flatnonzero(times[1:] != times[:-1]) + 1
+        steps = times[np.r_[0, cuts]]
+        if not np.array_equal(steps, np.arange(steps.size)):
+            raise ValueError(f"{path}: snapshot times must be 0..T, got {steps.tolist()}")
+        snaps = np.split(coords[order], cuts)
+    if centers_path is not None:
+        centers = read_centers(centers_path)
+    elif "centers" in doc:
+        centers = CenterSet(np.asarray(doc["centers"], dtype=float))
+    else:
+        raise ValueError(f"{path}: no centers in the file and no centers file given")
+    return Trajectory(snapshots=tuple(PointConfig(s) for s in snaps), centers=centers)
 
 
 def partition_from_lists(lists, n: int) -> Partition:

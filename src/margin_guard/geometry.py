@@ -87,10 +87,11 @@ class CenterSet:
         arr = _coordinate_matrix(self.centers, "centers")
         if arr.shape[0] < 2:
             raise ValueError("a center set needs at least 2 centers")
-        for a in range(arr.shape[0]):
-            for b in range(a + 1, arr.shape[0]):
-                if np.array_equal(arr[a], arr[b]):
-                    raise ValueError(f"centers {a + 1} and {b + 1} coincide")
+        # one sort finds equal rows; + 0.0 makes -0.0 equal to 0.0, as np.array_equal has it
+        _, group, counts = np.unique(arr + 0.0, axis=0, return_inverse=True, return_counts=True)
+        if counts.max() > 1:  # name the first pair a scan over a < b meets: lowest twinned a, its next twin b
+            a, b = np.flatnonzero(group == group[np.argmax(counts[group] > 1)])[:2]
+            raise ValueError(f"centers {a + 1} and {b + 1} coincide")
         object.__setattr__(self, "centers", arr)
 
     @property

@@ -72,6 +72,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="record 3"):
             read_points(path)
 
+    @pytest.mark.parametrize("text", ["", "# schema_version=1\n", "x1,x2\n", "# schema_version=1\nx1,x2\n\n"])
+    def test_no_records_rejected(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
+            read_points(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
             read_points(tmp_path / "absent.csv")
@@ -178,6 +185,12 @@ class TestTrajectoryFiles:
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"schema_version": 1, "centers": [[0, 0], [1, 1]]}))
         with pytest.raises(ValueError, match="snapshots"):
+            read_trajectory_file(path)
+
+    def test_json_snapshots_must_be_an_array(self, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({"schema_version": 1, "centers": [[0, 0], [1, 1]], "snapshots": 5}))
+        with pytest.raises(ValueError, match="'snapshots' array"):
             read_trajectory_file(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ class TestConstruction:
     def test_center_set_rejects_coincident(self):
         with pytest.raises(ValueError, match="coincide"):
             CenterSet([[1.0, 0.0], [1.0, 0.0]])
+
+    def test_center_set_names_the_pair_a_pairwise_scan_finds(self):
+        def scan(arr):  # the pairwise loop the sort-based check replaced
+            for a in range(len(arr)):
+                for b in range(a + 1, len(arr)):
+                    if np.array_equal(arr[a], arr[b]):
+                        return f"centers {a + 1} and {b + 1} coincide"
+            return None
+
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            k, d = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+            arr = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(k, d))
+            expected = scan(arr)
+            if expected is None:
+                assert CenterSet(arr).k == k
+            else:
+                with pytest.raises(ValueError, match=f"^{expected}$"):
+                    CenterSet(arr)
+
+    def test_center_set_duplicate_check_is_not_quadratic(self):
+        grid = np.stack(np.meshgrid(np.arange(40.0), np.arange(50.0)), axis=-1).reshape(-1, 2)
+        start = time.perf_counter()
+        assert CenterSet(grid).k == 2000
+        assert time.perf_counter() - start < 1.0
 
     def test_center_set_rejects_single_center(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from margin_guard import (
     switch_probability_bound,
     trial_rng,
 )
+from margin_guard import stochastic, two_gaussians
 from margin_guard.stochastic import _noise
 from conftest import peak_traced_mib
 
@@ -142,6 +145,31 @@ class TestExpectedBounds:
         a = assign_nearest(cfg, two_centers)
         model = PerturbationModel.gaussian(1.0, dim=2)
         assert expected_distance_bound(a, model) == 1.0
+
+    def test_total_is_a_left_to_right_sum(self):
+        """Python 3.12 made builtin sum() compensated; on this input (the montecarlo
+        --preset two_gaussians --n 2000 --sigma 0.3 seed-0 input) it then differs from
+        the plain left-to-right sum in the last bit, so a report would depend on the
+        Python version."""
+        config, centers = two_gaussians(n=2000, seed=0)
+        model = PerturbationModel.gaussian(0.3, dim=2)
+        a = assign_nearest(config, centers)
+        bounds = [switch_probability_bound(float(g), model) for g in a.margins]
+        total = functools.reduce(operator.add, bounds, 0.0)
+        assert total == 48.903721696181435
+        assert expected_switch_bound(a, model) == total
+        assert monte_carlo(config, centers, model, trials=1, seed=0).expected_switch_bound == total
+
+    def test_monte_carlo_computes_each_tail_bound_once(self, monkeypatch, anchored_config, two_centers):
+        calls = []
+
+        def counted(gamma, model):
+            calls.append(gamma)
+            return switch_probability_bound(gamma, model)
+
+        monkeypatch.setattr(stochastic, "switch_probability_bound", counted)
+        monte_carlo(anchored_config, two_centers, PerturbationModel.gaussian(0.2, dim=2), trials=2, seed=0)
+        assert len(calls) == anchored_config.n
 
 
 class TestLabelPairDistance:
