@@ -104,17 +104,20 @@ class _Pass(NamedTuple):
 
 
 def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
-    """One O(T·n·k) pass: all step sizes, then the first ``assigned`` snapshots (default
-    all) assigned one at a time, in O(n·k) memory beyond one stacked copy of the snapshots."""
+    """One O(T·n·k) pass: all step sizes, then the first ``assigned`` snapshots (default all)
+    assigned one at a time, keeping their labels and min margins, then one distance call for
+    all labels; memory is O(n·k) beyond the stacked snapshots and the (T+1, n) labels."""
     steps = np.diff(np.stack([s.points for s in traj.snapshots]), axis=0)
     # sqrt of a sum over the last axis, then max: bit-identical to perturbation_size
     deltas = np.sqrt((steps * steps).sum(axis=2)).max(axis=1)
-    out = _Pass(deltas, [], [])
+    out, labels = _Pass(deltas, [], []), []
     for snap in traj.snapshots[:assigned]:
         assignment = assign_nearest(snap, traj.centers)
-        initial = assignment.labels if not out.min_margins else initial
+        labels.append(assignment.labels)
         out.min_margins.append(assignment.min_margin)
-        out.distances.append(_pair_disagreement_count(initial, assignment.labels) / (traj.n * (traj.n - 1) // 2))
+    if labels:
+        counts = _pair_disagreement_count(labels[0], np.array(labels))
+        out.distances.extend((counts / (traj.n * (traj.n - 1) // 2)).tolist())
     return out
 
 

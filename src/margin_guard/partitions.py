@@ -167,19 +167,27 @@ def induced_partition(assignment: Assignment) -> Partition:
     return Partition.from_labels(assignment.labels)
 
 
-def _pair_disagreement_count(a: np.ndarray, b: np.ndarray) -> int:
-    """Index pairs grouped together by exactly one of two label arrays.
+def _equal_pairs(keys: np.ndarray, row_keys: np.ndarray) -> np.ndarray:
+    """Index pairs with equal keys in each row, where row r's keys lie in [row_keys[r], row_keys[r + 1])."""
+    values, counts = np.unique(keys, return_counts=True)
+    return np.add.reduceat(counts * (counts - 1) // 2, np.searchsorted(values, row_keys))
 
-    Contingency closed form: a group of c indices holds c(c-1)/2 pairs, so the
-    count is (sum c_a^2 + sum c_b^2 - 2 sum c_ab^2) / 2 over the label counts
-    of ``a``, of ``b`` and of the (a, b) combinations that occur. Labels are
-    nonnegative integers, dense as block ids and center labels are; memory is
-    O(n + max label), never a table of label pairs.
+
+def _pair_disagreement_count(a: np.ndarray, b: np.ndarray):
+    """Index pairs grouped together by exactly one of two label arrays; one count per row of a 2-d ``b``.
+
+    Contingency closed form: a group of c indices holds c(c-1)/2 pairs, so the count is
+    pairs(a) + pairs(b) - 2 pairs(a, b) over the groups of equal labels in ``a``, in ``b`` and in
+    (a, b) combinations. Labels are nonnegative integers, dense as block ids and center labels are;
+    rows are keyed apart and sorted, so memory is O(rows * n + max label), never a table of label pairs.
     """
-    counts_a = np.bincount(a)
-    counts_b = np.bincount(b)
-    _, joint = np.unique(a * counts_b.size + b, return_counts=True)
-    return int(counts_a @ counts_a + counts_b @ counts_b - 2 * (joint @ joint)) // 2
+    rows = np.atleast_2d(b)
+    span_a, span_b = int(a.max()) + 1, int(rows.max()) + 1
+    row_keys = np.arange(len(rows)) * span_b
+    keyed, counts_a = rows + row_keys[:, None], np.bincount(a)
+    same_b = _equal_pairs(keyed, row_keys)
+    counts = (counts_a @ counts_a - a.size) // 2 + same_b - 2 * _equal_pairs(keyed * span_a + a, row_keys * span_a)
+    return int(counts[0]) if b.ndim == 1 else counts
 
 
 def pair_disagreements(p: Partition, q: Partition, method: str = "contingency") -> int:

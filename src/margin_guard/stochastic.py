@@ -81,24 +81,29 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def _noise(model: PerturbationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, dim) array of independent per-index noise vectors."""
+def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
+    """(trials, n, dim) independent per-index noise vectors. Each trial draws from its own generator
+    what it would draw alone, so values do not depend on how trials are grouped."""
+    draws, uniforms = [], []
+    for rng in rngs:
+        g = rng.standard_normal((n, model.dim))
+        if model.kind == BOUNDED_DISK:
+            # essentially impossible, but keeps directions defined: a zero-norm row needs a zero x * x
+            while not (g * g).all() and (redo := np.linalg.norm(g, axis=1) == 0).any():
+                g[redo] = rng.standard_normal((int(redo.sum()), model.dim))
+            uniforms.append(rng.random(n))
+        draws.append(g)
+    g = np.array(draws)
     if model.kind == GAUSSIAN:
-        return rng.standard_normal((n, model.dim)) * model.scale
+        return g * model.scale
     # uniform on the ball: random direction, radius rho * U^(1/d)
-    g = rng.standard_normal((n, model.dim))
-    norms = np.linalg.norm(g, axis=1)
-    while (norms == 0).any():  # essentially impossible, but keeps directions defined
-        redo = norms == 0
-        g[redo] = rng.standard_normal((int(redo.sum()), model.dim))
-        norms = np.linalg.norm(g, axis=1)
-    radii = model.scale * rng.random(n) ** (1.0 / model.dim)
-    eta = g * (radii / norms)[:, None]
+    radii = model.scale * np.array(uniforms) ** (1.0 / model.dim)
+    eta = g * (radii / np.linalg.norm(g, axis=2))[..., None]
     # the norm bound is a hard guarantee; nudge any float overshoot back inside
-    out_norms = np.linalg.norm(eta, axis=1)
+    out_norms = np.linalg.norm(eta, axis=2)
     while (over := out_norms > model.scale).any():
         eta[over] *= np.nextafter(1.0, 0.0)
-        out_norms = np.linalg.norm(eta, axis=1)
+        out_norms = np.linalg.norm(eta, axis=2)
     return eta
 
 
@@ -111,7 +116,7 @@ def sample_perturbation(model: PerturbationModel, config: PointConfig, seed) -> 
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return PointConfig(config.points + _noise(model, config.n, rng))
+    return PointConfig(config.points + _noise(model, config.n, [rng])[0])
 
 
 def switch_probability_bound(gamma: float, model: PerturbationModel) -> float:
@@ -170,12 +175,19 @@ def label_pair_distance(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     return _pair_disagreement_count(la, lb) / (la.size * (la.size - 1) // 2)
 
 
-def _perturbed_labels(
-    points: np.ndarray, centers: np.ndarray, model: PerturbationModel, rng: np.random.Generator
-) -> np.ndarray:
-    """1-based nearest-center labels of one noisy copy of ``points``."""
-    noisy = points + _noise(model, points.shape[0], rng)
-    return _distances(noisy, centers).argmin(axis=1) + 1
+# Trials per chunk keep chunk * n * k, the entries of one chunk's distance table, within this (or one trial)
+_CHUNK_ENTRIES = 2**12
+
+
+def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, model, trials: int, make_rng):
+    """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from ``make_rng(t)`` for
+    each trial t, and each trial's partition distance to the ``base`` labels."""
+    n, d = config.points.shape
+    size = max(1, _CHUNK_ENTRIES // (n * centers.k))
+    for start in range(0, trials, size):
+        noisy = config.points + _noise(model, n, map(make_rng, range(start, min(start + size, trials))))
+        labels = _distances(noisy.reshape(-1, d), centers.centers).argmin(axis=1).reshape(-1, n) + 1
+        yield labels, _pair_disagreement_count(base, labels) / (n * (n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -238,15 +250,13 @@ def monte_carlo(
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
     base = assign_nearest(config, centers)
-    switch_counts = np.zeros(config.n, dtype=np.int64)
-    trial_switches = np.empty(trials, dtype=np.int64)
-    trial_dists = np.empty(trials, dtype=float)
-    for t in range(trials):
-        labels = _perturbed_labels(config.points, centers.centers, model, trial_rng(seed, t))
+    switch_counts, trial_switches, trial_dists = np.zeros(config.n, dtype=np.int64), [], []
+    for labels, dists in _trial_chunks(config, centers, base.labels, model, trials, lambda t: trial_rng(seed, t)):
         switched = labels != base.labels
-        switch_counts += switched
-        trial_switches[t] = int(switched.sum())
-        trial_dists[t] = label_pair_distance(base.labels, labels)
+        switch_counts += switched.sum(axis=0)
+        trial_switches.append(switched.sum(axis=1))
+        trial_dists.append(dists)
+    trial_dists = np.concatenate(trial_dists)
 
     freq = switch_counts / trials
     per_index_bound, total_bound = _tail_bounds(base.margins, model)
@@ -260,7 +270,7 @@ def monte_carlo(
         per_index_bound=per_index_bound,
         expected_switch_bound=total_bound,
         expected_distance_bound=min(1.0, (2.0 / (config.n - 1)) * total_bound),
-        trial_switch_counts=trial_switches,
+        trial_switch_counts=np.concatenate(trial_switches),
         trial_distances=trial_dists,
     )
 
@@ -332,10 +342,8 @@ def sweep_table(
     rows = []
     for eps in grid:
         model = PerturbationModel.bounded_disk(eps, dim=config.d)
-        dists = np.empty(trials)
-        for t in range(trials):
-            labels = _perturbed_labels(config.points, centers.centers, model, _sweep_rng(seed, eps, t))
-            dists[t] = label_pair_distance(base.labels, labels)
+        chunks = _trial_chunks(config, centers, base.labels, model, trials, lambda t: _sweep_rng(seed, eps, t))
+        dists = np.concatenate([d for _, d in chunks])
         rows.append(
             SweepRow(
                 epsilon=eps,

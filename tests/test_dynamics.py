@@ -302,6 +302,22 @@ class TestTrajectoryPass:
         assert len(sizes) <= T
         assert 0 < sum(rows) <= (T + 1) * n
 
+    def test_pass_makes_one_distance_call(self, monkeypatch):
+        T, n = 40, 30
+        traj = random_walk(np.random.default_rng(61), CenterSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), n, T, 0.3)
+        expected = [partition_distance(snapshot_partitions(traj)[0], p) for p in snapshot_partitions(traj)]
+        calls = []
+        count = dynamics._pair_disagreement_count
+
+        def counting(a, b):
+            calls.append(np.shape(b))
+            return count(a, b)
+
+        monkeypatch.setattr(dynamics, "_pair_disagreement_count", counting)
+        run = _trajectory_pass(traj)
+        assert calls == [(T + 1, n)]
+        assert run.distances == expected and max(expected) > 0
+
     def test_pass_memory_is_linear(self):
         # a (T + 1) x n x k float tensor would take 206 MB here
         T, n, k = 200, 2000, 64

@@ -125,6 +125,16 @@ class TestContingencyKernel:
         assert _pair_disagreement_count(a, b) == want
         assert label_pair_distance(a, b) == want / (a.size * (a.size - 1) // 2)
 
+    @given(label_array_pair(), st.integers(1, 5), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_label_rows_count_row_by_row(self, pair, extra_rows, rnd):
+        a, b = pair
+        rows = np.array([b, *(rnd.sample(list(b), b.size) for _ in range(extra_rows))])
+        counts = _pair_disagreement_count(a, rows)
+        assert counts.shape == (rows.shape[0],)
+        assert counts.tolist() == [_pair_disagreement_count(a, row) for row in rows]
+        assert counts[0] == pair_disagreements(Partition.from_labels(a), Partition.from_labels(b), method="pairs")
+
     def test_singletons_against_pairs_in_linear_memory(self):
         n = 3000
         singletons = Partition.from_labels(np.arange(n))

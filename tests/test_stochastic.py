@@ -21,8 +21,8 @@ from margin_guard import (
     switch_probability_bound,
     trial_rng,
 )
-from margin_guard import stochastic, two_gaussians
-from margin_guard.stochastic import _noise
+from margin_guard import CenterSet, stochastic, two_gaussians
+from margin_guard.stochastic import _noise, _sweep_rng
 from conftest import peak_traced_mib
 
 
@@ -53,7 +53,7 @@ class TestSampling:
         model = PerturbationModel.bounded_disk(0.37, dim=3)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            eta = _noise(model, 100, rng)
+            eta = _noise(model, 100, [rng])[0]
             assert (np.linalg.norm(eta, axis=1) <= 0.37).all()
 
     def test_gaussian_zero_scale_is_identity(self, anchored_config):
@@ -202,7 +202,7 @@ class TestPerTrialInvariants:
         model = PerturbationModel.gaussian(0.25, dim=2)
         n = anchored_config.n
         for t in range(500):
-            eta = _noise(model, n, trial_rng(4242, t))
+            eta = _noise(model, n, [trial_rng(4242, t)])[0]
             perturbed = PointConfig(anchored_config.points + eta)
             after = assign_nearest(perturbed, two_centers)
             switched = base.labels != after.labels
@@ -289,3 +289,156 @@ class TestSweep:
         a = sweep_table(anchored_config, two_centers, [0.05, 0.2], trials=10, seed=12)
         b = sweep_table(anchored_config, two_centers, [0.05, 0.2], trials=10, seed=12)
         assert a == b
+
+
+def noise_one_trial(model, n, rng):
+    """One trial's noise exactly as it was drawn before trials ran in chunks (test oracle)."""
+    if model.kind == "gaussian":
+        return rng.standard_normal((n, model.dim)) * model.scale
+    g = rng.standard_normal((n, model.dim))
+    norms = np.linalg.norm(g, axis=1)
+    while (norms == 0).any():
+        redo = norms == 0
+        g[redo] = rng.standard_normal((int(redo.sum()), model.dim))
+        norms = np.linalg.norm(g, axis=1)
+    radii = model.scale * rng.random(n) ** (1.0 / model.dim)
+    eta = g * (radii / norms)[:, None]
+    out_norms = np.linalg.norm(eta, axis=1)
+    while (over := out_norms > model.scale).any():
+        eta[over] *= np.nextafter(1.0, 0.0)
+        out_norms = np.linalg.norm(eta, axis=1)
+    return eta
+
+
+def disagreements_one_row(a, b):
+    """The one-row contingency count used before labels were compared in chunks (test oracle)."""
+    counts_a, counts_b = np.bincount(a), np.bincount(b)
+    _, joint = np.unique(a * counts_b.size + b, return_counts=True)
+    return int(counts_a @ counts_a + counts_b @ counts_b - 2 * (joint @ joint)) // 2
+
+
+def per_trial_loop(config, centers, model, trials, make_rng):
+    """(switch indicators, distances) of each trial, one trial at a time (test oracle)."""
+    base = assign_nearest(config, centers).labels
+    switched, dists = [], []
+    for t in range(trials):
+        noisy = PointConfig(config.points + noise_one_trial(model, config.n, make_rng(t)))
+        labels = assign_nearest(noisy, centers).labels
+        switched.append(labels != base)
+        dists.append(disagreements_one_row(base, labels) / (config.n * (config.n - 1) // 2))
+    return np.array(switched), np.array(dists)
+
+
+def random_setup(n, d, k=3):
+    rng = np.random.default_rng(100 * n + d)
+    return PointConfig(rng.uniform(-1.5, 1.5, (n, d))), CenterSet(rng.uniform(-1.0, 1.0, (k, d)))
+
+
+def set_trials_per_chunk(monkeypatch, per_chunk, n, k):
+    if per_chunk is not None:  # None keeps the default chunk size
+        monkeypatch.setattr(stochastic, "_CHUNK_ENTRIES", per_chunk * n * k)
+
+
+class ZeroNormRowGenerator:
+    """A generator whose first normal draw has a row of norm 0: all zeros, or values whose squares underflow."""
+
+    def __init__(self, seed, fill):
+        self.rng = np.random.default_rng(seed)
+        self.fill = fill
+        self.normal_draws = 0
+
+    def standard_normal(self, size):
+        g = self.rng.standard_normal(size)
+        if self.normal_draws == 0:
+            g[1] = self.fill
+        self.normal_draws += 1
+        return g
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+class TestChunkedTrialsMatchPerTrialLoop:
+    """Chunked trials against a copy of the one-trial-at-a-time loop, bit for bit."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_disk"])
+    def test_monte_carlo(self, monkeypatch, kind, d, n, per_chunk):
+        config, centers = random_setup(n, d)
+        model = PerturbationModel(kind=kind, scale=0.3, dim=d)
+        trials = 9 if n == 2000 else 30
+        set_trials_per_chunk(monkeypatch, per_chunk, n, centers.k)
+        report = monte_carlo(config, centers, model, trials=trials, seed=11)
+        switched, dists = per_trial_loop(config, centers, model, trials, lambda t: trial_rng(11, t))
+        assert np.array_equal(report.trial_switch_counts, switched.sum(axis=1))
+        assert np.array_equal(report.per_index_switch_frequency, switched.sum(axis=0) / trials)
+        assert np.array_equal(report.trial_distances, dists)
+        assert report.mean_partition_distance == float(dists.mean())
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_sweep_table(self, monkeypatch, d, n, per_chunk):
+        config, centers = random_setup(n, d)
+        trials = 9 if n == 2000 else 30
+        set_trials_per_chunk(monkeypatch, per_chunk, n, centers.k)
+        result = sweep_table(config, centers, [0.1, 0.6], trials=trials, seed=4)
+        for row in result.rows:
+            model = PerturbationModel.bounded_disk(row.epsilon, dim=d)
+            _, dists = per_trial_loop(config, centers, model, trials, lambda t: _sweep_rng(4, row.epsilon, t))
+            assert (row.mean_distance, row.max_distance) == (float(dists.mean()), float(dists.max()))
+
+    def test_switches_happen_in_these_inputs(self):
+        config, centers = random_setup(50, 2)
+        switched, dists = per_trial_loop(config, centers, PerturbationModel.gaussian(0.3, 2), 30, lambda t: trial_rng(11, t))
+        assert switched.any() and (dists > 0).any()
+
+    @pytest.mark.parametrize("fill", [0.0, 1e-200])
+    def test_zero_norm_rows_are_redrawn_from_their_own_stream(self, fill):
+        model = PerturbationModel.bounded_disk(0.5, dim=3)
+        streams = lambda: [trial_rng(1, 0), ZeroNormRowGenerator(8, fill), trial_rng(1, 2)]  # noqa: E731
+        chunk = _noise(model, 6, streams())
+        assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
+        stub = ZeroNormRowGenerator(8, fill)
+        _noise(model, 6, [stub])
+        assert stub.normal_draws == 2  # the first draw, then one redraw of the row
+        assert np.isfinite(chunk).all() and (np.linalg.norm(chunk, axis=2) > 0).all()
+
+
+class TestChunkedTrialsWork:
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        fn = getattr(stochastic, name)
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(stochastic, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
+    def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
+        rngs = self.count_calls(monkeypatch, "trial_rng")
+        tables = self.count_calls(monkeypatch, "_distances")
+        set_trials_per_chunk(monkeypatch, per_chunk, anchored_config.n, two_centers.k)
+        monte_carlo(anchored_config, two_centers, PerturbationModel.bounded_disk(0.3), trials=50, seed=1)
+        assert len(rngs) == 50
+        assert len(tables) == chunks
+
+    def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
+        rngs = self.count_calls(monkeypatch, "_sweep_rng")
+        tables = self.count_calls(monkeypatch, "_distances")
+        sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
+        assert len(rngs) == 3 * 40
+        assert len(tables) == 3
+
+    def test_memory_stays_small_over_many_trials(self):
+        config, centers = two_gaussians(n=200, seed=3)
+        model = PerturbationModel.bounded_disk(0.3, dim=2)
+        peak, report = peak_traced_mib(lambda: monte_carlo(config, centers, model, trials=5000, seed=0))
+        assert report.trial_distances.size == 5000
+        assert peak < 4.0
