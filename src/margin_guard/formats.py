@@ -122,6 +122,8 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.nd
             raise ValueError(f"{path}: record {lineno} has {len(rec)} fields, expected {len(header)}")
         try:
             if timed:
+                if not (rec[0].strip().isascii() and rec[0].strip().isdigit()):  # int() also takes "1_0", "+3"
+                    raise ValueError(f"time must be written with the digits 0-9, got {rec[0]!r}")
                 times.append(int(rec[0]))
             rows.append([float(v) for v in rec[len(lead):]])
         except ValueError as exc:

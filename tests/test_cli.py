@@ -226,8 +226,13 @@ class TestTrajectory:
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n1.5,0.15,0\n1.5,-2,0\n", "record 4"),
             ("t,x1,x2\n0,0.1,0\n0,-2,0\nx,0.15,0\nx,-2,0\n", "record 4"),
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n2,0.15,0\n2,-2,0\n", "0..T"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1_0,0.15,0\n1_0,-2,0\n", "record 4"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n+1,0.15,0\n+1,-2,0\n", "record 4"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n\u0661,0.15,0\n\u0661,-2,0\n", "record 4"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n\uff11,0.15,0\n\uff11,-2,0\n", "record 4"),
         ],
-        ids=["missing_t", "fractional_t", "non_numeric_t", "time_gap"],
+        ids=["missing_t", "fractional_t", "non_numeric_t", "time_gap", "underscore_t", "signed_t",
+             "arabic_indic_digit_t", "fullwidth_digit_t"],
     )
     def test_bad_csv_times_exit_2(self, capsys, tmp_path, two_centers, rows, message):
         path = tmp_path / "traj.csv"
