@@ -153,17 +153,23 @@ def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
     config, centers = _resolve_inputs(args, seed)
     report = analyze_stability(config, centers)
-    if args.format == "csv":
-        notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
-        rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
-        _emit(csv_table(["index", "label", "margin", "switch_radius"], rows, **notes), args.out)
-        return 0
-    payload = report.to_json_dict()
+    certificate, candidates = {}, frozenset()
     if args.epsilon is not None:
         assignment = Assignment(labels=report.labels, margins=report.margins, k=centers.k)
-        payload["epsilon"] = args.epsilon
-        payload["certified_no_switch"] = no_switch_certificate(assignment, args.epsilon)
-        payload["switch_candidates"] = sorted(switch_candidates(assignment, args.epsilon))
+        certificate = {"epsilon": args.epsilon, "certified_no_switch": no_switch_certificate(assignment, args.epsilon)}
+        candidates = switch_candidates(assignment, args.epsilon)
+    if args.format == "csv":
+        notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
+        columns = ["index", "label", "margin", "switch_radius"]
+        rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
+        if certificate:
+            columns.append("switch_candidate")
+            rows = [(*row, row[0] in candidates) for row in rows]
+        _emit(csv_table(columns, rows, **notes, **certificate), args.out)
+        return 0
+    payload = report.to_json_dict()
+    if certificate:
+        payload.update(certificate, switch_candidates=sorted(candidates))
     _emit(dump_json(payload), args.out)
     return 0
 

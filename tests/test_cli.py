@@ -5,7 +5,7 @@ import pytest
 
 from margin_guard import InvariantViolation, PointConfig, many_point_instability, two_gaussians
 from margin_guard.cli import main
-from margin_guard.formats import centers_to_csv, dump_json, points_to_csv, trajectory_to_json_dict
+from margin_guard.formats import centers_to_csv, dump_json, format_float, points_to_csv, trajectory_to_json_dict
 
 
 @pytest.fixture
@@ -70,6 +70,19 @@ class TestAnalyze:
         assert out.startswith("# schema_version=1\n")
         assert "index,label,margin,switch_radius" in out
         assert out.count("\n") == 8  # 4 comment/header lines + 3 data rows, trailing newline
+
+    @pytest.mark.parametrize("epsilon, certified, candidates", [("0.05", 1, []), ("0.15", 0, [3])])
+    def test_csv_carries_the_epsilon_certificate(self, capsys, anchored_files, epsilon, certified, candidates):
+        points, centers = anchored_files
+        argv = ["analyze", "--points", points, "--centers", centers, "--epsilon", epsilon]
+        doc = run_json(capsys, argv)
+        assert (doc["certified_no_switch"], doc["switch_candidates"]) == (bool(certified), candidates)
+        assert main([*argv, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4:7] == [f"# epsilon={format_float(float(epsilon))}", f"# certified_no_switch={certified}",
+                              "index,label,margin,switch_radius,switch_candidate"]
+        assert [int(line.split(",")[0]) for line in lines[7:] if line.endswith(",1")] == candidates
+        assert len(lines) == 10
 
     def test_both_input_sources_rejected(self, capsys, anchored_files):
         points, centers = anchored_files
