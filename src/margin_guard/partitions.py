@@ -181,10 +181,10 @@ def _pair_disagreement_count(a: np.ndarray, b: np.ndarray):
     (a, b) combinations. Labels are nonnegative integers, dense as block ids and center labels are;
     rows are keyed apart and sorted, so memory is O(rows * n + max label), never a table of label pairs.
     """
-    rows = np.atleast_2d(b)
-    span_a, span_b = int(a.max()) + 1, int(rows.max()) + 1
+    rows, counts_a = np.atleast_2d(b), np.bincount(a)
+    span_a, span_b = counts_a.size, np.bincount(rows.ravel()).size  # bincount rejects negative and float labels
     row_keys = np.arange(len(rows)) * span_b
-    keyed, counts_a = rows + row_keys[:, None], np.bincount(a)
+    keyed = rows + row_keys[:, None]
     same_b = _equal_pairs(keyed, row_keys)
     counts = (counts_a @ counts_a - a.size) // 2 + same_b - 2 * _equal_pairs(keyed * span_a + a, row_keys * span_a)
     return int(counts[0]) if b.ndim == 1 else counts

@@ -135,6 +135,11 @@ class TestContingencyKernel:
         assert counts.tolist() == [_pair_disagreement_count(a, row) for row in rows]
         assert counts[0] == pair_disagreements(Partition.from_labels(a), Partition.from_labels(b), method="pairs")
 
+    @pytest.mark.parametrize("rows, error", [([[0, 1, 1], [2, -1, -1]], ValueError), ([[0.5, 1.0, 1.0]], TypeError)])
+    def test_label_rows_must_be_nonnegative_integers(self, rows, error):
+        with pytest.raises(error):
+            _pair_disagreement_count(np.array([0, 1, 1]), np.array(rows))
+
     def test_singletons_against_pairs_in_linear_memory(self):
         n = 3000
         singletons = Partition.from_labels(np.arange(n))
