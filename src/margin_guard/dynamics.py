@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import CenterSet, PointConfig, assign_nearest, perturbation_size
-from .partitions import Partition, _pair_disagreement_count, induced_partition
+from .partitions import Partition, _label_distance, induced_partition
 
 __all__ = [
     "Trajectory",
@@ -116,8 +116,7 @@ def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
         labels.append(assignment.labels)
         out.min_margins.append(assignment.min_margin)
     if labels:
-        counts = _pair_disagreement_count(labels[0], np.array(labels))
-        out.distances.extend((counts / (traj.n * (traj.n - 1) // 2)).tolist())
+        out.distances.extend(_label_distance(labels[0], np.array(labels)).tolist())
     return out
 
 

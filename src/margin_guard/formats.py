@@ -43,9 +43,9 @@ def format_float(x: float) -> str:
 
 
 def dump_json(payload: dict) -> str:
-    """Canonical JSON text: schema header, sorted keys, trailing newline."""
+    """Canonical JSON text: schema header, sorted keys, trailing newline; non-finite floats raise ValueError."""
     doc = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_field(value) -> str:

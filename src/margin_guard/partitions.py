@@ -190,6 +190,11 @@ def _pair_disagreement_count(a: np.ndarray, b: np.ndarray):
     return int(counts[0]) if b.ndim == 1 else counts
 
 
+def _label_distance(a: np.ndarray, b: np.ndarray):
+    """Disagreement count over C(n, 2), one per row of a 2-d ``b``; integers below 2^53 divide correctly rounded."""
+    return _pair_disagreement_count(a, b) / (a.size * (a.size - 1) // 2)
+
+
 def pair_disagreements(p: Partition, q: Partition, method: str = "contingency") -> int:
     """Number of unordered index pairs whose same-block status differs.
 
@@ -221,8 +226,9 @@ def partition_distance(p: Partition, q: Partition) -> float:
     """
     if p.n < 2:
         raise ValueError("partition distance needs n >= 2")
-    total = p.n * (p.n - 1) // 2
-    return pair_disagreements(p, q) / total
+    if p.n != q.n:
+        raise ValueError(f"ground-set sizes differ: {p.n} vs {q.n}")
+    return _label_distance(p.block_ids(), q.block_ids())
 
 
 def switched_index_distance_bound(m: int, n: int) -> float:

@@ -22,8 +22,8 @@ def two_gaussians(n: int = 200, sigma0: float = 0.2, seed: int = 0) -> tuple[Poi
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if sigma0 < 0:
-        raise ValueError("sigma0 must be nonnegative")
+    if not 0 <= sigma0 < np.inf:
+        raise ValueError("sigma0 must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     choice = rng.integers(0, 2, size=n)
     spread = rng.normal(0.0, sigma0, size=(n, 2)) if sigma0 > 0 else np.zeros((n, 2))

@@ -4,7 +4,9 @@ The certificate side is provable: a perturbation strictly smaller than half
 the minimum margin cannot change any assigned center, hence cannot change the
 induced partition. The search side is empirical: it upper-bounds the partition
 stability radius by exhibiting a concrete single-point move that changes the
-partition. The true radius lies between the two.
+partition, deciding each candidate move by the single-move rule (only the moved
+point's label can change) and re-assigning in full only the witness. The true
+radius lies between the two.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .geometry import (Assignment, CenterSet, PointConfig, _distances, _squared_distances, assign_nearest,
                        nearest_label, perturbation_size)
-from .partitions import Partition, induced_partition
+from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
     "SEARCH_NOTE",
@@ -41,8 +43,8 @@ def no_switch_certificate(assignment: Assignment, epsilon: float) -> bool:
     tie rule may flip it. epsilon = 0 certifies trivially even at zero margin,
     since the only size-0 perturbation is the configuration itself.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return epsilon == 0.0 or epsilon < assignment.min_margin / 2.0
 
 
@@ -52,8 +54,8 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     Exactly the indices with margin <= 2 * epsilon. Indices outside the set
     provably cannot change their assigned center.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
@@ -104,49 +106,45 @@ class PartitionRadiusWitness:
     new_partition: Partition
 
 
-def empirical_partition_radius_search(
-    config: PointConfig,
-    centers: CenterSet,
-    slack_rel: float = 1e-9,
-    slack_floor: float = 1e-12,
+def _radius_search(
+    config: PointConfig, centers: CenterSet, assignment: Assignment, bisectors: np.ndarray
 ) -> PartitionRadiusWitness | None:
-    """Cheapest single-point move that changes the induced partition.
+    """Cheapest single-point move that changes the induced partition, or None.
 
-    Enumerates, for every index and every competing center, the move that
-    pushes the point just past the corresponding bisector (bisector distance
-    plus a small slack to force a strict crossing). Candidates are checked in
-    order of displacement; the first whose re-evaluated partition differs is
-    returned. Moves that change a label without changing the partition (for
-    example a singleton hopping to an empty center) are skipped.
-
-    Returns None when no single-point move changes the partition. The result
-    is an upper bound on the partition stability radius: coordinated
-    multi-point moves are not searched.
+    Each candidate pushes one point just past the bisector of its own center and
+    another (its ``bisectors`` entry plus a slack that forces a strict crossing),
+    in (step, index, center) order. Moving one point changes only its own label,
+    so the partition changes unless the label stays or the point leaves a
+    singleton block for an empty center: the moved point's own distance row
+    decides, in O(k). Only the winner is re-assigned in full, which must agree.
     """
-    assignment = assign_nearest(config, centers)
-    before = induced_partition(assignment)
-
-    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
-    rows, cols = np.nonzero(np.arange(centers.k) != (assignment.labels - 1)[:, None])
+    labels = assignment.labels - 1
+    rows, cols = np.nonzero(np.arange(centers.k) != labels[:, None])
     radii = bisectors[rows, cols]
-    steps = radii + np.maximum(slack_rel * radii, slack_floor)
-
+    steps = radii + np.maximum(1e-9 * radii, 1e-12)
+    sizes = np.bincount(labels, minlength=centers.k)
     for c in np.lexsort((cols, rows, steps)):
-        pos, step = int(rows[c]), float(steps[c])
-        direction = centers.centers[cols[c]] - centers.centers[assignment.labels[pos] - 1]
-        direction = direction / np.linalg.norm(direction)
-        moved = config.with_point(pos + 1, config.points[pos] + step * direction)
-        after = induced_partition(assign_nearest(moved, centers))
-        if after != before:
-            size = perturbation_size(config, moved)
-            if abs(size - step) > 1e-9 * max(1.0, step):
-                raise InvariantViolation(
-                    f"witness displacement {size} does not match candidate step {step}"
-                )
-            return PartitionRadiusWitness(
-                radius=size, witness=moved, moved_index=pos + 1, new_partition=after
-            )
+        pos, step, own = int(rows[c]), float(steps[c]), labels[rows[c]]
+        direction = centers.centers[cols[c]] - centers.centers[own]
+        point = config.points[pos] + step * (direction / np.linalg.norm(direction))
+        new = _distances(point[None, :], centers.centers)[0].argmin()  # ties to the lowest index
+        if new == own or (sizes[own] == 1 and sizes[new] == 0):
+            continue
+        moved = config.with_point(pos + 1, point)
+        size = perturbation_size(config, moved)
+        if abs(size - step) > 1e-9 * max(1.0, step):
+            raise InvariantViolation(f"witness displacement {size} does not match candidate step {step}")
+        after = assign_nearest(moved, centers)
+        if _pair_disagreement_count(assignment.labels, after.labels) == 0:
+            raise InvariantViolation(f"full re-assignment keeps the partition for point {pos + 1} -> center {new + 1}")
+        return PartitionRadiusWitness(size, moved, moved_index=pos + 1, new_partition=induced_partition(after))
     return None
+
+
+def empirical_partition_radius_search(config: PointConfig, centers: CenterSet) -> PartitionRadiusWitness | None:
+    """The witness of ``analyze_stability``: the cheapest single-point move that changes the
+    partition, or None. An upper bound on the radius; multi-point moves are not searched."""
+    return analyze_stability(config, centers).witness
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,8 @@ class StabilityReport:
         return None if self.witness is None else self.witness.radius
 
     def to_json_dict(self) -> dict:
-        out = {
+        w = self.witness
+        return {
             "n": int(self.labels.size),
             "k": self.k,
             "labels": [int(v) for v in self.labels],
@@ -181,25 +180,21 @@ class StabilityReport:
             "assignment_radius": float(self.assignment_radius),
             "partition": self.partition.to_lists(),
             "fragile_indices": list(self.fragile_indices),
-        }
-        if self.witness is None:
-            out["empirical_partition_radius"] = None
-        else:
-            out["empirical_partition_radius"] = {
-                "radius": float(self.witness.radius),
+            "empirical_partition_radius": None if w is None else {
+                "radius": float(w.radius),
                 "kind": self.search_note,
-                "moved_index": self.witness.moved_index,
-                "witness_points": [[float(c) for c in row] for row in self.witness.witness.points],
-                "new_partition": self.witness.new_partition.to_lists(),
-            }
-        return out
+                "moved_index": w.moved_index,
+                "witness_points": [[float(c) for c in row] for row in w.witness.points],
+                "new_partition": w.new_partition.to_lists(),
+            },
+        }
 
 
 def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = True) -> StabilityReport:
     """Full stability report for a configuration under fixed centers."""
     assignment = assign_nearest(config, centers)
-    radii = per_point_switch_radii(config, centers, assignment)
-    witness = empirical_partition_radius_search(config, centers) if search else None
+    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    radii = bisectors.min(axis=1)
     return StabilityReport(
         labels=assignment.labels,
         margins=assignment.margins,
@@ -209,6 +204,6 @@ def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = Tr
         assignment_radius=float(radii.min()),
         partition=induced_partition(assignment),
         fragile_indices=assignment.fragile_indices(),
-        witness=witness,
+        witness=_radius_search(config, centers, assignment, bisectors) if search else None,
         k=centers.k,
     )

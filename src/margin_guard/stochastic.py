@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .geometry import Assignment, CenterSet, PointConfig, _distances, assign_nearest
-from .partitions import _pair_disagreement_count
+from .partitions import _label_distance
 
 __all__ = [
     "PerturbationModel",
@@ -53,10 +53,10 @@ class PerturbationModel:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == BOUNDED_DISK and self.scale <= 0:
-            raise ValueError("bounded-disk radius must be positive")
-        if self.kind == GAUSSIAN and self.scale < 0:
-            raise ValueError("gaussian scale must be nonnegative")
+        if self.kind == BOUNDED_DISK and not 0 < self.scale < np.inf:
+            raise ValueError("bounded-disk radius must be finite and positive")
+        if self.kind == GAUSSIAN and not 0 <= self.scale < np.inf:
+            raise ValueError("gaussian scale must be finite and nonnegative")
 
     @classmethod
     def bounded_disk(cls, rho: float, dim: int = 2) -> "PerturbationModel":
@@ -126,24 +126,22 @@ def switch_probability_bound(gamma: float, model: PerturbationModel) -> float:
     Gaussian: the chi-square upper tail Q(d/2, gamma^2 / (8 sigma^2)), via the
     regularized upper incomplete gamma function.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    if gamma == 0.0:
-        return 1.0
-    if model.kind == BOUNDED_DISK:
-        ratio = gamma / (2.0 * model.scale)
-        if ratio >= 1.0:
-            return 0.0
-        return 1.0 - ratio**model.dim
-    if model.scale == 0.0:
-        return 0.0
-    return float(gammaincc(model.dim / 2.0, gamma**2 / (8.0 * model.scale**2)))
+    return float(_tail_bounds(np.array([gamma], dtype=float), model)[0][0])
 
 
 def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndarray, float]:
-    """Per-index tail bounds and their total, summed left to right: builtin sum() is
-    compensated from Python 3.12 on, so its last bits would depend on the Python version."""
-    bounds = np.array([switch_probability_bound(float(g), model) for g in margins])
+    """Per-index tail bounds of switch_probability_bound and their total, summed left to right: builtin
+    sum() is compensated from Python 3.12 on, so its last bits would depend on the Python version. Powers
+    are Python's float ``**`` per element: numpy's array power and x * x differ from it in some last bits."""
+    if model.kind == BOUNDED_DISK:
+        bounds = np.array([1.0 - r**model.dim if r < 1.0 else 0.0 for r in (margins / (2.0 * model.scale)).tolist()])
+    elif model.scale == 0.0:
+        bounds = np.zeros(margins.shape)
+    else:
+        bounds = gammaincc(model.dim / 2.0, np.array([g**2 for g in margins.tolist()]) / (8.0 * model.scale**2))
+    bounds[margins == 0.0] = 1.0
     return bounds, float(np.cumsum(bounds)[-1])
 
 
@@ -172,7 +170,7 @@ def label_pair_distance(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     lb = np.asarray(labels_b)
     if la.shape != lb.shape or la.ndim != 1 or la.size < 2:
         raise ValueError("label vectors must be equal-length 1-d arrays, n >= 2")
-    return _pair_disagreement_count(la, lb) / (la.size * (la.size - 1) // 2)
+    return _label_distance(la, lb)
 
 
 # Trials per chunk keep chunk * n * k, the entries of one chunk's distance table, within this (or one trial)
@@ -187,7 +185,7 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, mod
     for start in range(0, trials, size):
         noisy = config.points + _noise(model, n, map(make_rng, range(start, min(start + size, trials))))
         labels = _distances(noisy.reshape(-1, d), centers.centers).argmin(axis=1).reshape(-1, n) + 1
-        yield labels, _pair_disagreement_count(base, labels) / (n * (n - 1) // 2)
+        yield labels, _label_distance(base, labels)
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,8 @@ def sweep_table(
     grid = [float(e) for e in grid]
     if len(grid) < 2:
         raise ValueError("sweep grid needs at least 2 epsilon values")
-    if any(e <= 0 for e in grid):
-        raise ValueError("sweep epsilons must be positive")
+    if not all(0 < e < np.inf for e in grid):
+        raise ValueError("sweep epsilons must be finite and positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base = assign_nearest(config, centers)

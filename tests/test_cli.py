@@ -341,6 +341,29 @@ class TestExitCodes:
         assert main(["analyze", "--points", points, "--centers", centers]) == 3
         assert "invariant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "two_gaussians", "--n", "20", "--grid", "nan,0.1", "--trials", "2"],
+            ["sweep", "--preset", "two_gaussians", "--n", "20", "--grid", "inf,0.1", "--trials", "2"],
+            ["montecarlo", "--preset", "two_gaussians", "--n", "20", "--rho", "nan", "--trials", "2"],
+            ["montecarlo", "--preset", "two_gaussians", "--n", "20", "--rho", "inf", "--trials", "2"],
+            ["montecarlo", "--preset", "two_gaussians", "--n", "20", "--sigma", "nan", "--trials", "2"],
+            ["montecarlo", "--preset", "two_gaussians", "--n", "20", "--sigma", "inf", "--trials", "2"],
+            ["analyze", "--preset", "two_gaussians", "--n", "20", "--epsilon", "nan"],
+            ["analyze", "--preset", "two_gaussians", "--n", "20", "--epsilon", "inf"],
+            ["analyze", "--preset", "two_gaussians", "--n", "20", "--epsilon", "nan", "--format", "csv"],
+            ["preset", "two_gaussians", "--n", "5", "--sigma0", "nan"],
+            ["preset", "two_gaussians", "--n", "5", "--sigma0", "inf"],
+            ["analyze", "--preset", "two_gaussians", "--n", "5", "--sigma0", "nan"],
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+
 
 def test_output_file_writing(tmp_path, anchored_files):
     points, centers = anchored_files

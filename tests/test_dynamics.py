@@ -307,13 +307,13 @@ class TestTrajectoryPass:
         traj = random_walk(np.random.default_rng(61), CenterSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), n, T, 0.3)
         expected = [partition_distance(snapshot_partitions(traj)[0], p) for p in snapshot_partitions(traj)]
         calls = []
-        count = dynamics._pair_disagreement_count
+        count = dynamics._label_distance
 
         def counting(a, b):
             calls.append(np.shape(b))
             return count(a, b)
 
-        monkeypatch.setattr(dynamics, "_pair_disagreement_count", counting)
+        monkeypatch.setattr(dynamics, "_label_distance", counting)
         run = _trajectory_pass(traj)
         assert calls == [(T + 1, n)]
         assert run.distances == expected and max(expected) > 0

@@ -115,6 +115,12 @@ class TestJsonRoundTrip:
         assert dump_json(payload) == dump_json(payload)
         assert json.loads(dump_json(payload))["schema_version"] == 1
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_dump_json_rejects_non_finite_floats(self, value):
+        # NaN and Infinity are not JSON (RFC 8259); no report may carry them
+        with pytest.raises(ValueError):
+            dump_json({"nested": {"values": [1.0, value]}})
+
 
 class TestTrajectoryFiles:
     def make_trajectory(self):

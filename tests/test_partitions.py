@@ -15,7 +15,7 @@ from margin_guard import (
     partition_distance,
     switched_index_distance_bound,
 )
-from margin_guard.partitions import _pair_disagreement_count
+from margin_guard.partitions import _label_distance, _pair_disagreement_count
 from conftest import peak_traced_mib
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -135,6 +135,10 @@ class TestContingencyKernel:
         assert counts.shape == (rows.shape[0],)
         pa = Partition.from_labels(a)
         assert counts.tolist() == [pair_disagreements(pa, Partition.from_labels(r), method="pairs") for r in rows]
+        # one normalization: every row's distance is its count over C(n, 2), as partition_distance gives it
+        total = a.size * (a.size - 1) // 2
+        assert _label_distance(a, rows).tolist() == [c / total for c in counts.tolist()]
+        assert _label_distance(a, rows).tolist() == [partition_distance(pa, Partition.from_labels(r)) for r in rows]
 
     @pytest.mark.parametrize("rows, error", [([[0, 1, 1], [2, -1, -1]], ValueError), ([[0.5, 1.0, 1.0]], TypeError)])
     def test_label_rows_must_be_nonnegative_integers(self, rows, error):

@@ -3,6 +3,7 @@ import pytest
 
 from margin_guard import (
     CenterSet,
+    InvariantViolation,
     Partition,
     PartitionRadiusWitness,
     PointConfig,
@@ -16,6 +17,10 @@ from margin_guard import (
     perturbation_size,
     switch_candidates,
 )
+from margin_guard import stability
+from margin_guard.cli import main
+from margin_guard.formats import centers_to_csv, points_to_csv
+from margin_guard.stability import _bisector_distances
 from conftest import random_instance
 
 
@@ -173,6 +178,49 @@ def candidate_loop_search(config, centers, slack_rel=1e-9, slack_floor=1e-12):
     return None
 
 
+def full_reassignment_search(config, centers):
+    """Reference radius search: the kernel's candidates and order, but each one re-assigns every point."""
+    assignment = assign_nearest(config, centers)
+    before = induced_partition(assignment)
+    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    rows, cols = np.nonzero(np.arange(centers.k) != (assignment.labels - 1)[:, None])
+    radii = bisectors[rows, cols]
+    steps = radii + np.maximum(1e-9 * radii, 1e-12)
+    for c in np.lexsort((cols, rows, steps)):
+        pos, step = int(rows[c]), float(steps[c])
+        direction = centers.centers[cols[c]] - centers.centers[assignment.labels[pos] - 1]
+        moved = config.with_point(pos + 1, config.points[pos] + step * (direction / np.linalg.norm(direction)))
+        after = induced_partition(assign_nearest(moved, centers))
+        if after != before:
+            return PartitionRadiusWitness(perturbation_size(config, moved), moved, pos + 1, after)
+    return None
+
+
+def singleton_heavy_instance(rng):
+    """Float instance whose points sit near a few of up to 12 centers: many singletons and empty
+    centers, k > n in most draws, d = 1 in a third of them."""
+    n, d, k = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(2, 13))
+    centers = rng.uniform(-3.0, 3.0, (k, d))
+    while len(np.unique(centers, axis=0)) < k:
+        centers = rng.uniform(-3.0, 3.0, (k, d))
+    points = centers[rng.integers(0, k, n)] + rng.normal(0.0, 0.4, (n, d))
+    return PointConfig(points), CenterSet(centers)
+
+
+def checkerboard_with_singletons(side=4, deep=3, seed=7):
+    """Centers on a side x side grid; cells with i + j even hold either a deep cluster or one point
+    pushed toward a corner, next to empty cells, so cheap candidates leave the partition unchanged."""
+    rng = np.random.default_rng(seed)
+    cells = [(i, j) for i in range(side) for j in range(side)]
+    rows = []
+    for t, (i, j) in enumerate(c for c in cells if (c[0] + c[1]) % 2 == 0):
+        if t % 2:
+            rows.append([i + (0.3 if i < side - 1 else -0.3), j + (0.32 if j < side - 1 else -0.32)])
+        else:
+            rows.extend(np.array([i, j]) + rng.uniform(-0.15, 0.15, (deep, 2)))
+    return PointConfig(rows), CenterSet(np.array(cells, dtype=float))
+
+
 class TestSearchAgainstCandidateLoop:
     def test_checkerboard_ties_match_loop(self):
         # integer points and centers on a 3 x 3 grid: many candidate steps tie
@@ -190,6 +238,36 @@ class TestSearchAgainstCandidateLoop:
             assert got.radius == want.radius
             assert got.witness.points.tobytes() == want.witness.points.tobytes()
             assert got.new_partition == want.new_partition
+
+    def test_singletons_and_empty_centers_match_full_reassignment(self):
+        rng = np.random.default_rng(6)
+        found, shapes = 0, []
+        for _ in range(300):
+            config, centers = singleton_heavy_instance(rng)
+            got = empirical_partition_radius_search(config, centers)
+            want = full_reassignment_search(config, centers)
+            loop = candidate_loop_search(config, centers)
+            if want is None:
+                assert got is None and loop is None
+                continue
+            found += 1
+            assert got.moved_index == want.moved_index
+            assert got.radius == want.radius
+            assert got.witness.points.tobytes() == want.witness.points.tobytes()
+            assert got.new_partition == want.new_partition
+            # the loop's bisector takes the center gap from a 1-D norm (a BLAS dot), so its steps
+            # can differ in the last bits for d >= 2; in d = 1 they are the same to the bit
+            assert loop.moved_index == got.moved_index
+            assert loop.new_partition == got.new_partition
+            assert loop.radius == pytest.approx(got.radius, rel=1e-12)
+            if config.d == 1:
+                assert loop.radius == got.radius
+                assert loop.witness.points.tobytes() == got.witness.points.tobytes()
+            sizes = np.bincount(assign_nearest(config, centers).labels - 1, minlength=centers.k)
+            shapes.append(((sizes == 1).any() and (sizes == 0).any(), centers.k > config.n, config.d == 1))
+        # singletons next to empty centers, k > n and d = 1 are each common among the witnessed inputs
+        assert found > 250
+        assert (np.sum(shapes, axis=0) > 60).all()
 
     def test_step_is_switch_radius_plus_slack_to_the_bit(self):
         rng = np.random.default_rng(2604)
@@ -210,6 +288,57 @@ class TestSearchAgainstCandidateLoop:
                 if j != report.labels[pos] - 1
             ]
             assert any(np.array_equal(report.witness.witness.points[pos], m) for m in moves)
+
+
+class TestSearchWork:
+    def test_one_assignment_for_the_report_and_one_for_the_witness(self, monkeypatch):
+        config, centers = checkerboard_with_singletons()
+        calls = {"assign": 0, "bisectors": 0}
+        rows = []
+        assign, bisectors, distances = stability.assign_nearest, stability._bisector_distances, stability._distances
+
+        def counted_assign(*args):
+            calls["assign"] += 1
+            return assign(*args)
+
+        def counted_bisectors(*args):
+            calls["bisectors"] += 1
+            return bisectors(*args)
+
+        def counted_distances(points, targets):
+            rows.append(points.shape[0])
+            return distances(points, targets)
+
+        monkeypatch.setattr(stability, "assign_nearest", counted_assign)
+        monkeypatch.setattr(stability, "_bisector_distances", counted_bisectors)
+        monkeypatch.setattr(stability, "_distances", counted_distances)
+        report = analyze_stability(config, centers)
+        assert calls == {"assign": 2, "bisectors": 1}
+        # the bisector formula takes the k x k center gaps once; every candidate reads one row
+        assert sorted(rows) == [1] * (len(rows) - 1) + [centers.k]
+        assert len(rows) - 1 > 1  # cheaper candidates were rejected before the witness
+        monkeypatch.undo()
+        want = full_reassignment_search(config, centers)
+        assert report.witness.moved_index == want.moved_index
+        assert report.witness.witness.points.tobytes() == want.witness.points.tobytes()
+
+    def test_disagreeing_full_check_raises(self, monkeypatch, anchored_config, two_centers):
+        # the full re-assignment of the witness reports the labels before the move
+        assign = stability.assign_nearest
+        monkeypatch.setattr(stability, "assign_nearest", lambda config, centers: assign(anchored_config, centers))
+        with pytest.raises(InvariantViolation, match="full re-assignment keeps the partition"):
+            analyze_stability(anchored_config, two_centers)
+
+    def test_disagreeing_full_check_exits_3(self, monkeypatch, capsys, tmp_path, anchored_config, two_centers):
+        points, centers = tmp_path / "p.csv", tmp_path / "c.csv"
+        points.write_text(points_to_csv(anchored_config))
+        centers.write_text(centers_to_csv(two_centers))
+        assign = stability.assign_nearest
+        monkeypatch.setattr(stability, "assign_nearest", lambda config, c: assign(anchored_config, c))
+        assert main(["analyze", "--points", str(points), "--centers", str(centers)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal invariant violation: full re-assignment keeps the partition" in captured.err
 
 
 class TestStabilityReport:

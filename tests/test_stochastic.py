@@ -4,6 +4,7 @@ import operator
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from margin_guard import (
     Partition,
@@ -37,6 +38,13 @@ class TestModelValidation:
         assert PerturbationModel.gaussian(0.0).scale == 0.0
         with pytest.raises(ValueError):
             PerturbationModel.gaussian(-0.1)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scales_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationModel.bounded_disk(scale)
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationModel.gaussian(scale)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +130,51 @@ class TestSwitchProbabilityBound:
             assert abs(estimate - bound) <= 4 * stderr + 1e-9
 
 
+def scalar_tail(gamma, model):
+    """One point's tail bound, computed the scalar way: the oracle of the vectorized kernel."""
+    if gamma == 0.0:
+        return 1.0
+    if model.kind == "bounded_disk":
+        ratio = gamma / (2.0 * model.scale)
+        return 0.0 if ratio >= 1.0 else 1.0 - ratio**model.dim
+    if model.scale == 0.0:
+        return 0.0
+    return float(gammaincc(model.dim / 2.0, gamma**2 / (8.0 * model.scale**2)))
+
+
+class TestTailKernel:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize(
+        "kind, scale",
+        [("bounded_disk", 0.3), ("bounded_disk", 2.5), ("gaussian", 0.3), ("gaussian", 2.5), ("gaussian", 0.0)],
+    )
+    def test_bits_match_the_scalar_loop(self, dim, kind, scale):
+        # x * x and numpy's array power each miss the bits of Python's x**2 on some of these margins
+        model = PerturbationModel(kind, scale, dim)
+        rng = np.random.default_rng(dim)
+        edge = 2.0 * scale
+        special = [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), 5e-324, 1e-300]
+        margins = np.concatenate([rng.uniform(0.0, 2.0 * max(edge, 1.0), 6000), rng.exponential(1.0, 2000), special])
+        want = np.array([scalar_tail(float(g), model) for g in margins])
+        bounds, total = stochastic._tail_bounds(margins, model)
+        assert bounds.tobytes() == want.tobytes()
+        assert total == functools.reduce(operator.add, want.tolist(), 0.0)
+        singles = np.array([switch_probability_bound(float(g), model) for g in margins[-500:]])
+        assert singles.tobytes() == want[-500:].tobytes()
+
+    def test_edge_values(self):
+        for dim in (1, 2, 5):
+            disk, flat = PerturbationModel.bounded_disk(0.25, dim), PerturbationModel.gaussian(0.0, dim)
+            margins = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.7])
+            assert stochastic._tail_bounds(margins, disk)[0][[0, 2, 3]].tolist() == [1.0, 0.0, 0.0]
+            assert 0.0 < stochastic._tail_bounds(margins, disk)[0][1] < 1e-15
+            assert stochastic._tail_bounds(np.array([0.0, 5e-324, 1.0]), flat)[0].tolist() == [1.0, 0.0, 0.0]
+
+    def test_nan_margin_rejected(self):
+        with pytest.raises(ValueError):
+            switch_probability_bound(float("nan"), PerturbationModel.gaussian(1.0))
+
+
 class TestExpectedBounds:
     def test_supported_noise_below_margins_gives_zero(self, anchored_assignment):
         model = PerturbationModel.bounded_disk(0.09, dim=2)  # 2 rho < 0.2
@@ -161,15 +214,17 @@ class TestExpectedBounds:
         assert monte_carlo(config, centers, model, trials=1, seed=0).expected_switch_bound == total
 
     def test_monte_carlo_computes_each_tail_bound_once(self, monkeypatch, anchored_config, two_centers):
-        calls = []
+        # one gammaincc call over all n margins, and no per-point scalar call
+        calls, tail = [], stochastic.gammaincc
 
-        def counted(gamma, model):
-            calls.append(gamma)
-            return switch_probability_bound(gamma, model)
+        def counted(a, x):
+            calls.append(np.size(x))
+            return tail(a, x)
 
-        monkeypatch.setattr(stochastic, "switch_probability_bound", counted)
+        monkeypatch.setattr(stochastic, "gammaincc", counted)
+        monkeypatch.setattr(stochastic, "switch_probability_bound", None)
         monte_carlo(anchored_config, two_centers, PerturbationModel.gaussian(0.2, dim=2), trials=2, seed=0)
-        assert len(calls) == anchored_config.n
+        assert calls == [anchored_config.n]
 
 
 class TestLabelPairDistance:
