@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# A coordinate difference stays below 2e150, so each squared distance, a sum of d squares of at
+# most 4e300, stays finite for every d below 4e7.
+_MAX_COORDINATE = 1e150
+
+
 def _coordinate_matrix(rows, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2:
@@ -34,6 +39,10 @@ def _coordinate_matrix(rows, what: str) -> np.ndarray:
     if not finite_rows.all():
         bad = int(np.flatnonzero(~finite_rows)[0]) + 1
         raise ValueError(f"{what} row {bad} contains a non-finite coordinate")
+    huge_rows = (np.abs(arr) >= _MAX_COORDINATE).any(axis=1)
+    if huge_rows.any():
+        bad = int(np.flatnonzero(huge_rows)[0]) + 1
+        raise ValueError(f"{what} row {bad} has a coordinate of magnitude >= 1e150; squared distances would overflow")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr

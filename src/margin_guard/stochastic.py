@@ -8,7 +8,9 @@ the Monte Carlo estimators exist to be compared against those bounds.
 
 Randomness discipline: one master seed; the stream for trial t is derived
 from (seed, t) by seed-sequence splitting, so reports are reproducible
-regardless of how trials would be scheduled.
+regardless of how trials would be scheduled. ``trial_rng`` defines that
+stream; Monte Carlo and sweep build a whole chunk's streams at once with
+``_trial_rngs``, state for state the same.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammaincc
 
 from .geometry import Assignment, CenterSet, PointConfig, _distances, assign_nearest
@@ -79,6 +83,50 @@ class PerturbationModel:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible stream for one trial of one master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+# O'Neill's seed_seq constants, as numpy's SeedSequence uses them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MULT_A_POWERS = np.array([pow(_MULT_A, j, 2**32) for j in range(5)], dtype=np.uint32)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# generate_state's hash constant INIT_B * MULT_B^i before and after hashing output word i, as (2, 4)
+# blocks: output word i hashes pool word i % 4
+_STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32 for i in range(9)], dtype=np.uint32)
+_STATE_XOR, _STATE_MUL = _STATE_HASH[:8].reshape(2, 4), _STATE_HASH[1:].reshape(2, 4)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence whose state is 4 precomputed uint64 words, PCG64's whole request."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def _trial_rngs(entropy, trials):
+    """``trial_rng``'s streams in bulk: for each t in ``trials`` (ints in [0, 2^32)), the Generator
+    ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, state for state. ``entropy`` is an int
+    or a tuple of ints. seed_seq hashes the entropy words first and the spawn word last, so every
+    trial shares numpy's own ``SeedSequence(entropy).pool``; only the spawn word's mixing into that
+    pool and generate_state's 8 output words are computed here, one uint32 broadcast each."""
+    pool = SeedSequence(entropy).pool
+    ints = entropy if isinstance(entropy, tuple) else (entropy,)
+    words = sum(max(1, -(-int(e).bit_length() // 32)) for e in ints)  # 32-bit entropy words, >= 1 per int
+    # the spawn word follows the 4 pool words, 12 pool cross-mixes and 4 per entropy word past the 4th
+    first = 16 + 4 * max(0, words - 4)
+    hashes = np.uint32(_INIT_A * pow(_MULT_A, first, 2**32) % 2**32) * _MULT_A_POWERS
+    spawn = _xorshift((np.asarray(trials, dtype=np.uint32)[:, None] ^ hashes[:4]) * hashes[1:])
+    pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * spawn)
+    state = _xorshift((pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL)
+    # little-endian pairs of output words are PCG64's 4 uint64 seed words
+    for row in state.reshape(-1, 8).view("<u8").astype(np.uint64):
+        yield Generator(PCG64(_Words(row)))
 
 
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
@@ -177,13 +225,21 @@ def label_pair_distance(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
 _CHUNK_ENTRIES = 2**12
 
 
-def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, model, trials: int, make_rng):
-    """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from ``make_rng(t)`` for
-    each trial t, and each trial's partition distance to the ``base`` labels."""
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > 2**32:
+        raise ValueError(f"trials must be <= 2**32, one 32-bit stream key per trial; got {trials}")
+
+
+def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, model, trials: int, entropy):
+    """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from each trial t's stream
+    ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, and each trial's partition distance to
+    the ``base`` labels. One ``_trial_rngs`` call seeds a chunk."""
     n, d = config.points.shape
     size = max(1, _CHUNK_ENTRIES // (n * centers.k))
     for start in range(0, trials, size):
-        noisy = config.points + _noise(model, n, map(make_rng, range(start, min(start + size, trials))))
+        noisy = config.points + _noise(model, n, _trial_rngs(entropy, range(start, min(start + size, trials))))
         labels = _distances(noisy.reshape(-1, d), centers.centers).argmin(axis=1).reshape(-1, n) + 1
         yield labels, _label_distance(base, labels)
 
@@ -243,13 +299,12 @@ def monte_carlo(
     and the partition distance to the unperturbed partition. Reports are
     bit-reproducible given (seed, trials, model, config, centers).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
     base = assign_nearest(config, centers)
     switch_counts, trial_switches, trial_dists = np.zeros(config.n, dtype=np.int64), [], []
-    for labels, dists in _trial_chunks(config, centers, base.labels, model, trials, lambda t: trial_rng(seed, t)):
+    for labels, dists in _trial_chunks(config, centers, base.labels, model, trials, seed):
         switched = labels != base.labels
         switch_counts += switched.sum(axis=0)
         trial_switches.append(switched.sum(axis=1))
@@ -307,13 +362,6 @@ class SweepResult:
         }
 
 
-def _sweep_rng(seed: int, epsilon: float, trial: int) -> np.random.Generator:
-    # keyed by the epsilon value itself (not its grid position), so adding
-    # grid points never changes existing rows
-    eps_bits = int(np.float64(epsilon).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, eps_bits), spawn_key=(trial,)))
-
-
 def sweep_table(
     config: PointConfig,
     centers: CenterSet,
@@ -333,14 +381,15 @@ def sweep_table(
         raise ValueError("sweep grid needs at least 2 epsilon values")
     if not all(0 < e < np.inf for e in grid):
         raise ValueError("sweep epsilons must be finite and positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     base = assign_nearest(config, centers)
     threshold = base.min_margin / 2.0
     rows = []
     for eps in grid:
         model = PerturbationModel.bounded_disk(eps, dim=config.d)
-        chunks = _trial_chunks(config, centers, base.labels, model, trials, lambda t: _sweep_rng(seed, eps, t))
+        # keyed by the epsilon value itself (not its grid position), so adding grid points never changes existing rows
+        entropy = (seed, int(np.float64(eps).view(np.uint64)))
+        chunks = _trial_chunks(config, centers, base.labels, model, trials, entropy)
         dists = np.concatenate([d for _, d in chunks])
         rows.append(
             SweepRow(

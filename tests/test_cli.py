@@ -84,6 +84,17 @@ class TestAnalyze:
         assert [int(line.split(",")[0]) for line in lines[7:] if line.endswith(",1")] == candidates
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_far_point_exits_2_naming_the_row(self, capsys, tmp_path, fmt):
+        points = tmp_path / "p.csv"
+        centers = tmp_path / "c.csv"
+        points.write_text("x1,x2\n-1.5,0\n0.5,0\n1e200,0\n")
+        centers.write_text("x1,x2\n-1,0\n1,0\n")
+        assert main(["analyze", "--points", str(points), "--centers", str(centers), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points row 3 has a coordinate of magnitude >= 1e150")
+
     def test_both_input_sources_rejected(self, capsys, anchored_files):
         points, centers = anchored_files
         code = main(["analyze", "--points", points, "--centers", centers, "--preset", "single_point"])
@@ -302,6 +313,30 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert "trial,n_switched,partition_distance" in out
         assert out.count("\n") == 7  # comment + header + 5 trials
+
+
+STOCHASTIC_COMMANDS = pytest.mark.parametrize(
+    "command, flags", [("montecarlo", ["--rho", "0.1"]), ("sweep", ["--grid", "0.1,0.2"])]
+)
+
+
+class TestTrialStreamLimits:
+    @STOCHASTIC_COMMANDS
+    def test_negative_seed_exits_2(self, capsys, anchored_files, command, flags):
+        points, centers = anchored_files
+        assert main([command, "--points", points, "--centers", centers, *flags, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @STOCHASTIC_COMMANDS
+    def test_more_trials_than_stream_keys_exit_2(self, capsys, monkeypatch, anchored_files, command, flags):
+        monkeypatch.setattr("margin_guard.stochastic._trial_rngs", None)  # the run must not start
+        points, centers = anchored_files
+        assert main([command, "--points", points, "--centers", centers, *flags, "--trials", str(2**32 + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "2**32" in captured.err
 
 
 class TestSeedResolution:

@@ -32,6 +32,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="row 2"):
             PointConfig([[0.0, 1.0], [np.nan, 0.0]])
 
+    def test_coordinates_whose_squares_could_overflow_rejected(self):
+        with pytest.raises(ValueError, match="points row 3 has a coordinate of magnitude >= 1e150"):
+            PointConfig([[-1.5, 0.0], [0.5, 0.0], [1e200, 0.0]])
+        with pytest.raises(ValueError, match="points row 2"):
+            PointConfig([[0.0, 0.0], [0.0, -1e150]])
+        with pytest.raises(ValueError, match="centers row 1"):
+            CenterSet([[1e150, 0.0], [1.0, 0.0]])
+
+    def test_largest_accepted_coordinates_keep_distances_finite(self):
+        big = np.nextafter(1e150, 0.0)
+        result = assign_nearest(PointConfig([[big, -big], [0.0, 0.0]]), CenterSet([[-big, big], [1.0, 0.0]]))
+        assert list(result.labels) == [2, 2]
+        assert np.isfinite(result.margins).all()
+
     def test_point_config_is_immutable(self):
         cfg = PointConfig([[0.0, 1.0], [2.0, 3.0]])
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaincc
 
 from margin_guard import (
@@ -23,7 +24,7 @@ from margin_guard import (
     trial_rng,
 )
 from margin_guard import CenterSet, stochastic, two_gaussians
-from margin_guard.stochastic import _noise, _sweep_rng
+from margin_guard.stochastic import _noise, _trial_rngs
 from conftest import peak_traced_mib
 
 
@@ -81,6 +82,46 @@ class TestSampling:
         c = trial_rng(7, 1).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def assert_numpy_stream(rng, entropy, trial):
+    ref = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(trial,)))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+    assert np.array_equal(rng.random(3), ref.random(3))
+
+
+EDGE_TRIALS = [0, 1, 2**31, 2**32 - 1]
+float_bits = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(
+    lambda e: int(np.float64(e).view(np.uint64))
+)
+
+
+class TestTrialRngs:
+    """The chunk seeder against numpy's own per-trial construction, state for state."""
+
+    @given(
+        entropy=st.one_of(st.integers(0, 2**256 - 1), st.tuples(st.integers(0, 2**96), float_bits)),
+        extra=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    @example(entropy=0, extra=[])
+    @example(entropy=(4, int(np.float64(0.6).view(np.uint64))), extra=[])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_per_trial(self, entropy, extra):
+        trials = EDGE_TRIALS + extra
+        for trial, rng in zip(trials, _trial_rngs(entropy, trials), strict=True):
+            assert_numpy_stream(rng, entropy, trial)
+
+    # every count of 32-bit entropy words from 1 to 9, where the spawn word's hash constant moves
+    @pytest.mark.parametrize(
+        "entropy",
+        [0, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128, 2**160, 2**192, 2**255, 2**256,
+         (0, 0), (2**32, 1), (2**64, 2**64 - 1), (0, 0, 0, 0), (1, 2, 3, 4, 5), (2**40, 0, 2**100)],
+    )
+    def test_every_entropy_word_count(self, entropy):
+        for trials in (EDGE_TRIALS, range(2**32 - 3, 2**32)):
+            for trial, rng in zip(trials, _trial_rngs(entropy, trials), strict=True):
+                assert_numpy_stream(rng, entropy, trial)
 
 
 class TestSwitchProbabilityBound:
@@ -302,6 +343,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(anchored_config, two_centers, model, trials=0, seed=0)
 
+    def test_more_trials_than_stream_keys_rejected_before_drawing(self, monkeypatch, anchored_config, two_centers):
+        monkeypatch.setattr(stochastic, "_trial_rngs", None)  # any draw would fail with TypeError
+        model = PerturbationModel.bounded_disk(0.1, dim=2)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            monte_carlo(anchored_config, two_centers, model, trials=2**32 + 1, seed=0)
+
     def test_aggregate_bounds_attached(self, anchored_config, two_centers):
         model = PerturbationModel.bounded_disk(0.3, dim=2)
         report = monte_carlo(anchored_config, two_centers, model, trials=100, seed=3)
@@ -339,6 +386,11 @@ class TestSweep:
             sweep_table(anchored_config, two_centers, [0.1, -0.2], trials=10, seed=0)
         with pytest.raises(ValueError):
             sweep_table(anchored_config, two_centers, [0.1, 0.2], trials=0, seed=0)
+
+    def test_more_trials_than_stream_keys_rejected_before_drawing(self, monkeypatch, anchored_config, two_centers):
+        monkeypatch.setattr(stochastic, "_trial_rngs", None)  # any draw would fail with TypeError
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            sweep_table(anchored_config, two_centers, [0.1, 0.2], trials=2**32 + 1, seed=0)
 
     def test_reproducible(self, anchored_config, two_centers):
         a = sweep_table(anchored_config, two_centers, [0.05, 0.2], trials=10, seed=12)
@@ -382,6 +434,12 @@ def per_trial_loop(config, centers, model, trials, make_rng):
         switched.append(labels != base)
         dists.append(disagreements_one_row(base, labels) / (config.n * (config.n - 1) // 2))
     return np.array(switched), np.array(dists)
+
+
+def _sweep_rng(seed, epsilon, trial):
+    """One sweep trial's stream, keyed by (seed, float64 bits of epsilon) (test oracle)."""
+    eps_bits = int(np.float64(epsilon).view(np.uint64))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, eps_bits), spawn_key=(trial,)))
 
 
 def random_setup(n, d, k=3):
@@ -478,18 +536,31 @@ class TestChunkedTrialsWork:
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
         rngs = self.count_calls(monkeypatch, "trial_rng")
+        seeders = self.count_calls(monkeypatch, "_trial_rngs")
+        seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
+        streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_distances")
         set_trials_per_chunk(monkeypatch, per_chunk, anchored_config.n, two_centers.k)
         monte_carlo(anchored_config, two_centers, PerturbationModel.bounded_disk(0.3), trials=50, seed=1)
-        assert len(rngs) == 50
+        assert len(rngs) == 0
+        size = per_chunk or 50
+        assert seeders == [(1, range(start, min(start + size, 50))) for start in range(0, 50, size)]
+        assert len(seed_sequences) == chunks  # one shared pool per chunk, none per trial
+        assert len(streams) == 50
         assert len(tables) == chunks
 
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
-        rngs = self.count_calls(monkeypatch, "_sweep_rng")
+        seeders = self.count_calls(monkeypatch, "_trial_rngs")
+        seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
+        streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_distances")
+        set_trials_per_chunk(monkeypatch, 7, anchored_config.n, two_centers.k)
         sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
-        assert len(rngs) == 3 * 40
-        assert len(tables) == 3
+        chunks = [range(start, min(start + 7, 40)) for start in range(0, 40, 7)]
+        assert seeders == [((2, int(np.float64(e).view(np.uint64))), c) for e in (0.05, 0.2, 0.5) for c in chunks]
+        assert len(seed_sequences) == 3 * len(chunks)  # one shared pool per chunk and epsilon, none per trial
+        assert len(streams) == 3 * 40
+        assert len(tables) == 3 * len(chunks)
 
     def test_memory_stays_small_over_many_trials(self):
         config, centers = two_gaussians(n=200, seed=3)
