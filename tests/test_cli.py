@@ -266,6 +266,25 @@ class TestTrajectory:
         assert main(["trajectory", "--points", str(path), "--centers", str(centers)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "snapshots",
+        [
+            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 0, 5]]]",
+            "[[[0.1, 0]], [[0.2, 0]]]",
+            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, NaN]]]",
+            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 1e200]]]",
+            "[]",
+        ],
+        ids=["three_coordinates", "one_point", "nan", "oversized", "no_snapshots"],
+    )
+    def test_bad_json_snapshots_exit_2(self, capsys, tmp_path, snapshots):
+        path = tmp_path / "traj.json"
+        path.write_text(f'{{"centers": [[-1, 0], [1, 0]], "snapshots": {snapshots}}}')
+        assert main(["trajectory", "--points", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestMonteCarlo:
     def test_bounded_below_margin_never_switches(self, capsys, anchored_files):
