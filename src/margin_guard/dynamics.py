@@ -9,13 +9,13 @@ uncertified implies nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CenterSet, PointConfig, assign_nearest, perturbation_size
-from .partitions import Partition, _label_distance, induced_partition
+from .geometry import CenterSet, PointConfig, _check_coordinates, _nearest, perturbation_size
+from .partitions import Partition, _label_distance
 
 __all__ = [
     "Trajectory",
@@ -36,10 +36,15 @@ DRIFT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots X(0..T) over one index set, with centers shared across time."""
+    """Snapshots X(0..T) over one index set, with centers shared across time.
+
+    The snapshots are kept as one read-only (T+1, n, d) stack, which every reader works on;
+    ``snapshots`` holds a view of it per time.
+    """
 
     snapshots: tuple[PointConfig, ...]
     centers: CenterSet
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         snaps = tuple(self.snapshots)
@@ -52,9 +57,36 @@ class Trajectory:
                     f"snapshot {t} has shape ({snap.n}, {snap.d}), expected ({first.n}, {first.d}); "
                     "the point indexing is fixed over time"
                 )
-        if first.d != self.centers.d:
+        self._hold(np.stack([snap.points for snap in snaps]))
+
+    @classmethod
+    def _from_stack(cls, values, centers: CenterSet) -> "Trajectory":
+        """Trajectory over snapshots given as one (T+1, n, d) array, checked once as a whole the way
+        PointConfig checks one snapshot, with rows named "snapshot t row i". The snapshots are
+        read-only views of the checked stack, not checked again."""
+        stack = np.array(values, dtype=float)
+        if stack.shape[:1] == (0,):
+            raise ValueError("a trajectory needs at least one snapshot")
+        if stack.ndim != 3:
+            raise ValueError("snapshots must form a (T+1, n, d) array of coordinate vectors")
+        _, n, d = stack.shape
+        if d < 1:
+            raise ValueError("snapshot points must have dimension >= 1")
+        if n < 2:
+            raise ValueError(f"snapshot 0 has {n} point(s); a configuration needs at least 2 points")
+        _check_coordinates(stack, lambda r: f"snapshot {r // n} row {r % n + 1}")
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "centers", centers)
+        traj._hold(stack)
+        return traj
+
+    def _hold(self, stack: np.ndarray) -> None:
+        """Keep the checked stack, made read-only, with the snapshots as views of it."""
+        if stack.shape[2] != self.centers.d:
             raise ValueError("centers dimension does not match snapshots")
-        object.__setattr__(self, "snapshots", snaps)
+        stack.setflags(write=False)
+        object.__setattr__(self, "snapshots", tuple(map(PointConfig._of_checked, stack)))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def horizon(self) -> int:
@@ -63,11 +95,11 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.snapshots[0].n
+        return self._stack.shape[1]
 
     @property
     def d(self) -> int:
-        return self.snapshots[0].d
+        return self._stack.shape[2]
 
 
 class DriftCheck(NamedTuple):
@@ -85,9 +117,10 @@ class PersistenceCertificate:
 
 
 class _Pass(NamedTuple):
-    """Step sizes, plus the min margin and distance from time 0 of each assigned snapshot."""
+    """Step sizes, plus the labels, min margin and distance from time 0 of each assigned snapshot."""
 
     deltas: np.ndarray
+    labels: np.ndarray
     min_margins: list[float]
     distances: list[float]
 
@@ -104,20 +137,19 @@ class _Pass(NamedTuple):
 
 
 def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
-    """One O(T·n·k) pass: all step sizes, then the first ``assigned`` snapshots (default all)
-    assigned one at a time, keeping their labels and min margins, then one distance call for
-    all labels; memory is O(n·k) beyond the stacked snapshots and the (T+1, n) labels."""
-    steps = np.diff(np.stack([s.points for s in traj.snapshots]), axis=0)
+    """One O(T·n·k) pass over the stored stack: all step sizes, then one _nearest call over the
+    stacked rows of the first ``assigned`` snapshots (default all), then one distance call for all
+    their labels. _nearest works in row blocks, so memory is O(block) beyond the stack and the
+    (assigned, n) labels and margins."""
+    stack = traj._stack
+    steps = np.diff(stack, axis=0)
     # sqrt of a sum over the last axis, then max: bit-identical to perturbation_size
     deltas = np.sqrt((steps * steps).sum(axis=2)).max(axis=1)
-    out, labels = _Pass(deltas, [], []), []
-    for snap in traj.snapshots[:assigned]:
-        assignment = assign_nearest(snap, traj.centers)
-        labels.append(assignment.labels)
-        out.min_margins.append(assignment.min_margin)
-    if labels:
-        out.distances.extend(_label_distance(labels[0], np.array(labels)).tolist())
-    return out
+    rows = stack[:assigned]
+    labels, margins = _nearest(rows.reshape(-1, traj.d), traj.centers.centers)
+    labels, margins = labels.reshape(len(rows), traj.n), margins.reshape(len(rows), traj.n)
+    distances = _label_distance(labels[0], labels).tolist() if len(rows) else []
+    return _Pass(deltas, labels, margins.min(axis=1).tolist(), distances)
 
 
 def step_sizes(traj: Trajectory) -> np.ndarray:
@@ -178,4 +210,4 @@ def instability_time(traj: Trajectory, eta: float) -> int | None:
 
 def snapshot_partitions(traj: Trajectory) -> list[Partition]:
     """Induced partition at every snapshot time."""
-    return [induced_partition(assign_nearest(s, traj.centers)) for s in traj.snapshots]
+    return [Partition.from_labels(labels) for labels in _trajectory_pass(traj).labels]

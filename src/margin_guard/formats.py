@@ -131,10 +131,53 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.nd
     return times, np.array(rows)
 
 
+def _bad_json_entry(values, depth: int, what: str) -> str | None:
+    """The first flaw, in file order, of nested JSON lists meant as coordinate rows (``depth`` 2) or
+    as snapshots of them (``depth`` 3): a row that is not a list of plain numbers as long as the
+    first row, or a snapshot whose point count differs from the first one's. None if there is none."""
+    snaps, n, width = (values if depth == 3 else [values]), None, None
+    for t, snap in enumerate(snaps):
+        where = f"snapshot {t} " if depth == 3 else f"{what} "
+        if not isinstance(snap, list):
+            return f"snapshot {t} is not an array of points"
+        n = len(snap) if n is None else n
+        if len(snap) != n:
+            return f"snapshot {t} has {len(snap)} points, expected {n}; the point indexing is fixed over time"
+        for i, row in enumerate(snap, start=1):
+            if not isinstance(row, list):
+                return f"{where}row {i} is not an array of coordinates"
+            width = len(row) if width is None else width
+            if len(row) != width:
+                return f"{where}row {i} has {len(row)} coordinates, expected {width}"
+            for v in row:
+                if type(v) not in (int, float):  # bool is not a number here, though a subclass of int
+                    return f"{where}row {i} has a coordinate that is not a number: {json.dumps(v)}"
+    return None
+
+
+def _json_coordinates(values, path: Path, what: str, depth: int = 2) -> np.ndarray:
+    """``values`` from a JSON document as a float array, rejecting ragged rows and non-numbers with
+    the file and the entry named. numpy alone would read true as 1.0 and "1" as a number. Converting
+    without a dtype sorts most cases out: strings give str, all-bool data bool, null object. Only an
+    exact 0 or 1, which is what a true or false mixed in with numbers becomes, triggers a scan."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or ((arr == 0) | (arr == 1)).any():
+        problem = _bad_json_entry(values, depth, what)
+        if problem is not None:
+            raise ValueError(f"{path}: {problem}")
+    try:  # an object array of plain numbers holds ints too large for int64
+        return np.asarray(arr, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: {what}: a coordinate has magnitude >= 1e150") from None
+
+
 def _load_matrix(path: str | Path, json_key: str) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return np.asarray(_json_doc(path, json_key)[json_key], dtype=float)
+        return _json_coordinates(_json_doc(path, json_key)[json_key], path, json_key)
     return _read_csv_records(path)[1]
 
 
@@ -164,7 +207,7 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     doc = {}
     if path.suffix.lower() == ".json":
         doc = _json_doc(path, "snapshots")
-        snaps = doc["snapshots"]
+        stack = _json_coordinates(doc["snapshots"], path, "snapshots", depth=3)
     else:
         times, coords = _read_csv_records(path, timed=True)
         # one stable sort groups the rows by time and keeps file order within each time
@@ -174,14 +217,19 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
         steps = times[np.r_[0, cuts]]
         if not np.array_equal(steps, np.arange(steps.size)):
             raise ValueError(f"{path}: snapshot times must be 0..T, got {steps.tolist()}")
-        snaps = np.split(coords[order], cuts)
+        sizes = np.diff(np.r_[0, cuts, times.size])
+        if (sizes != sizes[0]).any():
+            t = int(np.argmax(sizes != sizes[0]))
+            raise ValueError(f"{path}: snapshot {t} has {sizes[t]} points, expected {sizes[0]}; "
+                             "the point indexing is fixed over time")
+        stack = coords[order].reshape(steps.size, sizes[0], coords.shape[1])
     if centers_path is not None:
         centers = read_centers(centers_path)
     elif "centers" in doc:
-        centers = CenterSet(np.asarray(doc["centers"], dtype=float))
+        centers = CenterSet(_json_coordinates(doc["centers"], path, "centers"))
     else:
         raise ValueError(f"{path}: no centers in the file and no centers file given")
-    return Trajectory(snapshots=tuple(PointConfig(s) for s in snaps), centers=centers)
+    return Trajectory._from_stack(stack, centers)
 
 
 def partition_from_lists(lists, n: int) -> Partition:

@@ -5,6 +5,11 @@ ordered tuple: the index of a point is part of its identity, and perturbations
 always compare points with the same index. Point indices are 1-based on every
 reporting surface (partitions, candidate sets, file formats); the underlying
 arrays are positional as usual.
+
+Labels with margins come from one kernel, ``_nearest``, for ``assign_nearest``,
+``nearest_label``, ``margin`` and the trajectory pass alike. It works in row
+blocks of at most ``_BLOCK_ENTRIES`` (point, center, coordinate) entries, so
+its memory beyond the labels and margins does not grow with n.
 """
 
 from __future__ import annotations
@@ -28,6 +33,24 @@ __all__ = [
 # most 4e300, stays finite for every d below 4e7.
 _MAX_COORDINATE = 1e150
 
+# Row blocks of the distance kernels hold at most this many (point, center, coordinate) entries:
+# 512 KiB of float64 per temporary, whatever n is.
+_BLOCK_ENTRIES = 2**16
+
+
+def _check_coordinates(arr: np.ndarray, row_name) -> None:
+    """Raise ValueError unless every coordinate of the float array ``arr`` is finite and of magnitude
+    below 1e150. ``row_name(r)`` names row r of ``arr`` seen as (rows, d); the first non-finite row is
+    named before the first oversized one."""
+    if not arr.size or np.abs(arr).max() < _MAX_COORDINATE:  # a NaN fails the comparison too
+        return
+    rows = arr.reshape(-1, arr.shape[-1])
+    finite_rows = np.isfinite(rows).all(axis=1)
+    if not finite_rows.all():
+        raise ValueError(f"{row_name(int(np.argmin(finite_rows)))} contains a non-finite coordinate")
+    bad = int(np.argmax((np.abs(rows) >= _MAX_COORDINATE).any(axis=1)))
+    raise ValueError(f"{row_name(bad)} has a coordinate of magnitude >= 1e150; squared distances would overflow")
+
 
 def _coordinate_matrix(rows, what: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
@@ -35,14 +58,7 @@ def _coordinate_matrix(rows, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a rectangular array of coordinate vectors")
     if arr.shape[1] < 1:
         raise ValueError(f"{what} must have dimension >= 1")
-    finite_rows = np.isfinite(arr).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.flatnonzero(~finite_rows)[0]) + 1
-        raise ValueError(f"{what} row {bad} contains a non-finite coordinate")
-    huge_rows = (np.abs(arr) >= _MAX_COORDINATE).any(axis=1)
-    if huge_rows.any():
-        bad = int(np.flatnonzero(huge_rows)[0]) + 1
-        raise ValueError(f"{what} row {bad} has a coordinate of magnitude >= 1e150; squared distances would overflow")
+    _check_coordinates(arr, lambda r: f"{what} row {r + 1}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -59,6 +75,14 @@ class PointConfig:
         if arr.shape[0] < 2:
             raise ValueError("a configuration needs at least 2 points")
         object.__setattr__(self, "points", arr)
+
+    @classmethod
+    def _of_checked(cls, points: np.ndarray) -> "PointConfig":
+        """Configuration over a read-only (n >= 2, d) float array that has passed these checks
+        already, such as one snapshot of a checked stack; no copy and no second check."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "points", points)
+        return config
 
     @property
     def n(self) -> int:
@@ -162,15 +186,56 @@ class Assignment:
         return tuple(int(i) + 1 for i in np.flatnonzero(self.margins < threshold))
 
 
+def _row_blocks(n: int, entries_per_row: int):
+    """Slices of ``range(n)`` holding at most _BLOCK_ENTRIES entries of ``entries_per_row`` each (at least one row)."""
+    size = max(1, _BLOCK_ENTRIES // entries_per_row)
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances from each point row to each center row."""
-    diff = points[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """(n, k) squared Euclidean distances from each point row to each center row.
+
+    Bit-identical to summing the broadcast (n, k, d) difference over d. numpy sums fewer than 8
+    terms left to right but 8 or more pairwise, so below d = 8 the squares are added coordinate by
+    coordinate with (n, k) temporaries only; from d = 8 on the broadcast form runs in row blocks of
+    at most _BLOCK_ENTRIES (point, center, coordinate) entries."""
+    n, d = points.shape
+    if d < 8:
+        out = np.subtract.outer(points[:, 0], centers[:, 0])
+        out *= out
+        for j in range(1, d):
+            diff = np.subtract.outer(points[:, j], centers[:, j])
+            diff *= diff
+            out += diff
+        return out
+    out = np.empty((n, len(centers)))
+    for rows in _row_blocks(n, len(centers) * d):
+        diff = points[rows, None, :] - centers[None, :, :]
+        out[rows] = (diff * diff).sum(axis=2)
+    return out
 
 
 def _distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) Euclidean distances; bit-identical to np.linalg.norm over the last axis."""
     return np.sqrt(_squared_distances(points, centers))
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based nearest-center labels, ties to the lowest index, and margins of each point row.
+
+    The one assignment kernel: one _squared_distances call per row block of at most _BLOCK_ENTRIES
+    (point, center, coordinate) entries, so memory beyond the two (n,) outputs stays O(block)."""
+    n, d = points.shape
+    labels, margins = np.empty(n, dtype=int), np.empty(n)
+    for rows in _row_blocks(n, len(centers) * d):
+        dist = _distances(points[rows], centers)
+        nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
+        at = np.arange(len(dist))
+        best = dist[at, nearest]
+        dist[at, nearest] = np.inf
+        margins[rows] = dist.min(axis=1) - best
+        labels[rows] = nearest + 1
+    return labels, margins
 
 
 def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
@@ -182,25 +247,22 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     """
     if config.d != centers.d:
         raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
-    dist = _distances(config.points, centers.centers)
-    nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
-    rows = np.arange(config.n)
-    best = dist[rows, nearest]
-    dist[rows, nearest] = np.inf
-    margins = dist.min(axis=1) - best
-    return Assignment(labels=nearest + 1, margins=margins, k=centers.k)
+    labels, margins = _nearest(config.points, centers.centers)
+    return Assignment(labels=labels, margins=margins, k=centers.k)
 
 
-def _point_distances(point, centers: CenterSet) -> np.ndarray:
+def _point_nearest(point, centers: CenterSet) -> tuple[int, float]:
+    """(label, margin) of one point, from the assignment kernel."""
     p = np.asarray(point, dtype=float)
     if p.shape != (centers.d,):
         raise ValueError(f"point must be a {centers.d}-vector")
-    return _distances(p[None, :], centers.centers)[0]
+    (label,), (gap,) = _nearest(p[None, :], centers.centers)
+    return int(label), float(gap)
 
 
 def nearest_label(point, centers: CenterSet) -> int:
     """1-based label of the nearest center, ties to the lowest index."""
-    return int(_point_distances(point, centers).argmin()) + 1
+    return _point_nearest(point, centers)[0]
 
 
 def margin(point, centers: CenterSet, label: int) -> float:
@@ -209,11 +271,10 @@ def margin(point, centers: CenterSet, label: int) -> float:
     Raises if ``label`` is not what the nearest-center rule produces, which
     signals misuse rather than a geometric condition.
     """
-    dist = _point_distances(point, centers)
-    actual = int(dist.argmin()) + 1
+    actual, gap = _point_nearest(point, centers)
     if label != actual:
         raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    return float(np.delete(dist, label - 1).min() - dist[label - 1])
+    return gap
 
 
 def perturbation_size(a: PointConfig, b: PointConfig) -> float:

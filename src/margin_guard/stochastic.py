@@ -109,24 +109,34 @@ def _xorshift(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
+class _TrialSeeder:
+    """``trial_rng``'s streams for one entropy, in bulk: ``rngs(trials)`` yields, for each t in
+    ``trials`` (ints in [0, 2^32)), the Generator ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``,
+    state for state. ``entropy`` is an int or a tuple of ints. seed_seq hashes the entropy words first
+    and the spawn word last, so every trial shares numpy's own ``SeedSequence(entropy).pool``, built
+    once here with the spawn word's hash constants; ``rngs`` computes only the spawn word's mixing
+    into that pool and generate_state's 8 output words, one uint32 broadcast each."""
+
+    def __init__(self, entropy):
+        self.pool = SeedSequence(entropy).pool
+        ints = entropy if isinstance(entropy, tuple) else (entropy,)
+        words = sum(max(1, -(-int(e).bit_length() // 32)) for e in ints)  # 32-bit entropy words, >= 1 per int
+        # the spawn word follows the 4 pool words, 12 pool cross-mixes and 4 per entropy word past the 4th
+        first = 16 + 4 * max(0, words - 4)
+        self.hashes = np.uint32(_INIT_A * pow(_MULT_A, first, 2**32) % 2**32) * _MULT_A_POWERS
+
+    def rngs(self, trials):
+        spawn = _xorshift((np.asarray(trials, dtype=np.uint32)[:, None] ^ self.hashes[:4]) * self.hashes[1:])
+        pool = _xorshift(_MIX_MULT_L * self.pool - _MIX_MULT_R * spawn)
+        state = _xorshift((pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL)
+        # little-endian pairs of output words are PCG64's 4 uint64 seed words
+        for row in state.reshape(-1, 8).view("<u8").astype(np.uint64):
+            yield Generator(PCG64(_Words(row)))
+
+
 def _trial_rngs(entropy, trials):
-    """``trial_rng``'s streams in bulk: for each t in ``trials`` (ints in [0, 2^32)), the Generator
-    ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, state for state. ``entropy`` is an int
-    or a tuple of ints. seed_seq hashes the entropy words first and the spawn word last, so every
-    trial shares numpy's own ``SeedSequence(entropy).pool``; only the spawn word's mixing into that
-    pool and generate_state's 8 output words are computed here, one uint32 broadcast each."""
-    pool = SeedSequence(entropy).pool
-    ints = entropy if isinstance(entropy, tuple) else (entropy,)
-    words = sum(max(1, -(-int(e).bit_length() // 32)) for e in ints)  # 32-bit entropy words, >= 1 per int
-    # the spawn word follows the 4 pool words, 12 pool cross-mixes and 4 per entropy word past the 4th
-    first = 16 + 4 * max(0, words - 4)
-    hashes = np.uint32(_INIT_A * pow(_MULT_A, first, 2**32) % 2**32) * _MULT_A_POWERS
-    spawn = _xorshift((np.asarray(trials, dtype=np.uint32)[:, None] ^ hashes[:4]) * hashes[1:])
-    pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * spawn)
-    state = _xorshift((pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL)
-    # little-endian pairs of output words are PCG64's 4 uint64 seed words
-    for row in state.reshape(-1, 8).view("<u8").astype(np.uint64):
-        yield Generator(PCG64(_Words(row)))
+    """The streams of ``trials`` for one entropy, as ``_TrialSeeder(entropy).rngs(trials)``."""
+    return _TrialSeeder(entropy).rngs(trials)
 
 
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
@@ -235,11 +245,12 @@ def _check_trials(trials: int) -> None:
 def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, model, trials: int, entropy):
     """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from each trial t's stream
     ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, and each trial's partition distance to
-    the ``base`` labels. One ``_trial_rngs`` call seeds a chunk."""
+    the ``base`` labels. One ``_TrialSeeder`` serves every chunk."""
     n, d = config.points.shape
     size = max(1, _CHUNK_ENTRIES // (n * centers.k))
+    seeder = _TrialSeeder(entropy)
     for start in range(0, trials, size):
-        noisy = config.points + _noise(model, n, _trial_rngs(entropy, range(start, min(start + size, trials))))
+        noisy = config.points + _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
         labels = _distances(noisy.reshape(-1, d), centers.centers).argmin(axis=1).reshape(-1, n) + 1
         yield labels, _label_distance(base, labels)
 

@@ -95,6 +95,27 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: points row 3 has a coordinate of magnitude >= 1e150")
 
+    @pytest.mark.parametrize(
+        "key, rows, message",
+        [
+            ("points", "[[true, 0], [false, 1]]", "points row 1 has a coordinate that is not a number: true"),
+            ("points", "[[0.5, 0], [0, false]]", "points row 2 has a coordinate that is not a number: false"),
+            ("centers", '[[-1, 0], ["1", 0]]', 'centers row 2 has a coordinate that is not a number: "1"'),
+            ("centers", "[[-1, 0], [null, 0]]", "centers row 2 has a coordinate that is not a number: null"),
+        ],
+        ids=["bool_points", "false_among_numbers", "string_center", "null_center"],
+    )
+    def test_json_non_numbers_exit_2_naming_the_file(self, capsys, tmp_path, key, rows, message):
+        files = {"points": "[[-0.5, 0], [0.5, 0.25]]", "centers": "[[-1, 0], [1, 0]]", key: rows}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(f'{{"{name}": {text}}}')
+        assert main(["analyze", "--points", str(paths["points"]), "--centers", str(paths["centers"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[key]}: {message}\n"
+
     def test_both_input_sources_rejected(self, capsys, anchored_files):
         points, centers = anchored_files
         code = main(["analyze", "--points", points, "--centers", centers, "--preset", "single_point"])
@@ -267,23 +288,34 @@ class TestTrajectory:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "snapshots",
+        "snapshots, message",
         [
-            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 0, 5]]]",
-            "[[[0.1, 0]], [[0.2, 0]]]",
-            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, NaN]]]",
-            "[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 1e200]]]",
-            "[]",
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 0, 5]]]", "{path}: snapshot 1 row 2 has 3 coordinates, expected 2"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0]]]", "{path}: snapshot 1 has 1 points, expected 2"),
+            ("[[[0.1, 0]], [[0.2, 0]]]", "snapshot 0 has 1 point(s); a configuration needs at least 2 points"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, NaN]]]", "snapshot 1 row 2 contains a non-finite coordinate"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 1e200]]]", "snapshot 1 row 2 has a coordinate of magnitude >= 1e150"),
+            ("[]", "a trajectory needs at least one snapshot"),
+            ("[[[0.1, 0], [-2, 0]], [[true, 0], [-2, 0]]]", "{path}: snapshot 1 row 1 has a coordinate that is not a number: true"),
+            ('[[[0.1, 0], [-2, 0]], [[0.2, 0], ["1", 0]]]', '{path}: snapshot 1 row 2 has a coordinate that is not a number: "1"'),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [null, 0]]]", "{path}: snapshot 1 row 2 has a coordinate that is not a number: null"),
         ],
-        ids=["three_coordinates", "one_point", "nan", "oversized", "no_snapshots"],
+        ids=["three_coordinates", "fewer_points", "one_point", "nan", "oversized", "no_snapshots", "true", "string",
+             "null"],
     )
-    def test_bad_json_snapshots_exit_2(self, capsys, tmp_path, snapshots):
+    def test_bad_json_snapshots_exit_2(self, capsys, tmp_path, snapshots, message):
         path = tmp_path / "traj.json"
         path.write_text(f'{{"centers": [[-1, 0], [1, 0]], "snapshots": {snapshots}}}')
         assert main(["trajectory", "--points", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: " + message.format(path=path))
+
+    def test_bool_centers_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text('{"centers": [[true, 0], [false, 0]], "snapshots": [[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 0]]]}')
+        assert main(["trajectory", "--points", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: centers row 1 has a coordinate that is not a number: true\n"
 
 
 class TestMonteCarlo:
@@ -350,7 +382,7 @@ class TestTrialStreamLimits:
 
     @STOCHASTIC_COMMANDS
     def test_more_trials_than_stream_keys_exit_2(self, capsys, monkeypatch, anchored_files, command, flags):
-        monkeypatch.setattr("margin_guard.stochastic._trial_rngs", None)  # the run must not start
+        monkeypatch.setattr("margin_guard.stochastic._TrialSeeder", None)  # the run must not start
         points, centers = anchored_files
         assert main([command, "--points", points, "--centers", centers, *flags, "--trials", str(2**32 + 1)]) == 2
         captured = capsys.readouterr()

@@ -1,8 +1,14 @@
+import json
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from margin_guard import (
     CenterSet,
+    Partition,
     PointConfig,
     Trajectory,
     assign_nearest,
@@ -317,6 +323,34 @@ class TestTrajectoryPass:
         run = _trajectory_pass(traj)
         assert calls == [(T + 1, n)]
         assert run.distances == expected and max(expected) > 0
+
+    @pytest.mark.parametrize("rows_per_block", [None, 7])
+    def test_cli_assigns_stacked_snapshots_in_row_blocks(self, capsys, monkeypatch, rows_per_block):
+        golden = Path(__file__).parent / "golden" / "cli"
+        doc = json.loads((golden / "trajectory_long_input.json").read_text())
+        (steps, n, d), k = np.shape(doc["snapshots"]), len(doc["centers"])
+        if rows_per_block is not None:
+            monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", rows_per_block * k * d)
+        block = geometry._BLOCK_ENTRIES // (k * d)
+        kernel, assign, blocks, assigns = geometry._squared_distances, geometry.assign_nearest, [], []
+        monkeypatch.setattr(geometry, "_squared_distances", lambda p, c: blocks.append(len(p)) or kernel(p, c))
+        for module in [m for name, m in sys.modules.items() if name.startswith("margin_guard")]:
+            for attr, value in list(vars(module).items()):
+                if value is assign:
+                    monkeypatch.setattr(module, attr, lambda *a: assigns.append(a) or assign(*a))
+        argv = ["trajectory", "--points", str(golden / "trajectory_long_input.json"), "--eta", "0.2", "--seed", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (golden / "trajectory_long.json").read_text()
+        assert assigns == []
+        assert len(blocks) == math.ceil(steps * n / block) and sum(blocks) == steps * n
+
+    def test_snapshot_partitions_come_from_the_pass(self, monkeypatch):
+        traj = random_walk(np.random.default_rng(59), CenterSet([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 12, 9, 0.3)
+        expected = [Partition.from_labels(assign_nearest(s, traj.centers).labels) for s in traj.snapshots]
+        kernel, calls = dynamics._nearest, []
+        monkeypatch.setattr(dynamics, "_nearest", lambda p, c: calls.append(len(p)) or kernel(p, c))
+        assert snapshot_partitions(traj) == expected
+        assert calls == [10 * 12]
 
     def test_pass_memory_is_linear(self):
         # a (T + 1) x n x k float tensor would take 206 MB here

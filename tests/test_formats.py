@@ -199,6 +199,65 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match="'snapshots' array"):
             read_trajectory_file(path)
 
+    def test_json_snapshots_are_views_of_one_checked_stack(self, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text('{"centers": [[-1, 0], [1, 0]], "snapshots": [[[0, 1], [1, 0]], [[0.5, 1], [1, -0.5]]]}')
+        traj = read_trajectory_file(path)
+        stack = traj.snapshots[0].points.base
+        assert stack.shape == (2, 2, 2) and not stack.flags.writeable
+        assert all(snap.points.base is stack for snap in traj.snapshots)
+        assert stack.tolist() == [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 1.0], [1.0, -0.5]]]
+
+    def test_integers_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text(f'{{"centers": [[-1, 0], [1, 0]], "snapshots": [[[0, 0], [1{"0" * 400}, 0]]]}}')
+        with pytest.raises(ValueError, match="magnitude >= 1e150"):
+            read_trajectory_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n1,-2,nan\n", "snapshot 1 row 2 contains a non-finite coordinate"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n", "snapshot 1 has 1 points, expected 2"),
+        ],
+        ids=["nan", "fewer_points"],
+    )
+    def test_csv_snapshot_errors_name_the_snapshot(self, tmp_path, text, message):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_text(text)
+        centers_path = tmp_path / "ctr.csv"
+        centers_path.write_text(centers_to_csv(CenterSet([[-1.0, 0.0], [1.0, 0.0]])))
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_file(traj_path, centers_path)
+
+
+class TestJsonCoordinates:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("[[true, 0], [false, 1]]", "row 1 has a coordinate that is not a number: true"),
+            ("[[0.5, 0], [1.5, true]]", "row 2 has a coordinate that is not a number: true"),
+            ("[[1, 0], [0, false]]", "row 2 has a coordinate that is not a number: false"),
+            ('[[0.5, 0], ["1", 0]]', 'row 2 has a coordinate that is not a number: "1"'),
+            ("[[0.5, null], [1, 0]]", "row 1 has a coordinate that is not a number: null"),
+            ("[[0.5, 0], [1, 0, 2]]", "row 2 has 3 coordinates, expected 2"),
+            ("[[0.5, 0], 1]", "row 2 is not an array of coordinates"),
+        ],
+        ids=["all_bool", "true_among_floats", "false_among_ints", "string", "null", "ragged", "scalar_row"],
+    )
+    @pytest.mark.parametrize("key", ["points", "centers"])
+    def test_rejected_naming_the_file_and_row(self, tmp_path, key, rows, message):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"{key}": {rows}}}')
+        with pytest.raises(ValueError) as info:
+            (read_points if key == "points" else read_centers)(path)
+        assert str(info.value) == f"{path}: {key} {message}"
+
+    def test_exact_zeros_and_ones_still_read(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"points": [[1, 0], [0, 1.0], [-0.0, 1e-300]]}')
+        assert read_points(path).points.tolist() == [[1.0, 0.0], [0.0, 1.0], [-0.0, 1e-300]]
+
 
 def test_partition_from_lists():
     p = partition_from_lists([[1, 3], [2]], n=3)

@@ -9,10 +9,12 @@ from margin_guard import (
     CenterSet,
     PointConfig,
     assign_nearest,
+    geometry,
     margin,
     nearest_label,
     perturbation_size,
 )
+from conftest import peak_traced_mib
 
 
 class TestConstruction:
@@ -234,3 +236,81 @@ def test_margins_nonnegative_on_random_instances():
         a = assign_nearest(PointConfig(pts), CenterSet(ctr))
         assert (a.margins >= 0.0).all()
         assert math.isclose(a.min_margin, a.margins.min())
+
+
+def broadcast_squared_distances(points, centers):
+    """The (n, k, d) broadcast form the kernel must match to the bit."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def broadcast_nearest(points, centers):
+    """Labels and margins by the margin formula on the unblocked broadcast distances."""
+    dist = np.sqrt(broadcast_squared_distances(points, centers))
+    nearest = dist.argmin(axis=1)
+    rows = np.arange(len(points))
+    best = dist[rows, nearest]
+    dist[rows, nearest] = np.inf
+    return nearest + 1, dist.min(axis=1) - best
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestDistanceKernel:
+    @given(
+        d=st.integers(1, 12),
+        k=st.integers(2, 64),
+        row_case=st.sampled_from([1, "block - 1", "block", "block + 1"]),
+        exponents=st.tuples(st.integers(-300, 149), st.integers(-300, 149)).map(sorted),
+        largest=st.booleans(),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_broadcast_form_bit_for_bit(self, d, k, row_case, exponents, largest, ties, seed):
+        block = max(1, geometry._BLOCK_ENTRIES // (k * d))
+        n = {1: 1, "block - 1": max(1, block - 1), "block": block, "block + 1": block + 1}[row_case]
+        rng = np.random.default_rng(seed)
+
+        def coordinates(shape):  # each entry of its own magnitude in 10^[lo, hi + 1), all below 1e150
+            lo, hi = exponents
+            return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(lo, min(hi + 1, 149.99), shape)
+
+        points, centers = coordinates((n, d)), coordinates((k, d))
+        if largest:
+            points.flat[rng.integers(points.size)] = np.nextafter(1e150, 0.0)
+            centers.flat[rng.integers(centers.size)] = -np.nextafter(1e150, 0.0)
+        if ties:  # points on centers and centers repeated make exact ties
+            points[rng.integers(n, size=n // 2)] = centers[rng.integers(k, size=n // 2)]
+            centers[-1] = centers[0]
+        expected = broadcast_squared_distances(points, centers)
+        assert np.isfinite(expected).all()
+        assert same_bits(geometry._squared_distances(points, centers), expected)
+        labels, margins = geometry._nearest(points, centers)
+        expected_labels, expected_margins = broadcast_nearest(points, centers)
+        assert np.array_equal(labels, expected_labels)
+        assert same_bits(margins, expected_margins)
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_assign_nearest_memory_is_block_sized(self, d):
+        # the (n, k, d) broadcast difference alone would take 98 MiB at d = 2 and 781 MiB at d = 16
+        rng = np.random.default_rng(d)
+        n, k = 10**5, 64
+        config = PointConfig(rng.uniform(-10, 10, (n, d)))
+        centers = CenterSet(rng.uniform(-10, 10, (k, d)))
+        peak, result = peak_traced_mib(lambda: assign_nearest(config, centers))
+        outputs = (result.labels.nbytes + result.margins.nbytes) / 2**20
+        block = geometry._BLOCK_ENTRIES * 8 / 2**20
+        # the kernel's labels and margins, Assignment's copies of them, and a few block-sized temporaries
+        assert peak <= 2 * outputs + 4 * block
+
+    def test_assign_nearest_is_the_kernel(self, anchored_config, two_centers, monkeypatch):
+        calls = []
+        kernel = geometry._squared_distances
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 2 * two_centers.k * anchored_config.d)
+        monkeypatch.setattr(geometry, "_squared_distances", lambda p, c: calls.append(len(p)) or kernel(p, c))
+        result = assign_nearest(anchored_config, two_centers)
+        assert calls == [2, 1]  # row blocks of 2 points
+        assert list(result.labels) == [1, 2, 2] and result.margins.tolist() == pytest.approx([2.0, 2.0, 0.2])

@@ -344,7 +344,7 @@ class TestMonteCarlo:
             monte_carlo(anchored_config, two_centers, model, trials=0, seed=0)
 
     def test_more_trials_than_stream_keys_rejected_before_drawing(self, monkeypatch, anchored_config, two_centers):
-        monkeypatch.setattr(stochastic, "_trial_rngs", None)  # any draw would fail with TypeError
+        monkeypatch.setattr(stochastic, "_TrialSeeder", None)  # any draw would fail with TypeError
         model = PerturbationModel.bounded_disk(0.1, dim=2)
         with pytest.raises(ValueError, match=r"2\*\*32"):
             monte_carlo(anchored_config, two_centers, model, trials=2**32 + 1, seed=0)
@@ -388,7 +388,7 @@ class TestSweep:
             sweep_table(anchored_config, two_centers, [0.1, 0.2], trials=0, seed=0)
 
     def test_more_trials_than_stream_keys_rejected_before_drawing(self, monkeypatch, anchored_config, two_centers):
-        monkeypatch.setattr(stochastic, "_trial_rngs", None)  # any draw would fail with TypeError
+        monkeypatch.setattr(stochastic, "_TrialSeeder", None)  # any draw would fail with TypeError
         with pytest.raises(ValueError, match=r"2\*\*32"):
             sweep_table(anchored_config, two_centers, [0.1, 0.2], trials=2**32 + 1, seed=0)
 
@@ -533,10 +533,24 @@ class TestChunkedTrialsWork:
         monkeypatch.setattr(stochastic, name, counting)
         return calls
 
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """The trial range of every chunk a seeder is asked for."""
+        chunks = []
+        rngs = stochastic._TrialSeeder.rngs
+
+        def recording(self, trials):
+            chunks.append(trials)
+            return rngs(self, trials)
+
+        monkeypatch.setattr(stochastic._TrialSeeder, "rngs", recording)
+        return chunks
+
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
+        chunk_trials = self.record_chunks(monkeypatch)
         rngs = self.count_calls(monkeypatch, "trial_rng")
-        seeders = self.count_calls(monkeypatch, "_trial_rngs")
+        seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_distances")
@@ -544,21 +558,24 @@ class TestChunkedTrialsWork:
         monte_carlo(anchored_config, two_centers, PerturbationModel.bounded_disk(0.3), trials=50, seed=1)
         assert len(rngs) == 0
         size = per_chunk or 50
-        assert seeders == [(1, range(start, min(start + size, 50))) for start in range(0, 50, size)]
-        assert len(seed_sequences) == chunks  # one shared pool per chunk, none per trial
+        assert seeders == [(1,)]
+        assert chunk_trials == [range(start, min(start + size, 50)) for start in range(0, 50, size)]
+        assert len(seed_sequences) == 1  # one shared pool per run, whatever the chunk count
         assert len(streams) == 50
         assert len(tables) == chunks
 
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
-        seeders = self.count_calls(monkeypatch, "_trial_rngs")
+        chunk_trials = self.record_chunks(monkeypatch)
+        seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_distances")
         set_trials_per_chunk(monkeypatch, 7, anchored_config.n, two_centers.k)
         sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
         chunks = [range(start, min(start + 7, 40)) for start in range(0, 40, 7)]
-        assert seeders == [((2, int(np.float64(e).view(np.uint64))), c) for e in (0.05, 0.2, 0.5) for c in chunks]
-        assert len(seed_sequences) == 3 * len(chunks)  # one shared pool per chunk and epsilon, none per trial
+        assert seeders == [((2, int(np.float64(e).view(np.uint64))),) for e in (0.05, 0.2, 0.5)]
+        assert chunk_trials == 3 * chunks
+        assert len(seed_sequences) == 3  # one shared pool per epsilon row, whatever the chunk count
         assert len(streams) == 3 * 40
         assert len(tables) == 3 * len(chunks)
 
