@@ -135,6 +135,8 @@ def _bad_json_entry(values, depth: int, what: str) -> str | None:
     """The first flaw, in file order, of nested JSON lists meant as coordinate rows (``depth`` 2) or
     as snapshots of them (``depth`` 3): a row that is not a list of plain numbers as long as the
     first row, or a snapshot whose point count differs from the first one's. None if there is none."""
+    if not isinstance(values, list):
+        return f"{what} must be a rectangular array of coordinate vectors"
     snaps, n, width = (values if depth == 3 else [values]), None, None
     for t, snap in enumerate(snaps):
         where = f"snapshot {t} " if depth == 3 else f"{what} "
@@ -199,7 +201,8 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
 
     JSON files are self-contained ("centers" plus a "snapshots" array). The
     CSV alternative has columns t,x1..xd with one row per (time, index), in any
-    order, and requires the centers from a separate file.
+    order, and requires the centers from a separate file. Either way the
+    snapshots become one (T+1, n, d) array, checked once as a whole.
     """
     from .dynamics import Trajectory  # local import to avoid a cycle
 

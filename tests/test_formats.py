@@ -208,6 +208,14 @@ class TestTrajectoryFiles:
         assert all(snap.points.base is stack for snap in traj.snapshots)
         assert stack.tolist() == [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 1.0], [1.0, -0.5]]]
 
+    @pytest.mark.parametrize("centers", ['"ab"', "true", '{"x": 1}'])
+    def test_json_centers_must_be_an_array(self, tmp_path, centers):
+        path = tmp_path / "traj.json"
+        path.write_text(f'{{"centers": {centers}, "snapshots": [[[0.1, 0], [-2, 0]]]}}')
+        with pytest.raises(ValueError) as info:
+            read_trajectory_file(path)
+        assert str(info.value) == f"{path}: centers must be a rectangular array of coordinate vectors"
+
     def test_integers_too_large_for_a_float_rejected(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(f'{{"centers": [[-1, 0], [1, 0]], "snapshots": [[[0, 0], [1{"0" * 400}, 0]]]}}')
