@@ -266,8 +266,6 @@ def cmd_montecarlo(args) -> int:
     config, centers = _resolve_inputs(args, seed)
     if (args.rho is None) == (args.sigma is None):
         raise ValueError("choose exactly one noise model: --rho (bounded) or --sigma (gaussian)")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     if args.rho is not None:
         model = PerturbationModel.bounded_disk(args.rho, dim=config.d)
     else:

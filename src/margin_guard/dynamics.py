@@ -127,10 +127,10 @@ class _Pass(NamedTuple):
     def certificate(self, t: int) -> PersistenceCertificate:
         budget = float(self.deltas[:t].sum())  # a numpy sum, not a cumsum entry: they differ in the last ulp
         bound = self.min_margins[0] / 2.0
-        return PersistenceCertificate(t, budget, bound, budget < bound)
+        return PersistenceCertificate(t, budget, bound, budget == 0.0 or budget < bound)
 
     def stepwise(self) -> list[bool]:
-        return [bool(delta < m / 2.0) for delta, m in zip(self.deltas, self.min_margins)]
+        return [bool(delta == 0.0 or delta < m / 2.0) for delta, m in zip(self.deltas, self.min_margins)]
 
     def instability_time(self, eta: float) -> int | None:
         return next((t for t, dist in enumerate(self.distances) if t > 0 and dist >= eta), None)
@@ -177,7 +177,8 @@ def persistence_certificate(traj: Trajectory, t: int) -> PersistenceCertificate:
 
     Uses the provable lower bound min_margin(X(0)) / 2 in place of the exact
     stability radius. When certified, partitions at all times 0..t coincide,
-    since partial budget sums are monotone in t.
+    since partial budget sums are monotone in t. A zero budget certifies even
+    at zero margin: the only size-0 perturbation is the configuration itself.
     """
     if not 0 <= t <= traj.horizon:
         raise ValueError(f"horizon t={t} outside 0..{traj.horizon}")
@@ -185,7 +186,7 @@ def persistence_certificate(traj: Trajectory, t: int) -> PersistenceCertificate:
 
 
 def stepwise_stability_check(traj: Trajectory) -> list[bool]:
-    """Per-step certificates delta_r < min_margin(X(r)) / 2.
+    """Per-step certificates delta_r < min_margin(X(r)) / 2, or delta_r = 0.
 
     Margins are re-evaluated at each snapshot, so a trajectory whose points
     recede from all decision boundaries can pass late large steps that the

@@ -3,7 +3,8 @@ the normalized pairwise-disagreement metric.
 
 Partitions are label-free: they record only which indices are grouped
 together, never which center produced a block. Ground-set indices are 1-based
-to match the file formats and reporting surfaces.
+to match the file formats and reporting surfaces. A partition is held as its
+canonical block ids, blocks numbered by smallest element: a restricted growth string.
 """
 
 from __future__ import annotations
@@ -23,22 +24,37 @@ __all__ = [
 ]
 
 
-class Partition:
-    """A partition of {1, ..., n} with a canonical block representation.
+def _canonical_ids(labels) -> np.ndarray:
+    """Read-only block ids of a 1-d label array: equal labels share a block, numbered by first occurrence."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError(f"labels must form a 1-d array, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError("ground-set size must be >= 1")
+    values, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
+    if np.any(values != values):
+        raise ValueError("labels must not be NaN")
+    ids = np.argsort(np.argsort(first))[inverse]  # each label's rank by first occurrence
+    ids.setflags(write=False)
+    return ids
 
-    Blocks are stored sorted by smallest element, elements ascending, so two
-    partitions are equal exactly when their canonical forms are equal.
+
+class Partition:
+    """A partition of {1, ..., n}, held as its canonical block ids.
+
+    Block b is the b-th block in order of smallest element, so two partitions
+    are equal exactly when their block-id arrays are equal. ``blocks`` lists
+    the blocks in that order, elements ascending.
     """
 
-    __slots__ = ("_blocks", "_n", "_ids")
+    __slots__ = ("_ids",)
 
     def __init__(self, blocks, n: int):
         if n < 1:
             raise ValueError("ground-set size must be >= 1")
-        seen: set[int] = set()
-        normalized: list[tuple[int, ...]] = []
-        for block in blocks:
-            b = tuple(sorted(int(i) for i in block))
+        seen: dict[int, int] = {}  # index -> the number of its block in the given order
+        for label, block in enumerate(blocks):
+            b = sorted(int(i) for i in block)
             if not b:
                 raise ValueError("blocks must be nonempty")
             for i in b:
@@ -46,59 +62,50 @@ class Partition:
                     raise ValueError(f"index {i} outside ground set 1..{n}")
                 if i in seen:
                     raise ValueError(f"index {i} appears in more than one block")
-                seen.add(i)
-            normalized.append(b)
+                seen[i] = label
         if len(seen) != n:
-            missing = sorted(set(range(1, n + 1)) - seen)
+            missing = sorted(set(range(1, n + 1)).difference(seen))
             raise ValueError(f"blocks do not cover the ground set; missing {missing}")
-        normalized.sort(key=lambda b: b[0])
-        self._blocks = tuple(normalized)
-        self._n = n
-        ids = np.empty(n, dtype=np.intp)
-        for bid, block in enumerate(self._blocks):
-            for i in block:
-                ids[i - 1] = bid
-        ids.setflags(write=False)
-        self._ids = ids
+        self._ids = _canonical_ids([seen[i] for i in range(1, n + 1)])
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
         """Partition grouping 1-based indices by equal label values."""
-        arr = np.asarray(labels)
-        groups: dict = {}
-        for pos, lab in enumerate(arr.tolist()):
-            groups.setdefault(lab, []).append(pos + 1)
-        return cls(groups.values(), n=arr.size)
+        p = object.__new__(cls)
+        p._ids = _canonical_ids(labels)
+        return p
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._ids.size
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self._blocks
+        return tuple(map(tuple, self.to_lists()))
 
     @property
     def block_count(self) -> int:
-        return len(self._blocks)
+        return int(self._ids.max()) + 1
 
     def block_ids(self) -> np.ndarray:
         """Array of length n mapping point position i to its block id."""
         return self._ids
 
     def to_lists(self) -> list[list[int]]:
-        return [list(b) for b in self._blocks]
+        members = (np.argsort(self._ids, kind="stable") + 1).tolist()
+        ends = np.cumsum(np.bincount(self._ids)).tolist()
+        return [members[start:end] for start, end in zip([0, *ends], ends)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self._n == other._n and self._blocks == other._blocks
+        return np.array_equal(self._ids, other._ids)
 
     def __hash__(self) -> int:
-        return hash((self._n, self._blocks))
+        return hash(self._ids.tobytes())
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in self._blocks)
+        inner = ", ".join("{" + ", ".join(map(str, b)) + "}" for b in self.to_lists())
         return "Partition({" + inner + "})"
 
 
@@ -139,23 +146,11 @@ class PairRelation:
         return rel
 
     def to_partition(self) -> Partition:
-        parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        # each index joins the smallest index it is paired with, its block's smallest if transitive
         iu, ju = np.triu_indices(self.n, k=1)
-        for i, j in zip(iu[self.same].tolist(), ju[self.same].tolist()):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        groups: dict[int, list[int]] = {}
-        for pos in range(self.n):
-            groups.setdefault(find(pos), []).append(pos + 1)
-        return Partition(groups.values(), n=self.n)
+        smallest = np.arange(self.n)
+        np.minimum.at(smallest, ju[self.same], iu[self.same])
+        return Partition.from_labels(smallest)
 
 
 def induced_partition(assignment: Assignment) -> Partition:
@@ -248,10 +243,7 @@ def iter_partitions(n: int):
     maxes = [0] * n
 
     while True:
-        groups: dict[int, list[int]] = {}
-        for pos, g in enumerate(rgs):
-            groups.setdefault(g, []).append(pos + 1)
-        yield Partition(groups.values(), n=n)
+        yield Partition.from_labels(rgs)
         # advance the restricted growth string
         pos = n - 1
         while pos > 0 and rgs[pos] == maxes[pos - 1] + 1:

@@ -10,7 +10,7 @@ Randomness discipline: one master seed; the stream for trial t is derived
 from (seed, t) by seed-sequence splitting, so reports are reproducible
 regardless of how trials would be scheduled. ``trial_rng`` defines that
 stream; Monte Carlo and sweep build a whole chunk's streams at once with
-``_trial_rngs``, state for state the same.
+``_TrialSeeder``, state for state the same.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ class _TrialSeeder:
         # little-endian pairs of output words are PCG64's 4 uint64 seed words
         for row in state.reshape(-1, 8).view("<u8").astype(np.uint64):
             yield Generator(PCG64(_Words(row)))
-
-
-def _trial_rngs(entropy, trials):
-    """The streams of ``trials`` for one entropy, as ``_TrialSeeder(entropy).rngs(trials)``."""
-    return _TrialSeeder(entropy).rngs(trials)
 
 
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:

@@ -234,6 +234,14 @@ class TestTrajectory:
         assert doc["instability_time_note"] == "not observed within horizon"
         assert doc["centers_fixed_over_time"] is True
 
+    def test_no_motion_certifies_at_zero_margin(self, capsys, tmp_path, two_centers):
+        tie = PointConfig([[0.0, 0.0], [-2.0, 0.0]])
+        path = self.write_trajectory(tmp_path, (tie,) * 3, two_centers)
+        doc = run_json(capsys, ["trajectory", "--points", path])
+        assert doc["initial_min_margin"] == 0.0
+        assert [entry["certified"] for entry in doc["persistence"]] == [True, True]
+        assert doc["stepwise_pass"] == [True, True]
+
     def test_three_step_drift(self, capsys, tmp_path, two_centers):
         start = PointConfig([[0.1, 0.0], [-2.0, 0.0]])
         snaps = [start]
@@ -349,10 +357,11 @@ class TestMonteCarlo:
 
     def test_zero_trials_usage_error(self, capsys, anchored_files):
         points, centers = anchored_files
-        code = main(
-            ["montecarlo", "--points", points, "--centers", centers, "--rho", "0.1", "--trials", "0"]
-        )
-        assert code == 2
+        for command, flags in (("montecarlo", ["--rho", "0.1"]), ("sweep", ["--grid", "0.1,0.2"])):
+            assert main([command, "--points", points, "--centers", centers, *flags, "--trials", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: trials must be >= 1\n"
 
     def test_csv_trace(self, capsys, anchored_files):
         points, centers = anchored_files

@@ -138,6 +138,19 @@ class TestPersistence:
         assert cert.certified
         assert cert.cumulative_budget == 0.0
 
+    def test_no_motion_certifies_at_zero_margin(self, two_centers):
+        # the point at (0, 0) sits on the bisector, so the bound is 0; a size-0
+        # perturbation is the configuration itself, which both certificates accept
+        tie = PointConfig([[0.0, 0.0], [-2.0, 0.0]])
+        traj = Trajectory(snapshots=(tie,) * 3, centers=two_centers)
+        certs = [persistence_certificate(traj, t) for t in range(3)]
+        assert [c.initial_radius_lower_bound for c in certs] == [0.0] * 3
+        assert all(c.certified for c in certs)
+        assert stepwise_stability_check(traj) == [True, True]
+        moved = straight_line_trajectory(two_centers, tie, [[0.0, 0.0], [1e-3, 0.0]])
+        assert [persistence_certificate(moved, t).certified for t in range(3)] == [True, True, False]
+        assert stepwise_stability_check(moved) == [True, False]
+
     def test_budget_below_bound_certified(self, two_centers, wide_pair):
         # min margin 0.2, bound 0.1; three steps of 0.03 keep the budget below
         traj = straight_line_trajectory(two_centers, wide_pair, [[0.03, 0.0]] * 3)

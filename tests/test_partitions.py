@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,14 @@ from margin_guard.partitions import _label_distance, _pair_disagreement_count
 from conftest import peak_traced_mib
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+
+
+@st.composite
+def label_lists(draw):
+    """Labels of one kind (int, float or str) drawn from a small pool, so that blocks repeat."""
+    kind = draw(st.sampled_from([st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.text(max_size=3)]))
+    pool = draw(st.lists(kind, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
 
 
 class TestPartitionType:
@@ -52,6 +62,40 @@ class TestPartitionType:
     def test_from_labels(self):
         p = Partition.from_labels([5, 9, 9, 5])
         assert p == Partition([[1, 4], [2, 3]], n=4)
+
+    @given(label_lists())
+    @example([0.0, -0.0, 1.5, float("inf")])  # -0.0 == 0.0 groups with it
+    @example(["a", "a\x00", "b"])  # numpy strings drop trailing NULs
+    @example([2**63, 2**63 + 1, 1])  # past int64: float labels, as numpy converts them
+    @settings(max_examples=300, deadline=None)
+    def test_from_labels_matches_dict_grouping(self, labels):
+        groups: dict = {}
+        values = np.asarray(labels).tolist()
+        for pos, lab in enumerate(values):
+            groups.setdefault(lab, []).append(pos + 1)
+        order = {lab: bid for bid, lab in enumerate(groups)}  # dicts keep first-occurrence order
+        p = Partition.from_labels(labels)
+        assert p.block_ids().tolist() == [order[lab] for lab in values]
+        assert p.blocks == tuple(map(tuple, groups.values()))
+        assert p == Partition(groups.values(), n=len(values))
+        assert (p.n, p.block_count) == (len(values), len(groups))
+        assert not p.block_ids().flags.writeable
+
+    def test_from_labels_rejects_empty(self):
+        with pytest.raises(ValueError, match="^ground-set size must be >= 1$"):
+            Partition.from_labels([])
+
+    @pytest.mark.parametrize("labels", [np.zeros((2, 3)), [[1, 2], [3, 4]], np.array(5)])
+    def test_from_labels_rejects_non_1d(self, labels):
+        with pytest.raises(ValueError, match="1-d"):
+            Partition.from_labels(labels)
+
+    @pytest.mark.parametrize(
+        "labels", [[1.0, float("nan")], [float("nan"), float("nan")], np.array([1, float("nan")], dtype=object)]
+    )
+    def test_from_labels_rejects_nan(self, labels):
+        with pytest.raises(ValueError, match="NaN"):
+            Partition.from_labels(labels)
 
 
 class TestInducedPartition:
@@ -201,7 +245,35 @@ class TestMetricAxioms:
         assert 0.0 <= partition_distance(p, q) <= 1.0
 
 
+def union_find_partition(rel: PairRelation) -> Partition:
+    """Blocks of the closure of the marked pairs, by union-find over the pairs."""
+    parent = list(range(rel.n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    iu, ju = np.triu_indices(rel.n, k=1)
+    for i, j in zip(iu[rel.same].tolist(), ju[rel.same].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for pos in range(rel.n):
+        groups.setdefault(find(pos), []).append(pos + 1)
+    return Partition(groups.values(), n=rel.n)
+
+
 class TestPairRelation:
+    @given(st.integers(2, 30).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_to_partition_matches_union_find(self, labels):
+        p = Partition.from_labels(labels)
+        rel = PairRelation(PairRelation.from_partition(p).same, n=len(labels))
+        assert rel.to_partition() == union_find_partition(rel) == p
+
     def test_round_trip_small_exhaustive(self):
         for n in range(2, 6):
             for p in iter_partitions(n):
@@ -227,6 +299,13 @@ class TestIterPartitions:
         parts = list(iter_partitions(n))
         assert len(parts) == BELL[n]
         assert len(set(parts)) == BELL[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_block_ids_are_restricted_growth_strings(self, n):
+        # every string with s[0] = 0 and s[i] <= max(s[:i]) + 1, in lexicographic order
+        strings = [s for s in itertools.product(range(n), repeat=n) if all(
+            s[i] <= max(s[:i], default=-1) + 1 for i in range(n))]
+        assert [tuple(p.block_ids().tolist()) for p in iter_partitions(n)] == strings
 
 
 class TestAssignmentChangeWithoutPartitionChange:

@@ -24,7 +24,7 @@ from margin_guard import (
     trial_rng,
 )
 from margin_guard import CenterSet, stochastic, two_gaussians
-from margin_guard.stochastic import _noise, _trial_rngs
+from margin_guard.stochastic import _TrialSeeder, _noise
 from conftest import peak_traced_mib
 
 
@@ -109,7 +109,7 @@ class TestTrialRngs:
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_per_trial(self, entropy, extra):
         trials = EDGE_TRIALS + extra
-        for trial, rng in zip(trials, _trial_rngs(entropy, trials), strict=True):
+        for trial, rng in zip(trials, _TrialSeeder(entropy).rngs(trials), strict=True):
             assert_numpy_stream(rng, entropy, trial)
 
     # every count of 32-bit entropy words from 1 to 9, where the spawn word's hash constant moves
@@ -120,7 +120,7 @@ class TestTrialRngs:
     )
     def test_every_entropy_word_count(self, entropy):
         for trials in (EDGE_TRIALS, range(2**32 - 3, 2**32)):
-            for trial, rng in zip(trials, _trial_rngs(entropy, trials), strict=True):
+            for trial, rng in zip(trials, _TrialSeeder(entropy).rngs(trials), strict=True):
                 assert_numpy_stream(rng, entropy, trial)
 
 
