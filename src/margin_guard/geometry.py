@@ -154,8 +154,18 @@ class Assignment:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int).copy()
-        margins = np.asarray(self.margins, dtype=float).copy()
+        self._hold(np.array(self.labels, dtype=int), np.array(self.margins, dtype=float))
+
+    @classmethod
+    def _of_fresh(cls, labels: np.ndarray, margins: np.ndarray, k: int) -> "Assignment":
+        """Assignment that takes over fresh int labels and float margins, such as the kernel's
+        outputs, without a copy; the checks still run."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "k", k)
+        assignment._hold(labels, margins)
+        return assignment
+
+    def _hold(self, labels: np.ndarray, margins: np.ndarray) -> None:
         if labels.shape != margins.shape or labels.ndim != 1:
             raise ValueError("labels and margins must be 1-d arrays of equal length")
         if labels.size < 2:
@@ -248,7 +258,7 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     if config.d != centers.d:
         raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
     labels, margins = _nearest(config.points, centers.centers)
-    return Assignment(labels=labels, margins=margins, k=centers.k)
+    return Assignment._of_fresh(labels, margins, centers.k)
 
 
 def _point_nearest(point, centers: CenterSet) -> tuple[int, float]:

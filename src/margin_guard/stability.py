@@ -4,9 +4,12 @@ The certificate side is provable: a perturbation strictly smaller than half
 the minimum margin cannot change any assigned center, hence cannot change the
 induced partition. The search side is empirical: it upper-bounds the partition
 stability radius by exhibiting a concrete single-point move that changes the
-partition, deciding each candidate move by the single-move rule (only the moved
-point's label can change) and re-assigning in full only the witness. The true
-radius lies between the two.
+partition. It decides the candidate moves by the single-move rule (only the
+moved point's label can change) in batches of the cheapest steps, found with
+``np.partition`` and never a full sort, labels the moved points of each row
+block of a batch with one call of the assignment kernel, and re-assigns in full
+only the witness.
+The true radius lies between the two.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import (Assignment, CenterSet, PointConfig, _distances, _squared_distances, assign_nearest,
-                       nearest_label, perturbation_size)
+from .geometry import (Assignment, CenterSet, PointConfig, _distances, _nearest, _row_blocks, _squared_distances,
+                       assign_nearest, nearest_label, perturbation_size)
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
@@ -33,6 +36,9 @@ __all__ = [
 ]
 
 SEARCH_NOTE = "upper bound (single-move adversary)"
+
+# Each batch of the radius search reaches 4 times as far down the step order as the one before.
+_BATCH_GROWTH = 4
 
 
 def no_switch_certificate(assignment: Assignment, epsilon: float) -> bool:
@@ -96,6 +102,13 @@ def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: 
     return _bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1)
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """(m, 1) Euclidean norms of the rows of an (m, d) array, each bit for bit np.linalg.norm of
+    its row: the stacked matmul takes one BLAS dot per row, as the 1-d norm does, where
+    np.linalg.norm(axis=1) sums the squares in another order."""
+    return np.sqrt(vectors[:, None, :] @ vectors[:, :, None])[:, :, 0]
+
+
 @dataclass(frozen=True)
 class PartitionRadiusWitness:
     """A verified perturbation that changes the induced partition."""
@@ -106,38 +119,68 @@ class PartitionRadiusWitness:
     new_partition: Partition
 
 
+def _cheapest_first(steps: np.ndarray, k: int, d: int):
+    """Flat indices of the finite entries of the flat (n, k) ``steps`` in (step, flat index) order, that
+    is (step, index, center), in row blocks of the kernel for k centers in d dimensions.
+
+    No full sort: each batch holds every step up to the ``want``-th smallest (``np.partition``), ties
+    included, and one stable argsort orders it. ``want`` starts at k and grows 4x per batch.
+    """
+    top = int(np.count_nonzero(steps < np.inf))
+    lo, want = -np.inf, k
+    while top:
+        want = min(want, top)
+        hi = np.partition(steps, want - 1)[want - 1]
+        batch = np.flatnonzero((steps > lo) & (steps <= hi))
+        order = batch[np.argsort(steps[batch], kind="stable")]
+        for rows in _row_blocks(order.size, k * d):
+            yield order[rows]
+        if want == top:
+            return
+        lo, want = hi, _BATCH_GROWTH * want
+
+
 def _radius_search(
     config: PointConfig, centers: CenterSet, assignment: Assignment, bisectors: np.ndarray
 ) -> PartitionRadiusWitness | None:
     """Cheapest single-point move that changes the induced partition, or None.
 
     Each candidate pushes one point just past the bisector of its own center and
-    another (its ``bisectors`` entry plus a slack that forces a strict crossing),
-    in (step, index, center) order. Moving one point changes only its own label,
-    so the partition changes unless the label stays or the point leaves a
-    singleton block for an empty center: the moved point's own distance row
-    decides, in O(k). Only the winner is re-assigned in full, which must agree.
+    another (its ``bisectors`` entry plus a slack that forces a strict crossing;
+    ``bisectors`` is overwritten with these steps), in (step, index, center)
+    order. Moving one point changes only its own label, so the partition changes
+    unless the label stays or the point leaves a singleton block for an empty
+    center. One kernel call labels each block of ``_cheapest_first``, so at most
+    one block is decided past the witness, and only the witness is re-assigned
+    in full, which must agree.
     """
     labels = assignment.labels - 1
-    rows, cols = np.nonzero(np.arange(centers.k) != labels[:, None])
-    radii = bisectors[rows, cols]
-    steps = radii + np.maximum(1e-9 * radii, 1e-12)
+    slack = bisectors * 1e-9
+    np.maximum(slack, 1e-12, out=slack)
+    bisectors += slack  # the own column stays inf
+    del slack
+    steps, ctr = bisectors.ravel(), centers.centers
     sizes = np.bincount(labels, minlength=centers.k)
-    for c in np.lexsort((cols, rows, steps)):
-        pos, step, own = int(rows[c]), float(steps[c]), labels[rows[c]]
-        direction = centers.centers[cols[c]] - centers.centers[own]
-        point = config.points[pos] + step * (direction / np.linalg.norm(direction))
-        new = _distances(point[None, :], centers.centers)[0].argmin()  # ties to the lowest index
-        if new == own or (sizes[own] == 1 and sizes[new] == 0):
-            continue
-        moved = config.with_point(pos + 1, point)
-        size = perturbation_size(config, moved)
-        if abs(size - step) > 1e-9 * max(1.0, step):
-            raise InvariantViolation(f"witness displacement {size} does not match candidate step {step}")
-        after = assign_nearest(moved, centers)
-        if _pair_disagreement_count(assignment.labels, after.labels) == 0:
-            raise InvariantViolation(f"full re-assignment keeps the partition for point {pos + 1} -> center {new + 1}")
-        return PartitionRadiusWitness(size, moved, moved_index=pos + 1, new_partition=induced_partition(after))
+    for block in _cheapest_first(steps, centers.k, centers.d):
+        rows, cols = np.divmod(block, centers.k)
+        own = labels[rows]
+        direction = ctr[cols] - ctr[own]
+        points = config.points[rows] + steps[block][:, None] * (direction / _row_norms(direction))
+        new = _nearest(points, ctr)[0] - 1  # ties to the lowest index
+        accepted = np.flatnonzero((new != own) & ((sizes[own] != 1) | (sizes[new] != 0)))
+        if accepted.size:
+            c = accepted[0]
+            pos, step = int(rows[c]), float(steps[block[c]])
+            moved = config.with_point(pos + 1, points[c])
+            size = perturbation_size(config, moved)
+            if abs(size - step) > 1e-9 * max(1.0, step):
+                raise InvariantViolation(f"witness displacement {size} does not match candidate step {step}")
+            after = assign_nearest(moved, centers)
+            if _pair_disagreement_count(assignment.labels, after.labels) == 0:
+                raise InvariantViolation(
+                    f"full re-assignment keeps the partition for point {pos + 1} -> center {new[c] + 1}"
+                )
+            return PartitionRadiusWitness(size, moved, moved_index=pos + 1, new_partition=induced_partition(after))
     return None
 
 

@@ -303,8 +303,9 @@ class TestDistanceKernel:
         peak, result = peak_traced_mib(lambda: assign_nearest(config, centers))
         outputs = (result.labels.nbytes + result.margins.nbytes) / 2**20
         block = geometry._BLOCK_ENTRIES * 8 / 2**20
-        # the kernel's labels and margins, Assignment's copies of them, and a few block-sized temporaries
-        assert peak <= 2 * outputs + 4 * block
+        # the kernel's labels and margins, which Assignment holds without a copy, and a few block-sized
+        # temporaries (about 1.8 blocks at d = 2, 2.2 at d = 16); a copy of the outputs would add 3 blocks
+        assert peak <= outputs + 3 * block
 
     def test_assign_nearest_is_the_kernel(self, anchored_config, two_centers, monkeypatch):
         calls = []

@@ -1,5 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from margin_guard import (
     CenterSet,
@@ -17,11 +24,11 @@ from margin_guard import (
     perturbation_size,
     switch_candidates,
 )
-from margin_guard import stability
+from margin_guard import geometry, stability
 from margin_guard.cli import main
 from margin_guard.formats import centers_to_csv, points_to_csv
 from margin_guard.stability import _bisector_distances
-from conftest import random_instance
+from conftest import peak_traced_mib, random_instance
 
 
 class TestNoSwitchCertificate:
@@ -290,12 +297,139 @@ class TestSearchAgainstCandidateLoop:
             assert any(np.array_equal(report.witness.witness.points[pos], m) for m in moves)
 
 
+def radius_search(config, centers):
+    """The analyze path's search on a fresh assignment and bisector matrix."""
+    assignment = assign_nearest(config, centers)
+    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    return stability._radius_search(config, centers, assignment, bisectors)
+
+
+def integer_grid_instance(rng):
+    """Centers on an integer grid of spacing 2 in d = 1..3 and integer points: many steps tie exactly."""
+    d = int(rng.integers(1, 4))
+    side = int(rng.integers(2, 4)) if d < 3 else 2
+    axes = np.meshgrid(*[2.0 * np.arange(side)] * d, indexing="ij")
+    centers = np.stack([a.ravel() for a in axes], axis=1)
+    points = rng.integers(-1, 2 * side, (int(rng.integers(2, 10)), d))
+    return PointConfig(points), CenterSet(centers)
+
+
+def assert_same_witness(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.moved_index == want.moved_index
+    assert got.radius == want.radius
+    assert got.witness.points.tobytes() == want.witness.points.tobytes()
+    assert got.new_partition == want.new_partition
+
+
+class TestBatchedSearch:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["singletons", "grid", "wide"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_reassignment_bit_for_bit(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "singletons":
+            config, centers = singleton_heavy_instance(rng)
+        elif kind == "grid":
+            config, centers = integer_grid_instance(rng)
+        else:
+            config, centers = random_instance(rng, n_max=10, d_max=12, k_max=8)
+        assert_same_witness(radius_search(config, centers), full_reassignment_search(config, centers))
+
+    def test_tied_steps_at_the_batch_threshold_share_one_batch(self, monkeypatch):
+        # 9 grid centers, so the first batch is meant to hold 9 candidates; the 9th smallest step ties
+        # with 4 more, and the witness is one of those beyond the 9th place
+        grid = CenterSet([[2.0 * a, 2.0 * b] for a in range(3) for b in range(3)])
+        config = PointConfig([[3.0, 5.0], [3.0, -1.0], [-1.0, 1.0]])
+        batches = []
+        nearest = stability._nearest
+        monkeypatch.setattr(stability, "_nearest", lambda p, c: batches.append(p.copy()) or nearest(p, c))
+        got = radius_search(config, grid)
+        monkeypatch.undo()
+        assert_same_witness(got, full_reassignment_search(config, grid))
+        assert [len(b) for b in batches] == [13]
+        (place,) = np.flatnonzero((batches[0] == got.witness.points[got.moved_index - 1]).all(axis=1))
+        assert place >= grid.k
+        assert got.radius == pytest.approx(2.0)
+
+    def test_row_blocks_of_a_batch_stop_at_the_witness(self, monkeypatch):
+        # the same 13-candidate batch in row blocks of 2 candidates: the witness, 11th in order, ends
+        # the search in the 6th block, and ties straddle block edges as well
+        grid = CenterSet([[2.0 * a, 2.0 * b] for a in range(3) for b in range(3)])
+        config = PointConfig([[3.0, 5.0], [3.0, -1.0], [-1.0, 1.0]])
+        want = full_reassignment_search(config, grid)
+        blocks = []
+        nearest = stability._nearest
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 2 * grid.k * grid.d)
+        monkeypatch.setattr(stability, "_nearest", lambda p, c: blocks.append(len(p)) or nearest(p, c))
+        assert_same_witness(radius_search(config, grid), want)
+        assert blocks == [2] * 6
+
+    def test_all_rejected_returns_none(self, monkeypatch):
+        # two singletons around an empty middle center: every move either lands in that empty cell
+        # or passes through it, so no candidate changes the partition
+        config, centers = PointConfig([[0.1], [1.9]]), CenterSet([[0.0], [1.0], [2.0]])
+        batches = []
+        nearest = stability._nearest
+
+        def counted_nearest(points, targets):
+            batches.append(len(points))
+            assert len(batches) <= 10, "the search does not end"
+            return nearest(points, targets)
+
+        monkeypatch.setattr(stability, "_nearest", counted_nearest)
+        assert radius_search(config, centers) is None
+        assert full_reassignment_search(config, centers) is None
+        assert sum(batches) == 4 and len(batches) == 2  # 3 candidates, then the last one
+
+    def test_all_rejected_cli_ends(self, tmp_path):
+        points, centers = tmp_path / "p.csv", tmp_path / "c.csv"
+        points.write_text(points_to_csv(PointConfig([[0.1], [1.9]])))
+        centers.write_text(centers_to_csv(CenterSet([[0.0], [1.0], [2.0]])))
+        src = str(Path(stability.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "margin_guard", "analyze", "--points", str(points), "--centers", str(centers)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert '"empirical_partition_radius": null' in done.stdout
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_norms_match_the_1d_norm_bit_for_bit(self, d, seed, exponent):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(64, d)) * 10.0 ** rng.uniform(-3.0, exponent, (64, 1))
+        norms = stability._row_norms(vectors)
+        assert norms.shape == (64, 1)
+        assert norms[:, 0].tobytes() == np.array([np.linalg.norm(v) for v in vectors]).tobytes()
+
+    def test_memory_stays_near_the_step_matrix(self):
+        # 64 centers with 10^5 points around them; building and sorting all n (k - 1) candidates
+        # took about 6.9 step matrices
+        rng = np.random.default_rng(0)
+        n, k = 10**5, 64
+        centers = rng.uniform(-10.0, 10.0, (k, 2))
+        config = PointConfig(centers[rng.integers(0, k, n)] + rng.normal(0.0, 0.8, (n, 2)))
+        centers = CenterSet(centers)
+        assignment = assign_nearest(config, centers)
+        bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+        peak, witness = peak_traced_mib(lambda: stability._radius_search(config, centers, assignment, bisectors))
+        assert witness is not None
+        assert peak * 2**20 <= 2.5 * n * k * 8
+
+
 class TestSearchWork:
     def test_one_assignment_for_the_report_and_one_for_the_witness(self, monkeypatch):
         config, centers = checkerboard_with_singletons()
         calls = {"assign": 0, "bisectors": 0}
-        rows = []
-        assign, bisectors, distances = stability.assign_nearest, stability._bisector_distances, stability._distances
+        batches = []
+        assign, bisectors, nearest = stability.assign_nearest, stability._bisector_distances, stability._nearest
 
         def counted_assign(*args):
             calls["assign"] += 1
@@ -305,18 +439,20 @@ class TestSearchWork:
             calls["bisectors"] += 1
             return bisectors(*args)
 
-        def counted_distances(points, targets):
-            rows.append(points.shape[0])
-            return distances(points, targets)
+        def counted_nearest(points, targets):
+            batches.append(points.shape[0])
+            return nearest(points, targets)
 
         monkeypatch.setattr(stability, "assign_nearest", counted_assign)
         monkeypatch.setattr(stability, "_bisector_distances", counted_bisectors)
-        monkeypatch.setattr(stability, "_distances", counted_distances)
+        monkeypatch.setattr(stability, "_nearest", counted_nearest)
         report = analyze_stability(config, centers)
         assert calls == {"assign": 2, "bisectors": 1}
-        # the bisector formula takes the k x k center gaps once; every candidate reads one row
-        assert sorted(rows) == [1] * (len(rows) - 1) + [centers.k]
-        assert len(rows) - 1 > 1  # cheaper candidates were rejected before the witness
+        # one kernel call per row block of a batch, and here every batch fits one block; batches start
+        # at k candidates and grow 4x, so even deciding all n (k - 1) candidates takes at most this many
+        n, k = config.n, centers.k
+        assert 1 <= len(batches) <= math.ceil(math.log(n * (k - 1) / k, 4)) + 1
+        assert sum(batches) > 1  # cheaper candidates were rejected before the witness
         monkeypatch.undo()
         want = full_reassignment_search(config, centers)
         assert report.witness.moved_index == want.moved_index
