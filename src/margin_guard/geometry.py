@@ -6,10 +6,12 @@ always compare points with the same index. Point indices are 1-based on every
 reporting surface (partitions, candidate sets, file formats); the underlying
 arrays are positional as usual.
 
-Labels with margins come from one kernel, ``_nearest``, for ``assign_nearest``,
-``nearest_label``, ``margin`` and the trajectory pass alike. It works in row
-blocks of at most ``_BLOCK_ENTRIES`` (point, center, coordinate) entries, so
-its memory beyond the labels and margins does not grow with n.
+Every label comes from one kernel, ``_nearest``. In one row-blocked pass it
+gives labels alone (Monte Carlo trials and the radius search), labels with
+margins (``assign_nearest``, ``nearest_label``, ``margin`` and the trajectory
+pass), or both with the bisector matrix (the stability report and the switch
+radii). Its row blocks hold at most ``_BLOCK_ENTRIES`` (point, center,
+coordinate) entries, so its memory beyond its outputs does not grow with n.
 """
 
 from __future__ import annotations
@@ -225,27 +227,49 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) Euclidean distances; bit-identical to np.linalg.norm over the last axis."""
-    return np.sqrt(_squared_distances(points, centers))
+# How many of (labels, margins, bisectors) _nearest returns: its three groups of callers need
+# labels only, labels with margins, or both with the (n, k) bisector matrix as well.
+_LABELS, _MARGINS, _BISECTORS = 1, 2, 3
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based nearest-center labels, ties to the lowest index, and margins of each point row.
+def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> tuple[np.ndarray, ...]:
+    """The first ``want`` of: 1-based nearest-center labels, ties to the lowest index; margins; and
+    the (n, k) bisector matrix, whose entry (i, j) is the distance from point i to the bisector of its
+    own center and center j, (dist(x_i, c_j)^2 - dist(x_i, c_own)^2) / (2 dist(c_j, c_own)), with inf
+    in the own column.
 
     The one assignment kernel: one _squared_distances call per row block of at most _BLOCK_ENTRIES
-    (point, center, coordinate) entries, so memory beyond the two (n,) outputs stays O(block)."""
+    (point, center, coordinate) entries, so memory beyond the outputs stays O(block). Labels are the
+    argmin over the square-rooted distances; one over the squares could break ties differently."""
     n, d = points.shape
-    labels, margins = np.empty(n, dtype=int), np.empty(n)
-    for rows in _row_blocks(n, len(centers) * d):
-        dist = _distances(points[rows], centers)
+    k = len(centers)
+    labels = np.empty(n, dtype=int)
+    margins = np.empty(n) if want >= _MARGINS else None
+    bisectors = np.empty((n, k)) if want == _BISECTORS else None
+    gaps = 2.0 * np.sqrt(_squared_distances(centers, centers)) if want == _BISECTORS else None
+    for rows in _row_blocks(n, k * d):
+        sq = _squared_distances(points[rows], centers)
+        dist = np.sqrt(sq) if want == _BISECTORS else np.sqrt(sq, out=sq)
         nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
+        labels[rows] = nearest + 1
+        if want == _LABELS:
+            continue
         at = np.arange(len(dist))
         best = dist[at, nearest]
         dist[at, nearest] = np.inf
         margins[rows] = dist.min(axis=1) - best
-        labels[rows] = nearest + 1
-    return labels, margins
+        if want == _BISECTORS:
+            out = bisectors[rows]
+            np.subtract(sq, sq[at, nearest][:, None], out=out)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out /= gaps[nearest]
+            out[at, nearest] = np.inf
+    return (labels, margins, bisectors)[:want]
+
+
+def _check_dimensions(config: PointConfig, centers: CenterSet) -> None:
+    if config.d != centers.d:
+        raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
 
 
 def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
@@ -255,24 +279,22 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     min over competing j of (dist(x_i, c_j) - dist(x_i, c_assigned)),
     and implicitly the minimum margin. Pure and deterministic.
     """
-    if config.d != centers.d:
-        raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
+    _check_dimensions(config, centers)
     labels, margins = _nearest(config.points, centers.centers)
     return Assignment._of_fresh(labels, margins, centers.k)
 
 
-def _point_nearest(point, centers: CenterSet) -> tuple[int, float]:
-    """(label, margin) of one point, from the assignment kernel."""
+def _point_nearest(point, centers: CenterSet, want: int = _MARGINS) -> tuple:
+    """The first ``want`` of the kernel's outputs for one point: its label, margin and (k,) bisector row."""
     p = np.asarray(point, dtype=float)
     if p.shape != (centers.d,):
         raise ValueError(f"point must be a {centers.d}-vector")
-    (label,), (gap,) = _nearest(p[None, :], centers.centers)
-    return int(label), float(gap)
+    return tuple(out[0] for out in _nearest(p[None, :], centers.centers, want))
 
 
 def nearest_label(point, centers: CenterSet) -> int:
     """1-based label of the nearest center, ties to the lowest index."""
-    return _point_nearest(point, centers)[0]
+    return int(_point_nearest(point, centers, _LABELS)[0])
 
 
 def margin(point, centers: CenterSet, label: int) -> float:
@@ -284,7 +306,7 @@ def margin(point, centers: CenterSet, label: int) -> float:
     actual, gap = _point_nearest(point, centers)
     if label != actual:
         raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    return gap
+    return float(gap)
 
 
 def perturbation_size(a: PointConfig, b: PointConfig) -> float:

@@ -190,27 +190,12 @@ def _label_distance(a: np.ndarray, b: np.ndarray):
     return _pair_disagreement_count(a, b) / (a.size * (a.size - 1) // 2)
 
 
-def pair_disagreements(p: Partition, q: Partition, method: str = "contingency") -> int:
-    """Number of unordered index pairs whose same-block status differs.
-
-    ``method="contingency"`` uses the block-size contingency closed form in
-    O(n) memory; ``method="pairs"`` enumerates all pairs through n x n
-    matrices and is kept as the reference the tests compare against. Both
-    return the same exact integer.
-    """
+def pair_disagreements(p: Partition, q: Partition) -> int:
+    """Number of unordered index pairs whose same-block status differs, by the block-size contingency
+    closed form in O(n) memory."""
     if p.n != q.n:
         raise ValueError(f"ground-set sizes differ: {p.n} vs {q.n}")
-    if method == "contingency":
-        return _pair_disagreement_count(p.block_ids(), q.block_ids())
-    if method == "pairs":
-        ids_p = p.block_ids()
-        ids_q = q.block_ids()
-        same_p = ids_p[:, None] == ids_p[None, :]
-        same_q = ids_q[:, None] == ids_q[None, :]
-        differ = same_p != same_q
-        iu, ju = np.triu_indices(p.n, k=1)
-        return int(differ[iu, ju].sum())
-    raise ValueError(f"unknown method {method!r}")
+    return _pair_disagreement_count(p.block_ids(), q.block_ids())
 
 
 def partition_distance(p: Partition, q: Partition) -> float:

@@ -4,11 +4,13 @@ The certificate side is provable: a perturbation strictly smaller than half
 the minimum margin cannot change any assigned center, hence cannot change the
 induced partition. The search side is empirical: it upper-bounds the partition
 stability radius by exhibiting a concrete single-point move that changes the
-partition. It decides the candidate moves by the single-move rule (only the
-moved point's label can change) in batches of the cheapest steps, found with
+partition. One pass of the assignment kernel gives the labels, the margins and
+the bisector matrix; its row minima are the per-point switch radii. The search
+decides the candidate moves by the single-move rule (only the moved point's
+label can change) in batches of the cheapest steps, found with
 ``np.partition`` and never a full sort, labels the moved points of each row
-block of a batch with one call of the assignment kernel, and re-assigns in full
-only the witness.
+block of a batch with one labels-only call of the kernel, and re-assigns in
+full only the witness.
 The true radius lies between the two.
 """
 
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import (Assignment, CenterSet, PointConfig, _distances, _nearest, _row_blocks, _squared_distances,
-                       assign_nearest, nearest_label, perturbation_size)
+from .geometry import (_BISECTORS, _LABELS, Assignment, CenterSet, PointConfig, _check_dimensions, _nearest,
+                       _point_nearest, _row_blocks, assign_nearest, perturbation_size)
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "switch_candidates",
     "exact_switch_radius",
     "per_point_switch_radii",
-    "empirical_partition_radius_search",
     "analyze_stability",
 ]
 
@@ -65,19 +66,11 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
-def _bisector_distances(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(n, k) distance from each point to the bisector of its own center and center j.
-
-    Entry (i, j) is (dist(x_i, c_j)^2 - dist(x_i, c_own)^2) / (2 dist(c_j, c_own))
-    for the 1-based own ``labels``; the own column is inf.
-    """
-    sq = _squared_distances(points, centers)
-    rows = np.arange(points.shape[0])
-    own = labels - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (sq - sq[rows, own][:, None]) / (2.0 * _distances(centers, centers)[own])
-    out[rows, own] = np.inf
-    return out
+def _assigned_bisectors(config: PointConfig, centers: CenterSet) -> tuple[Assignment, np.ndarray]:
+    """The assignment of ``config`` and its (n, k) bisector matrix, from one pass of the kernel."""
+    _check_dimensions(config, centers)
+    labels, margins, bisectors = _nearest(config.points, centers.centers, _BISECTORS)
+    return Assignment._of_fresh(labels, margins, centers.k), bisectors
 
 
 def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
@@ -88,18 +81,20 @@ def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     is the minimum over j. Always >= margin/2, with equality when the point
     lies on the segment between the two centers.
     """
-    p = np.asarray(point, dtype=float)
-    actual = nearest_label(p, centers)
+    actual, _, bisectors = _point_nearest(point, centers, _BISECTORS)
     if label != actual:
         raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    return float(_bisector_distances(p[None, :], centers.centers, np.array([label])).min())
+    return float(bisectors.min())
 
 
 def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: Assignment | None = None) -> np.ndarray:
-    """Exact single-point switch radius for every index of a configuration."""
-    if assignment is None:
-        assignment = assign_nearest(config, centers)
-    return _bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1)
+    """Exact single-point switch radius for every index of a configuration.
+
+    A given ``assignment`` must be the configuration's own; the radii come from the kernel's own pass."""
+    own, bisectors = _assigned_bisectors(config, centers)
+    if assignment is not None and not np.array_equal(assignment.labels, own.labels):
+        raise ValueError("assignment is not the nearest-center assignment of this configuration")
+    return bisectors.min(axis=1)
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -147,18 +142,18 @@ def _radius_search(
 
     Each candidate pushes one point just past the bisector of its own center and
     another (its ``bisectors`` entry plus a slack that forces a strict crossing;
-    ``bisectors`` is overwritten with these steps), in (step, index, center)
-    order. Moving one point changes only its own label, so the partition changes
-    unless the label stays or the point leaves a singleton block for an empty
-    center. One kernel call labels each block of ``_cheapest_first``, so at most
+    ``bisectors`` is overwritten with these steps, one row block at a time), in
+    (step, index, center) order. Moving one point changes only its own label, so
+    the partition changes unless the label stays or the point leaves a singleton
+    block for an empty center. One kernel call labels each block of ``_cheapest_first``, so at most
     one block is decided past the witness, and only the witness is re-assigned
     in full, which must agree.
     """
     labels = assignment.labels - 1
-    slack = bisectors * 1e-9
-    np.maximum(slack, 1e-12, out=slack)
-    bisectors += slack  # the own column stays inf
-    del slack
+    for rows in _row_blocks(len(bisectors), centers.k):
+        slack = bisectors[rows] * 1e-9
+        np.maximum(slack, 1e-12, out=slack)
+        bisectors[rows] += slack  # the own column stays inf
     steps, ctr = bisectors.ravel(), centers.centers
     sizes = np.bincount(labels, minlength=centers.k)
     for block in _cheapest_first(steps, centers.k, centers.d):
@@ -166,7 +161,7 @@ def _radius_search(
         own = labels[rows]
         direction = ctr[cols] - ctr[own]
         points = config.points[rows] + steps[block][:, None] * (direction / _row_norms(direction))
-        new = _nearest(points, ctr)[0] - 1  # ties to the lowest index
+        new = _nearest(points, ctr, _LABELS)[0] - 1  # ties to the lowest index
         accepted = np.flatnonzero((new != own) & ((sizes[own] != 1) | (sizes[new] != 0)))
         if accepted.size:
             c = accepted[0]
@@ -182,12 +177,6 @@ def _radius_search(
                 )
             return PartitionRadiusWitness(size, moved, moved_index=pos + 1, new_partition=induced_partition(after))
     return None
-
-
-def empirical_partition_radius_search(config: PointConfig, centers: CenterSet) -> PartitionRadiusWitness | None:
-    """The witness of ``analyze_stability``: the cheapest single-point move that changes the
-    partition, or None. An upper bound on the radius; multi-point moves are not searched."""
-    return analyze_stability(config, centers).witness
 
 
 @dataclass(frozen=True)
@@ -235,8 +224,7 @@ class StabilityReport:
 
 def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = True) -> StabilityReport:
     """Full stability report for a configuration under fixed centers."""
-    assignment = assign_nearest(config, centers)
-    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    assignment, bisectors = _assigned_bisectors(config, centers)
     radii = bisectors.min(axis=1)
     return StabilityReport(
         labels=assignment.labels,

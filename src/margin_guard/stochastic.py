@@ -22,7 +22,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammaincc
 
-from .geometry import Assignment, CenterSet, PointConfig, _distances, assign_nearest
+from .geometry import _LABELS, Assignment, CenterSet, PointConfig, _nearest, assign_nearest
 from .partitions import _label_distance
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "switch_probability_bound",
     "expected_switch_bound",
     "expected_distance_bound",
-    "label_pair_distance",
     "monte_carlo",
     "sweep_table",
 ]
@@ -212,21 +211,8 @@ def expected_distance_bound(assignment: Assignment, model: PerturbationModel) ->
     return min(1.0, (2.0 / (assignment.n - 1)) * expected_switch_bound(assignment, model))
 
 
-def label_pair_distance(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
-    """Partition distance between the groupings induced by two label vectors.
-
-    Same quantity as partition_distance(induced partitions), computed directly
-    from nonnegative integer labels (such as 1-based center labels): pairs are
-    in the same block exactly when their labels match.
-    """
-    la = np.asarray(labels_a)
-    lb = np.asarray(labels_b)
-    if la.shape != lb.shape or la.ndim != 1 or la.size < 2:
-        raise ValueError("label vectors must be equal-length 1-d arrays, n >= 2")
-    return _label_distance(la, lb)
-
-
-# Trials per chunk keep chunk * n * k, the entries of one chunk's distance table, within this (or one trial)
+# Trials per chunk keep chunk * n * k within this (or one trial). The kernel blocks its own rows, so a chunk
+# bounds the (chunk, n, d) noise and the (chunk, n) labels; the value fixes which trials share a chunk.
 _CHUNK_ENTRIES = 2**12
 
 
@@ -246,7 +232,7 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, mod
     seeder = _TrialSeeder(entropy)
     for start in range(0, trials, size):
         noisy = config.points + _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
-        labels = _distances(noisy.reshape(-1, d), centers.centers).argmin(axis=1).reshape(-1, n) + 1
+        labels = _nearest(noisy.reshape(-1, d), centers.centers, _LABELS)[0].reshape(-1, n)
         yield labels, _label_distance(base, labels)
 
 

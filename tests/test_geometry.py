@@ -14,7 +14,7 @@ from margin_guard import (
     nearest_label,
     perturbation_size,
 )
-from conftest import peak_traced_mib
+from conftest import bisector_distances, peak_traced_mib
 
 
 class TestConstruction:
@@ -292,6 +292,11 @@ class TestDistanceKernel:
         expected_labels, expected_margins = broadcast_nearest(points, centers)
         assert np.array_equal(labels, expected_labels)
         assert same_bits(margins, expected_margins)
+        (labels_only,) = geometry._nearest(points, centers, geometry._LABELS)
+        assert np.array_equal(labels_only, np.sqrt(expected).argmin(axis=1) + 1)
+        full = geometry._nearest(points, centers, geometry._BISECTORS)
+        assert np.array_equal(full[0], expected_labels) and same_bits(full[1], expected_margins)
+        assert same_bits(full[2], bisector_distances(points, centers, expected_labels))
 
     @pytest.mark.parametrize("d", [2, 16])
     def test_assign_nearest_memory_is_block_sized(self, d):

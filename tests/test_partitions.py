@@ -12,13 +12,12 @@ from margin_guard import (
     assign_nearest,
     induced_partition,
     iter_partitions,
-    label_pair_distance,
     pair_disagreements,
     partition_distance,
     switched_index_distance_bound,
 )
 from margin_guard.partitions import _label_distance, _pair_disagreement_count
-from conftest import peak_traced_mib
+from conftest import pair_enumeration_disagreements, peak_traced_mib
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -146,7 +145,7 @@ class TestPartitionDistance:
             n = int(rng.integers(2, 12))
             p = Partition.from_labels(rng.integers(0, 4, n))
             q = Partition.from_labels(rng.integers(0, 4, n))
-            assert pair_disagreements(p, q, method="pairs") == pair_disagreements(p, q)
+            assert pair_enumeration_disagreements(p, q) == pair_disagreements(p, q)
 
 
 @st.composite
@@ -165,9 +164,9 @@ class TestContingencyKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_pair_enumeration(self, pair):
         a, b = pair
-        want = pair_disagreements(Partition.from_labels(a), Partition.from_labels(b), method="pairs")
+        want = pair_enumeration_disagreements(Partition.from_labels(a), Partition.from_labels(b))
         assert _pair_disagreement_count(a, b) == want
-        assert label_pair_distance(a, b) == want / (a.size * (a.size - 1) // 2)
+        assert _label_distance(a, b) == want / (a.size * (a.size - 1) // 2)
 
     @given(label_array_pair(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -178,7 +177,7 @@ class TestContingencyKernel:
         counts = _pair_disagreement_count(a, rows)
         assert counts.shape == (rows.shape[0],)
         pa = Partition.from_labels(a)
-        assert counts.tolist() == [pair_disagreements(pa, Partition.from_labels(r), method="pairs") for r in rows]
+        assert counts.tolist() == [pair_enumeration_disagreements(pa, Partition.from_labels(r)) for r in rows]
         # one normalization: every row's distance is its count over C(n, 2), as partition_distance gives it
         total = a.size * (a.size - 1) // 2
         assert _label_distance(a, rows).tolist() == [c / total for c in counts.tolist()]

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margin_guard import (
+    Assignment,
     CenterSet,
     InvariantViolation,
     Partition,
     PartitionRadiusWitness,
     PointConfig,
     analyze_stability,
+    PerturbationModel,
     assign_nearest,
-    empirical_partition_radius_search,
     exact_switch_radius,
     induced_partition,
+    monte_carlo,
     no_switch_certificate,
     per_point_switch_radii,
     perturbation_size,
@@ -27,8 +29,7 @@ from margin_guard import (
 from margin_guard import geometry, stability
 from margin_guard.cli import main
 from margin_guard.formats import centers_to_csv, points_to_csv
-from margin_guard.stability import _bisector_distances
-from conftest import peak_traced_mib, random_instance
+from conftest import bisector_distances, k64_instance, peak_traced_mib, random_instance
 
 
 class TestNoSwitchCertificate:
@@ -101,6 +102,11 @@ class TestExactSwitchRadius:
         assert r_on == pytest.approx(a.margins[0] / 2.0)
         assert r_off > a.margins[1] / 2.0 + 1e-6
 
+    def test_radii_need_the_configuration_own_assignment(self, anchored_config, two_centers):
+        swapped = assign_nearest(PointConfig([[2.0, 0.0], [-2.0, 0.0], [0.1, 0.0]]), two_centers)
+        with pytest.raises(ValueError, match="not the nearest-center assignment"):
+            per_point_switch_radii(anchored_config, two_centers, swapped)
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         config, centers = random_instance(rng, n_max=15, d_max=3, k_max=4)
@@ -113,7 +119,7 @@ class TestExactSwitchRadius:
 
 class TestPartitionRadiusSearch:
     def test_anchored_config_witness(self, anchored_config, two_centers):
-        res = empirical_partition_radius_search(anchored_config, two_centers)
+        res = analyze_stability(anchored_config, two_centers).witness
         assert res is not None
         assert res.radius == pytest.approx(0.1, rel=1e-6)
         assert res.moved_index == 3
@@ -127,7 +133,7 @@ class TestPartitionRadiusSearch:
     def test_each_point_at_own_center(self):
         centers = CenterSet([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         config = PointConfig([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-        res = empirical_partition_radius_search(config, centers)
+        res = analyze_stability(config, centers).witness
         assert res is not None
         a = assign_nearest(config, centers)
         min_exact = per_point_switch_radii(config, centers, a).min()
@@ -140,7 +146,7 @@ class TestPartitionRadiusSearch:
         config = PointConfig([[0.0, 0.8], [4.0, 0.0]])
         before = induced_partition(assign_nearest(config, centers))
         assert before == Partition([[1], [2]], n=2)
-        res = empirical_partition_radius_search(config, centers)
+        res = analyze_stability(config, centers).witness
         assert res is not None
         assert res.radius == pytest.approx(2.0, rel=1e-6)
         assert res.new_partition == Partition([[1, 2]], n=2)
@@ -149,7 +155,7 @@ class TestPartitionRadiusSearch:
         rng = np.random.default_rng(33)
         for _ in range(40):
             config, centers = random_instance(rng, n_max=12, d_max=3, k_max=4)
-            res = empirical_partition_radius_search(config, centers)
+            res = analyze_stability(config, centers).witness
             if res is None:
                 continue
             before = induced_partition(assign_nearest(config, centers))
@@ -189,7 +195,7 @@ def full_reassignment_search(config, centers):
     """Reference radius search: the kernel's candidates and order, but each one re-assigns every point."""
     assignment = assign_nearest(config, centers)
     before = induced_partition(assignment)
-    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+    bisectors = bisector_distances(config.points, centers.centers, assignment.labels)
     rows, cols = np.nonzero(np.arange(centers.k) != (assignment.labels - 1)[:, None])
     radii = bisectors[rows, cols]
     steps = radii + np.maximum(1e-9 * radii, 1e-12)
@@ -236,7 +242,7 @@ class TestSearchAgainstCandidateLoop:
         rng = np.random.default_rng(21)
         for _ in range(40):
             config = PointConfig(rng.integers(-1, 6, (int(rng.integers(2, 14)), 2)))
-            got = empirical_partition_radius_search(config, grid)
+            got = analyze_stability(config, grid).witness
             want = candidate_loop_search(config, grid)
             if want is None:
                 assert got is None
@@ -251,7 +257,7 @@ class TestSearchAgainstCandidateLoop:
         found, shapes = 0, []
         for _ in range(300):
             config, centers = singleton_heavy_instance(rng)
-            got = empirical_partition_radius_search(config, centers)
+            got = analyze_stability(config, centers).witness
             want = full_reassignment_search(config, centers)
             loop = candidate_loop_search(config, centers)
             if want is None:
@@ -298,10 +304,10 @@ class TestSearchAgainstCandidateLoop:
 
 
 def radius_search(config, centers):
-    """The analyze path's search on a fresh assignment and bisector matrix."""
-    assignment = assign_nearest(config, centers)
-    bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
-    return stability._radius_search(config, centers, assignment, bisectors)
+    """The analyze path's search on a fresh assignment and bisector matrix from the kernel itself, so
+    spies on ``stability._nearest`` see the search's calls only."""
+    labels, margins, bisectors = geometry._nearest(config.points, centers.centers, geometry._BISECTORS)
+    return stability._radius_search(config, centers, Assignment(labels, margins, centers.k), bisectors)
 
 
 def integer_grid_instance(rng):
@@ -345,7 +351,7 @@ class TestBatchedSearch:
         config = PointConfig([[3.0, 5.0], [3.0, -1.0], [-1.0, 1.0]])
         batches = []
         nearest = stability._nearest
-        monkeypatch.setattr(stability, "_nearest", lambda p, c: batches.append(p.copy()) or nearest(p, c))
+        monkeypatch.setattr(stability, "_nearest", lambda p, c, want: batches.append(p.copy()) or nearest(p, c, want))
         got = radius_search(config, grid)
         monkeypatch.undo()
         assert_same_witness(got, full_reassignment_search(config, grid))
@@ -363,7 +369,7 @@ class TestBatchedSearch:
         blocks = []
         nearest = stability._nearest
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 2 * grid.k * grid.d)
-        monkeypatch.setattr(stability, "_nearest", lambda p, c: blocks.append(len(p)) or nearest(p, c))
+        monkeypatch.setattr(stability, "_nearest", lambda p, c, want: blocks.append(len(p)) or nearest(p, c, want))
         assert_same_witness(radius_search(config, grid), want)
         assert blocks == [2] * 6
 
@@ -374,10 +380,11 @@ class TestBatchedSearch:
         batches = []
         nearest = stability._nearest
 
-        def counted_nearest(points, targets):
+        def counted_nearest(points, targets, want):
+            assert want == geometry._LABELS  # the search needs labels only
             batches.append(len(points))
             assert len(batches) <= 10, "the search does not end"
-            return nearest(points, targets)
+            return nearest(points, targets, want)
 
         monkeypatch.setattr(stability, "_nearest", counted_nearest)
         assert radius_search(config, centers) is None
@@ -410,18 +417,15 @@ class TestBatchedSearch:
         assert norms[:, 0].tobytes() == np.array([np.linalg.norm(v) for v in vectors]).tobytes()
 
     def test_memory_stays_near_the_step_matrix(self):
-        # 64 centers with 10^5 points around them; building and sorting all n (k - 1) candidates
-        # took about 6.9 step matrices
-        rng = np.random.default_rng(0)
-        n, k = 10**5, 64
-        centers = rng.uniform(-10.0, 10.0, (k, 2))
-        config = PointConfig(centers[rng.integers(0, k, n)] + rng.normal(0.0, 0.8, (n, 2)))
-        centers = CenterSet(centers)
-        assignment = assign_nearest(config, centers)
-        bisectors = _bisector_distances(config.points, centers.centers, assignment.labels)
+        # 64 centers with 10^5 points around them; building and sorting all n (k - 1) candidates took
+        # about 6.9 step matrices, and a whole slack matrix beside the steps about 2; what is left is
+        # the one partitioned copy of the steps
+        config, centers = k64_instance()
+        n, k = config.n, centers.k
+        assignment, bisectors = stability._assigned_bisectors(config, centers)
         peak, witness = peak_traced_mib(lambda: stability._radius_search(config, centers, assignment, bisectors))
         assert witness is not None
-        assert peak * 2**20 <= 2.5 * n * k * 8
+        assert peak * 2**20 <= 1.25 * n * k * 8
 
 
 class TestSearchWork:
@@ -429,25 +433,25 @@ class TestSearchWork:
         config, centers = checkerboard_with_singletons()
         calls = {"assign": 0, "bisectors": 0}
         batches = []
-        assign, bisectors, nearest = stability.assign_nearest, stability._bisector_distances, stability._nearest
+        assign, nearest = stability.assign_nearest, stability._nearest
 
         def counted_assign(*args):
             calls["assign"] += 1
             return assign(*args)
 
-        def counted_bisectors(*args):
-            calls["bisectors"] += 1
-            return bisectors(*args)
-
-        def counted_nearest(points, targets):
-            batches.append(points.shape[0])
-            return nearest(points, targets)
+        def counted_nearest(points, targets, want):
+            if want == geometry._BISECTORS:
+                calls["bisectors"] += 1
+            else:
+                assert want == geometry._LABELS
+                batches.append(points.shape[0])
+            return nearest(points, targets, want)
 
         monkeypatch.setattr(stability, "assign_nearest", counted_assign)
-        monkeypatch.setattr(stability, "_bisector_distances", counted_bisectors)
         monkeypatch.setattr(stability, "_nearest", counted_nearest)
         report = analyze_stability(config, centers)
-        assert calls == {"assign": 2, "bisectors": 1}
+        # one bisector pass gives the report's labels, margins and radii; the witness alone is assigned in full
+        assert calls == {"assign": 1, "bisectors": 1}
         # one kernel call per row block of a batch, and here every batch fits one block; batches start
         # at k candidates and grow 4x, so even deciding all n (k - 1) candidates takes at most this many
         n, k = config.n, centers.k
@@ -457,6 +461,23 @@ class TestSearchWork:
         want = full_reassignment_search(config, centers)
         assert report.witness.moved_index == want.moved_index
         assert report.witness.witness.points.tobytes() == want.witness.points.tobytes()
+
+    def test_report_memory_stays_near_two_step_matrices(self):
+        # the bisector matrix and the search's partitioned copy of it; three (n, k) arrays at once
+        # made about 3.07 step matrices
+        config, centers = k64_instance()
+        peak, report = peak_traced_mib(lambda: analyze_stability(config, centers))
+        assert report.witness is not None
+        assert peak * 2**20 <= 2.25 * config.n * centers.k * 8
+
+    def test_monte_carlo_memory_at_k64_is_block_sized(self):
+        # a 2-trial run labels each trial in row blocks; one unblocked (n, k) distance table per trial
+        # took about 102 MiB
+        config, centers = k64_instance()
+        model = PerturbationModel.gaussian(0.3, dim=2)
+        peak, report = peak_traced_mib(lambda: monte_carlo(config, centers, model, trials=2, seed=0))
+        assert report.trial_switch_counts.sum() > 0
+        assert peak < 16.0
 
     def test_disagreeing_full_check_raises(self, monkeypatch, anchored_config, two_centers):
         # the full re-assignment of the witness reports the labels before the move

@@ -15,7 +15,6 @@ from margin_guard import (
     expected_distance_bound,
     expected_switch_bound,
     induced_partition,
-    label_pair_distance,
     monte_carlo,
     partition_distance,
     sample_perturbation,
@@ -23,7 +22,8 @@ from margin_guard import (
     switch_probability_bound,
     trial_rng,
 )
-from margin_guard import CenterSet, stochastic, two_gaussians
+from margin_guard import CenterSet, geometry, stochastic, two_gaussians
+from margin_guard.partitions import _label_distance
 from margin_guard.stochastic import _TrialSeeder, _noise
 from conftest import peak_traced_mib
 
@@ -276,18 +276,18 @@ class TestLabelPairDistance:
             la = rng.integers(1, 5, n)
             lb = rng.integers(1, 5, n)
             expect = partition_distance(Partition.from_labels(la), Partition.from_labels(lb))
-            assert label_pair_distance(la, lb) == expect
+            assert _label_distance(la, lb) == expect
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            label_pair_distance(np.array([1, 2]), np.array([1, 2, 3]))
+            partition_distance(Partition.from_labels(np.array([1, 2])), Partition.from_labels(np.array([1, 2, 3])))
 
     def test_linear_memory_at_n_5000(self):
         rng = np.random.default_rng(45)
         la = rng.integers(1, 5, 5000)
         lb = rng.integers(1, 5, 5000)
         expect = partition_distance(Partition.from_labels(la), Partition.from_labels(lb))
-        peak, got = peak_traced_mib(lambda: label_pair_distance(la, lb))
+        peak, got = peak_traced_mib(lambda: _label_distance(la, lb))
         assert got == expect
         assert peak < 1.0
 
@@ -548,12 +548,13 @@ class TestChunkedTrialsWork:
 
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
+        # one labels-only kernel call per chunk; the kernel blocks its own rows
         chunk_trials = self.record_chunks(monkeypatch)
         rngs = self.count_calls(monkeypatch, "trial_rng")
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
-        tables = self.count_calls(monkeypatch, "_distances")
+        tables = self.count_calls(monkeypatch, "_nearest")
         set_trials_per_chunk(monkeypatch, per_chunk, anchored_config.n, two_centers.k)
         monte_carlo(anchored_config, two_centers, PerturbationModel.bounded_disk(0.3), trials=50, seed=1)
         assert len(rngs) == 0
@@ -563,13 +564,14 @@ class TestChunkedTrialsWork:
         assert len(seed_sequences) == 1  # one shared pool per run, whatever the chunk count
         assert len(streams) == 50
         assert len(tables) == chunks
+        assert all(want == geometry._LABELS for _, _, want in tables)
 
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
         chunk_trials = self.record_chunks(monkeypatch)
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
-        tables = self.count_calls(monkeypatch, "_distances")
+        tables = self.count_calls(monkeypatch, "_nearest")
         set_trials_per_chunk(monkeypatch, 7, anchored_config.n, two_centers.k)
         sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
         chunks = [range(start, min(start + 7, 40)) for start in range(0, 40, 7)]
@@ -578,6 +580,7 @@ class TestChunkedTrialsWork:
         assert len(seed_sequences) == 3  # one shared pool per epsilon row, whatever the chunk count
         assert len(streams) == 3 * 40
         assert len(tables) == 3 * len(chunks)
+        assert all(want == geometry._LABELS for _, _, want in tables)
 
     def test_memory_stays_small_over_many_trials(self):
         config, centers = two_gaussians(n=200, seed=3)
