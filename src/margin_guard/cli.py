@@ -39,7 +39,9 @@ from .stochastic import PerturbationModel, monte_carlo, sweep_table
 __all__ = ["main", "entry"]
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The input and output flags of analyze, sweep and montecarlo, built once and shared as a parent."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
     p.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
     p.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
@@ -50,6 +52,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: MARGIN_GUARD_SEED or 0)")
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,15 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability analysis for nearest-center clustering partitions under perturbation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
 
-    p = sub.add_parser("analyze", help="margins, certified lower bound, and empirical radius upper bound")
-    _add_common_flags(p)
+    p = sub.add_parser("analyze", parents=[common],
+                       help="margins, certified lower bound, and empirical radius upper bound")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report the no-switch certificate and switch candidates at this size")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="partition distance vs. bounded-noise radius over an epsilon grid")
-    _add_common_flags(p)
+    p = sub.add_parser("sweep", parents=[common],
+                       help="partition distance vs. bounded-noise radius over an epsilon grid")
     p.add_argument("--epsilon", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--grid", required=True, metavar="F,F,...", help="comma-separated epsilon grid (>= 2 values)")
     p.add_argument("--trials", type=int, default=100, help="perturbation trials per grid point")
@@ -95,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("montecarlo", help="empirical switching estimates next to analytic bounds")
-    _add_common_flags(p)
+    p = sub.add_parser("montecarlo", parents=[common], help="empirical switching estimates next to analytic bounds")
     p.add_argument("--epsilon", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--rho", type=float, default=None, help="bounded-noise radius")
     p.add_argument("--sigma", type=float, default=None, help="gaussian noise scale")
@@ -238,8 +241,8 @@ def cmd_trajectory(args) -> int:
         "centers_fixed_over_time": True,
         "initial_min_margin": certs[0].initial_radius_lower_bound * 2.0,
         "initial_radius_lower_bound": certs[0].initial_radius_lower_bound,
-        "step_sizes": [float(v) for v in run.deltas],
-        "cumulative_budget": [float(v) for v in budgets],
+        "step_sizes": run.deltas.tolist(),
+        "cumulative_budget": budgets.tolist(),
         "persistence": [
             {
                 "horizon": c.horizon,

@@ -55,9 +55,9 @@ class CounterexampleFixture:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "centers": [[float(c) for c in row] for row in self.centers.centers],
-            "points": [[float(c) for c in row] for row in self.config.points],
-            "perturbed": [[float(c) for c in row] for row in self.perturbed.points],
+            "centers": self.centers.centers.tolist(),
+            "points": self.config.points.tolist(),
+            "perturbed": self.perturbed.points.tolist(),
             "expected_before": self.expected_before.to_lists(),
             "expected_after": self.expected_after.to_lists(),
             "perturbation_size": float(self.perturbation_size),

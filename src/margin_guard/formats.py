@@ -5,12 +5,21 @@ CSV files carry one row per index with columns x1..xd; the row order is the
 written file re-ingests to bit-identical values. JSON mirrors the same data
 with explicit arrays. Every emitted document carries schema_version 1, as a
 top-level field in JSON and as a leading "# schema_version=1" comment in CSV.
+
+JSON reports are byte for byte what json.dumps writes with sort_keys=True and
+indent=2, written in one pass: each list of numbers, or of rows of numbers, is
+one call of CPython's compact C encoder, re-indented by string replacement.
+CSV records are read in bulk, one float map over all fields; a file the bulk
+parse could read or word differently goes through csv record by record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +51,75 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# One compact C encoder, CPython's, which json.dumps runs only when indent is None, for every scalar
+# and every leaf list; dump_json lays out the rest. Non-finite floats raise (allow_nan is False), and
+# the default raises json's TypeError for an unsupported type.
+_encode_compact = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                                 ": ", ",", True, False, False)
+_NOT_LEAF = (str, dict, list, tuple)
+
+
+def _leaf_depth(items) -> int:
+    """1 if ``items`` holds no string or container, 2 if it holds only lists or tuples of such items,
+    else 0. The type sets come from C-level maps; only the distinct types are tested in Python."""
+    kinds = set(map(type, items))
+    if not any(issubclass(t, _NOT_LEAF) for t in kinds):
+        return 1
+    if all(issubclass(t, (list, tuple)) for t in kinds) and not any(
+        issubclass(t, _NOT_LEAF) for t in set(map(type, chain.from_iterable(items)))
+    ):
+        return 2
+    return 0
+
+
+def _compact(value, depth: int = 0) -> str:
+    """One C encoder call on a scalar (``depth`` 0) or a leaf list of that depth; a non-finite float
+    raises json's ValueError, which names the value as json.dumps does and as CPython 3.11's C
+    encoder does not."""
+    try:
+        return "".join(_encode_compact(value, 0))
+    except ValueError:
+        leaves = (value,) if depth == 0 else value if depth == 1 else chain.from_iterable(value)
+        bad = next((v for v in leaves if isinstance(v, float) and not math.isfinite(v)), None)
+        if bad is None:
+            raise
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+
+
+def _indented(value, indent: str) -> str:
+    """The text of ``value`` in the layout of json.dumps with sort_keys=True and indent=2, its first
+    line opened at ``indent``. A leaf list is encoded compactly in one call and re-indented by string
+    replacement, which is exact because no number, true, false or null holds a comma or a bracket."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_indented(item, inner)}" for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _compact(value)
+    if not value:
+        return "[]"
+    depth = _leaf_depth(value)
+    if depth == 0:
+        return "[\n" + inner + (",\n" + inner).join(_indented(v, inner) for v in value) + "\n" + indent + "]"
+    body = _compact(value, depth)[1:-1]
+    if depth == 2:  # rows "[...]" or "[]" joined by the only commas that sit between "]" and "["
+        row = inner + "  "
+        body = (body.replace("],[", "]\0[").replace(",", ",\n" + row)
+                .replace("[", "[\n" + row).replace("]", "\n" + inner + "]")
+                .replace("[\n" + row + "\n" + inner + "]", "[]").replace("\0", ",\n" + inner))
+    else:
+        body = body.replace(",", ",\n" + inner)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def dump_json(payload: dict) -> str:
-    """Canonical JSON text: schema header, sorted keys, trailing newline; non-finite floats raise ValueError."""
-    doc = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: schema header, sorted keys, two-space indent, trailing newline. For a
+    payload with string keys it is byte for byte what json.dumps writes with sort_keys=True, indent=2
+    and allow_nan=False, plus "\n". Non-finite floats raise ValueError and unsupported values
+    TypeError, with json's messages."""
+    return _indented({"schema_version": SCHEMA_VERSION, **payload}, "") + "\n"
 
 
 def _csv_field(value) -> str:
@@ -74,11 +148,11 @@ def centers_to_csv(centers: CenterSet) -> str:
 
 
 def points_to_json_dict(config: PointConfig) -> dict:
-    return {"points": [[float(v) for v in row] for row in config.points]}
+    return {"points": config.points.tolist()}
 
 
 def centers_to_json_dict(centers: CenterSet) -> dict:
-    return {"centers": [[float(v) for v in row] for row in centers.centers]}
+    return {"centers": centers.centers.tolist()}
 
 
 def _read_text(path: Path) -> str:
@@ -102,9 +176,41 @@ def _json_doc(path: Path, key: str) -> dict:
     return doc
 
 
+# Records per step of the bulk CSV parse, which bounds the field strings held at once.
+_CSV_CHUNK = 2**14
+
+
+def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
+    """The t column and the coordinates of ``records``, parsed in bulk, or None where the bulk parse
+    could read or word a record otherwise than the csv loop of _read_csv_records: a record whose
+    field count is not ``width``, or a field that the digit test or float rejects. That covers every
+    quote character, which neither accepts; without quotes csv splits a line at its commas, and
+    float gives the same bits either way."""
+    times, coords = [], np.empty((len(records), width - timed))
+    for start in range(0, len(records), _CSV_CHUNK):
+        chunk = records[start:start + _CSV_CHUNK]
+        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+            return None
+        fields = ",".join(chunk).split(",")
+        if timed:
+            stamps = list(map(str.strip, fields[::width]))
+            if not (all(map(str.isdigit, stamps)) and "".join(stamps).isascii()):
+                return None
+            times += map(int, stamps)
+            del fields[::width]
+        try:
+            values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+        except ValueError:
+            return None
+        coords[start:start + len(chunk)] = values.reshape(len(chunk), width - timed)
+    return times, coords
+
+
 def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.ndarray]:
     """The integer t column (empty unless ``timed``) and the coordinates of a CSV file with
-    columns [t,]x1..xd. Errors number records among the lines that are not blank or "#"."""
+    columns [t,]x1..xd. Records are parsed in bulk (_bulk_records); a file the bulk parse declines
+    goes through csv record by record, and its errors number records among the lines that are not
+    blank or "#"."""
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:  # a header and at least one record
         raise ValueError(f"{path}: no data rows")
@@ -116,6 +222,10 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.nd
     expected = lead + _coordinate_columns(len(header) - len(lead))
     if header != expected:
         raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
+    # a header quoted over several lines leaves its closing quote to the bulk parse, which declines
+    bulk = _bulk_records(lines[1:], len(header), timed)
+    if bulk is not None:
+        return bulk
     times, rows = [], []
     for lineno, rec in enumerate(reader, start=2):
         if len(rec) != len(header):

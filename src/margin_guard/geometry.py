@@ -9,9 +9,11 @@ arrays are positional as usual.
 Every label comes from one kernel, ``_nearest``. In one row-blocked pass it
 gives labels alone (Monte Carlo trials and the radius search), labels with
 margins (``assign_nearest``, ``nearest_label``, ``margin`` and the trajectory
-pass), or both with the bisector matrix (the stability report and the switch
-radii). Its row blocks hold at most ``_BLOCK_ENTRIES`` (point, center,
-coordinate) entries, so its memory beyond its outputs does not grow with n.
+pass), both with the bisector matrix (the stability report with its radius
+search, and ``exact_switch_radius``), or both with that matrix's row minima
+alone (the switch radii). Its row blocks hold at most ``_BLOCK_ENTRIES``
+(point, center, coordinate) entries, so its memory beyond its outputs does not
+grow with n.
 """
 
 from __future__ import annotations
@@ -227,16 +229,17 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-# How many of (labels, margins, bisectors) _nearest returns: its three groups of callers need
-# labels only, labels with margins, or both with the (n, k) bisector matrix as well.
-_LABELS, _MARGINS, _BISECTORS = 1, 2, 3
+# What _nearest returns: labels only, labels with margins, both with the (n, k) bisector matrix,
+# or both with the matrix's row minima alone, the per-point switch radii.
+_LABELS, _MARGINS, _BISECTORS, _RADII = 1, 2, 3, 4
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> tuple[np.ndarray, ...]:
     """The first ``want`` of: 1-based nearest-center labels, ties to the lowest index; margins; and
     the (n, k) bisector matrix, whose entry (i, j) is the distance from point i to the bisector of its
     own center and center j, (dist(x_i, c_j)^2 - dist(x_i, c_own)^2) / (2 dist(c_j, c_own)), with inf
-    in the own column.
+    in the own column. ``_RADII`` gives labels, margins and the row minima of that matrix, taken per
+    row block, so the matrix is never held whole.
 
     The one assignment kernel: one _squared_distances call per row block of at most _BLOCK_ENTRIES
     (point, center, coordinate) entries, so memory beyond the outputs stays O(block). Labels are the
@@ -245,11 +248,12 @@ def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> t
     k = len(centers)
     labels = np.empty(n, dtype=int)
     margins = np.empty(n) if want >= _MARGINS else None
-    bisectors = np.empty((n, k)) if want == _BISECTORS else None
-    gaps = 2.0 * np.sqrt(_squared_distances(centers, centers)) if want == _BISECTORS else None
+    # the bisector matrix, or for _RADII its row minima only
+    bisectors = np.empty((n, k)) if want == _BISECTORS else np.empty(n) if want == _RADII else None
+    gaps = 2.0 * np.sqrt(_squared_distances(centers, centers)) if want >= _BISECTORS else None
     for rows in _row_blocks(n, k * d):
         sq = _squared_distances(points[rows], centers)
-        dist = np.sqrt(sq) if want == _BISECTORS else np.sqrt(sq, out=sq)
+        dist = np.sqrt(sq) if want >= _BISECTORS else np.sqrt(sq, out=sq)
         nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
         labels[rows] = nearest + 1
         if want == _LABELS:
@@ -258,12 +262,14 @@ def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> t
         best = dist[at, nearest]
         dist[at, nearest] = np.inf
         margins[rows] = dist.min(axis=1) - best
-        if want == _BISECTORS:
-            out = bisectors[rows]
+        if want >= _BISECTORS:
+            out = bisectors[rows] if want == _BISECTORS else dist  # dist is spent once margins are out
             np.subtract(sq, sq[at, nearest][:, None], out=out)
             with np.errstate(divide="ignore", invalid="ignore"):
                 out /= gaps[nearest]
             out[at, nearest] = np.inf
+            if want == _RADII:
+                bisectors[rows] = out.min(axis=1)
     return (labels, margins, bisectors)[:want]
 
 

@@ -25,12 +25,20 @@ __all__ = [
 
 
 def _canonical_ids(labels) -> np.ndarray:
-    """Read-only block ids of a 1-d label array: equal labels share a block, numbered by first occurrence."""
+    """Read-only block ids of a 1-d label array: equal labels share a block, numbered by first occurrence.
+
+    Labels that numpy would merge when it converts them ("a" and "a\\x00" lose their trailing NULs,
+    ints past int64 become float64) are grouped by their Python values instead."""
     arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"labels must form a 1-d array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("ground-set size must be >= 1")
+    if not isinstance(labels, np.ndarray) and arr.tolist() != list(labels):
+        if any(v != v for v in labels):
+            raise ValueError("labels must not be NaN")
+        first_seen: dict = {}
+        arr = np.array([first_seen.setdefault(v, len(first_seen)) for v in labels])
     values, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
     if np.any(values != values):
         raise ValueError("labels must not be NaN")

@@ -5,12 +5,13 @@ the minimum margin cannot change any assigned center, hence cannot change the
 induced partition. The search side is empirical: it upper-bounds the partition
 stability radius by exhibiting a concrete single-point move that changes the
 partition. One pass of the assignment kernel gives the labels, the margins and
-the bisector matrix; its row minima are the per-point switch radii. The search
-decides the candidate moves by the single-move rule (only the moved point's
-label can change) in batches of the cheapest steps, found with
-``np.partition`` and never a full sort, labels the moved points of each row
-block of a batch with one labels-only call of the kernel, and re-assigns in
-full only the witness.
+the bisector matrix; its row minima are the per-point switch radii. Where no
+search follows, the kernel takes those minima per row block and never holds
+the matrix whole. The search decides the candidate moves by the single-move
+rule (only the moved point's label can change) in batches of the cheapest
+steps, found with ``np.partition`` and never a full sort, labels the moved
+points of each row block of a batch with one labels-only call of the kernel,
+and re-assigns in full only the witness.
 The true radius lies between the two.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import (_BISECTORS, _LABELS, Assignment, CenterSet, PointConfig, _check_dimensions, _nearest,
+from .geometry import (_BISECTORS, _LABELS, _RADII, Assignment, CenterSet, PointConfig, _check_dimensions, _nearest,
                        _point_nearest, _row_blocks, assign_nearest, perturbation_size)
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
@@ -66,10 +67,13 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
-def _assigned_bisectors(config: PointConfig, centers: CenterSet) -> tuple[Assignment, np.ndarray]:
-    """The assignment of ``config`` and its (n, k) bisector matrix, from one pass of the kernel."""
+def _assigned_bisectors(
+    config: PointConfig, centers: CenterSet, want: int = _BISECTORS
+) -> tuple[Assignment, np.ndarray]:
+    """The assignment of ``config`` and, as ``want`` asks, its (n, k) bisector matrix (``_BISECTORS``)
+    or that matrix's row minima (``_RADII``), from one pass of the kernel."""
     _check_dimensions(config, centers)
-    labels, margins, bisectors = _nearest(config.points, centers.centers, _BISECTORS)
+    labels, margins, bisectors = _nearest(config.points, centers.centers, want)
     return Assignment._of_fresh(labels, margins, centers.k), bisectors
 
 
@@ -91,10 +95,10 @@ def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: 
     """Exact single-point switch radius for every index of a configuration.
 
     A given ``assignment`` must be the configuration's own; the radii come from the kernel's own pass."""
-    own, bisectors = _assigned_bisectors(config, centers)
+    own, radii = _assigned_bisectors(config, centers, _RADII)
     if assignment is not None and not np.array_equal(assignment.labels, own.labels):
         raise ValueError("assignment is not the nearest-center assignment of this configuration")
-    return bisectors.min(axis=1)
+    return radii
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -204,11 +208,11 @@ class StabilityReport:
         return {
             "n": int(self.labels.size),
             "k": self.k,
-            "labels": [int(v) for v in self.labels],
-            "margins": [float(v) for v in self.margins],
+            "labels": self.labels.tolist(),
+            "margins": self.margins.tolist(),
             "min_margin": float(self.min_margin),
             "margin_lower_bound_radius": float(self.margin_lower_bound_radius),
-            "per_point_switch_radius": [float(v) for v in self.per_point_switch_radius],
+            "per_point_switch_radius": self.per_point_switch_radius.tolist(),
             "assignment_radius": float(self.assignment_radius),
             "partition": self.partition.to_lists(),
             "fragile_indices": list(self.fragile_indices),
@@ -216,7 +220,7 @@ class StabilityReport:
                 "radius": float(w.radius),
                 "kind": self.search_note,
                 "moved_index": w.moved_index,
-                "witness_points": [[float(c) for c in row] for row in w.witness.points],
+                "witness_points": w.witness.points.tolist(),
                 "new_partition": w.new_partition.to_lists(),
             },
         }
@@ -224,8 +228,8 @@ class StabilityReport:
 
 def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = True) -> StabilityReport:
     """Full stability report for a configuration under fixed centers."""
-    assignment, bisectors = _assigned_bisectors(config, centers)
-    radii = bisectors.min(axis=1)
+    assignment, bisectors = _assigned_bisectors(config, centers, _BISECTORS if search else _RADII)
+    radii = bisectors.min(axis=1) if search else bisectors
     return StabilityReport(
         labels=assignment.labels,
         margins=assignment.margins,

@@ -268,10 +268,10 @@ class MonteCarloReport:
             "seed": self.seed,
             "model": self.model.describe(),
             "n": int(self.per_index_switch_frequency.size),
-            "per_index_switch_frequency": [float(v) for v in self.per_index_switch_frequency],
+            "per_index_switch_frequency": self.per_index_switch_frequency.tolist(),
             "mean_switched_count": float(self.mean_switched_count),
             "mean_partition_distance": float(self.mean_partition_distance),
-            "per_index_bound": [float(v) for v in self.per_index_bound],
+            "per_index_bound": self.per_index_bound.tolist(),
             "expected_switch_bound": float(self.expected_switch_bound),
             "expected_distance_bound": float(self.expected_distance_bound),
         }

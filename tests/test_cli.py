@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +467,19 @@ def test_output_file_writing(tmp_path, anchored_files):
     assert main(["analyze", "--points", points, "--centers", centers, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
+
+
+HELP_COMMANDS = ["", "analyze", "sweep", "preset", "trajectory", "montecarlo", "construct"]
+
+
+def test_help_texts_match_snapshot(capsys, monkeypatch):
+    # the snapshot is the --help output of the top level and of each subcommand at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for command in HELP_COMMANDS:
+        argv = [*command.split(), "--help"]
+        assert main(argv) == 0
+        # Python 3.10 heads the options "optional arguments:"; later versions say "options:"
+        text = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+        parts.append(f"==> {' '.join(['margin-guard', *argv])} <==\n{text}")
+    assert "".join(parts) == (Path(__file__).parent / "golden" / "cli" / "help.txt").read_text()

@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from margin_guard import CenterSet, PointConfig, Trajectory
+from margin_guard import CenterSet, PointConfig, Trajectory, formats
 from margin_guard.formats import (
     centers_to_csv,
     centers_to_json_dict,
@@ -120,6 +122,136 @@ class TestJsonRoundTrip:
         # NaN and Infinity are not JSON (RFC 8259); no report may carry them
         with pytest.raises(ValueError):
             dump_json({"nested": {"values": [1.0, value]}})
+
+
+def json_dumps_report(payload) -> str:
+    """The text dump_json must reproduce byte for byte (test oracle)."""
+    return json.dumps({"schema_version": 1, **payload}, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+NUMBERS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 1e-5, 1e300, 2**63]),
+)
+JSON_TEXT = st.text(st.sampled_from(',[]{}":\\ a\u00e9\u20ac\n\x00'), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(NUMBERS, JSON_TEXT, st.lists(NUMBERS, max_size=6), st.lists(st.lists(NUMBERS, max_size=4), max_size=5)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalJsonWriter:
+    @given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=6))
+    @example({"rows": [[1.5, -0.0], [], [True, None, 2**70]], "flat": (1e16, np.float64(1e-5)), "empty": [[]]})
+    @example({"mixed": [[1], 2, [[3]], ["s,[]"], {"k": [[]]}], "text": 'a,b]["\u00e9', "d": {}})
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert dump_json(payload) == json_dumps_report(payload)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    @pytest.mark.parametrize("place", [
+        lambda v: {"x": v},
+        lambda v: {"x": [0.5, v]},
+        lambda v: {"x": [[0.5], [1.0, v]]},
+        lambda v: {"x": [{"y": 1.0}, (2.0, v)]},
+    ])
+    def test_non_finite_floats_raise_json_error(self, value, place):
+        with pytest.raises(ValueError) as expected:
+            json_dumps_report(place(value))
+        with pytest.raises(ValueError) as raised:
+            dump_json(place(value))
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"Out of range float values are not JSON compliant: {value!r}"
+
+    @pytest.mark.parametrize("payload", [{"x": np.int64(3)}, {"x": [1, np.int64(3)]}, {"x": [[1], [np.int64(3)]]}])
+    def test_unsupported_types_raise_json_type_error(self, payload):
+        with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+            dump_json(payload)
+
+
+def read_csv_by_records(path, timed):
+    """_read_csv_records with its bulk parse turned off: the per-record csv loop alone (test oracle)."""
+    with mock.patch.object(formats, "_bulk_records", lambda *args: None):
+        return formats._read_csv_records(path, timed)
+
+
+def csv_outcome(read, path, timed):
+    """What reading ``path`` gives: the times and the coordinates' shape and bits, or the error text."""
+    try:
+        times, coords = read(path, timed)
+    except ValueError as exc:
+        return str(exc)
+    return times, coords.dtype, coords.shape, coords.tobytes()
+
+
+CSV_FIELDS = ["1", "-2.5", " 3 ", "4\t", "1_0", "nan", "-inf", "Infinity", "", "x", "+1", '"5"', '"6,7"', "\u00b2",
+              "\u0661", "1e400", "99999999999999999999"]
+
+
+class TestBulkCsvRecords:
+    @pytest.mark.parametrize("timed, text", [
+        (False, "x1,x2\n1,2\n3,4\n"),
+        (False, "# note\nx1,x2\n\n  1 , 2 \n   \n  # indented comment\n3,\t4\n"),
+        (False, "x1,x2\r\n1,2\r\n3,4\r\n"),
+        (False, "x1\n1\n2\n"),
+        (False, "x1,x2\n1_0,2\nnan,inf\n-Infinity,NaN\n"),
+        (False, 'x1,x2\n"1",2\n3,4\n'),
+        (False, 'x1,x2\n"1,5",2\n3,4\n'),
+        (False, 'x1,"x2\n"\n1,2\n'),
+        (False, "x1,x2\n1,2\n3\n"),
+        (False, "x1,x2\n1,2\n3,4,\n"),
+        (False, "x1,x2\n1,2\n\n# gap\n3,\n"),
+        (False, "x1,x2\n1,2\n3,four\n"),
+        (True, "t,x1\n0,1\n 1 ,2\n"),
+        (True, "t,x1,x2\r\n1,0.5,1\r\n0,2,3\r\n"),
+        (True, "t\n0\n1\n"),
+        (True, "t,x1\n0,1\n+1,2\n"),
+        (True, "t,x1\n0,1\n1_0,2\n"),
+        (True, "t,x1\n0,1\n1.0,2\n"),
+        (True, "t,x1\n0,1\n\u00b2,2\n"),
+        (True, "t,x1\n0,1\n,2\n"),
+        (True, 't,x1\n0,1\n"1",2\n'),
+        (True, "t,x1\n0,1\n99999999999999999999,2\n"),
+    ])
+    def test_matches_the_record_loop(self, tmp_path, timed, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, newline="")
+        assert csv_outcome(formats._read_csv_records, path, timed) == csv_outcome(read_csv_by_records, path, timed)
+
+    @given(st.booleans(), st.integers(1, 3), st.lists(st.lists(st.sampled_from(CSV_FIELDS), min_size=1, max_size=4),
+                                                      min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_random_records_match_the_record_loop(self, tmp_path_factory, timed, d, records):
+        # chunks of 2 records, so that the bulk parse declines in a later chunk too
+        header = ",".join(["t"] * timed + [f"x{j + 1}" for j in range(d)])
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text("\n".join([header, *map(",".join, records)]) + "\n")
+        with mock.patch.object(formats, "_CSV_CHUNK", 2):
+            bulk = csv_outcome(formats._read_csv_records, path, timed)
+        assert bulk == csv_outcome(read_csv_by_records, path, timed)
+
+    def test_plain_files_take_the_bulk_parse(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x1\n0,1.5\n1,2.5\n0,3\n1,4\n")
+        parsed, bulk = [], formats._bulk_records
+
+        def spy(*args):
+            parsed.append(bulk(*args))
+            return parsed[-1]
+
+        with mock.patch.object(formats, "_bulk_records", spy):
+            times, coords = formats._read_csv_records(path, timed=True)
+        assert len(parsed) == 1 and parsed[0] is not None
+        assert times == [0, 1, 0, 1] and coords.tolist() == [[1.5], [2.5], [3.0], [4.0]]
 
 
 class TestTrajectoryFiles:

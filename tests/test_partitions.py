@@ -64,20 +64,20 @@ class TestPartitionType:
 
     @given(label_lists())
     @example([0.0, -0.0, 1.5, float("inf")])  # -0.0 == 0.0 groups with it
-    @example(["a", "a\x00", "b"])  # numpy strings drop trailing NULs
-    @example([2**63, 2**63 + 1, 1])  # past int64: float labels, as numpy converts them
+    @example(["a", "a\x00", "b"])  # numpy strings drop trailing NULs; the labels stay apart
+    @example([2**63, 2**63 + 1, 1])  # past int64 numpy makes both one float; the labels stay apart
+    @example([1, "1", 1])  # numpy makes both strings; the labels stay apart
     @settings(max_examples=300, deadline=None)
     def test_from_labels_matches_dict_grouping(self, labels):
         groups: dict = {}
-        values = np.asarray(labels).tolist()
-        for pos, lab in enumerate(values):
+        for pos, lab in enumerate(labels):
             groups.setdefault(lab, []).append(pos + 1)
         order = {lab: bid for bid, lab in enumerate(groups)}  # dicts keep first-occurrence order
         p = Partition.from_labels(labels)
-        assert p.block_ids().tolist() == [order[lab] for lab in values]
+        assert p.block_ids().tolist() == [order[lab] for lab in labels]
         assert p.blocks == tuple(map(tuple, groups.values()))
-        assert p == Partition(groups.values(), n=len(values))
-        assert (p.n, p.block_count) == (len(values), len(groups))
+        assert p == Partition(groups.values(), n=len(labels))
+        assert (p.n, p.block_count) == (len(labels), len(groups))
         assert not p.block_ids().flags.writeable
 
     def test_from_labels_rejects_empty(self):

@@ -117,6 +117,27 @@ class TestExactSwitchRadius:
             assert radii[i] == pytest.approx(expect, rel=1e-12)
 
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_radii_are_the_bisector_row_minima_bit_for_bit(self, seed):
+        # up to 700 points against up to 40 centers span several row blocks of the kernel
+        rng = np.random.default_rng(seed)
+        config, centers = random_instance(rng, n_max=700, d_max=10, k_max=40)
+        assignment, bisectors = stability._assigned_bisectors(config, centers)
+        want = bisectors.min(axis=1).tobytes()
+        assert bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1).tobytes() == want
+        assert per_point_switch_radii(config, centers).tobytes() == want
+        assert analyze_stability(config, centers, search=False).per_point_switch_radius.tobytes() == want
+
+    def test_radii_memory_at_k64_is_block_sized(self):
+        # estimate, not a measurement: labels, margins and radii are three n-vectors of 0.8 MiB each,
+        # plus a few 512 KiB block temporaries; the whole (n, k) bisector matrix took 51.5 MiB
+        config, centers = k64_instance()
+        peak, radii = peak_traced_mib(lambda: per_point_switch_radii(config, centers))
+        assert radii.shape == (config.n,)
+        assert peak <= 8.0
+
+
 class TestPartitionRadiusSearch:
     def test_anchored_config_witness(self, anchored_config, two_centers):
         res = analyze_stability(anchored_config, two_centers).witness
