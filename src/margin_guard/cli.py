@@ -31,7 +31,6 @@ from .formats import (
     read_points,
     read_trajectory_file,
 )
-from .geometry import Assignment
 from .presets import PRESET_NAMES, make_preset
 from .stability import analyze_stability, no_switch_certificate, switch_candidates
 from .stochastic import PerturbationModel, monte_carlo, sweep_table
@@ -158,7 +157,7 @@ def cmd_analyze(args) -> int:
     report = analyze_stability(config, centers)
     certificate, candidates = {}, frozenset()
     if args.epsilon is not None:
-        assignment = Assignment(labels=report.labels, margins=report.margins, k=centers.k)
+        assignment = report.assignment
         certificate = {"epsilon": args.epsilon, "certified_no_switch": no_switch_certificate(assignment, args.epsilon)}
         candidates = switch_candidates(assignment, args.epsilon)
     if args.format == "csv":

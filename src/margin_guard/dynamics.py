@@ -4,7 +4,9 @@ A trajectory is a time-ordered sequence of configurations over a fixed index
 set with centers held fixed for all times. Certificates substitute the
 computable lower bound min_margin / 2 for the exact stability radius, so they
 are sound but conservative: certified implies the partition is unchanged,
-uncertified implies nothing.
+uncertified implies nothing. Both certificates apply ``geometry._no_switch``,
+the one no-switch rule. ``Trajectory`` has one constructor, for ``PointConfig``s
+and for the (T+1, n, d) array of ``read_trajectory_file`` alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CenterSet, PointConfig, _check_coordinates, _nearest, perturbation_size
+from .geometry import (CenterSet, PointConfig, _check_coordinates, _max_displacement, _nearest, _no_switch,
+                       perturbation_size)
 from .partitions import Partition, _label_distance
 
 __all__ = [
@@ -38,8 +41,9 @@ DRIFT_SLACK = 1e-9
 class Trajectory:
     """Snapshots X(0..T) over one index set, with centers shared across time.
 
-    The snapshots are kept as one read-only (T+1, n, d) stack, which every reader works on;
-    ``snapshots`` holds a view of it per time.
+    ``snapshots`` (``PointConfig``s, coordinate arrays, or one (T+1, n, d) array) are copied into one
+    read-only (T+1, n, d) stack, checked as a whole the way PointConfig checks one snapshot, with rows
+    named "snapshot t row i". Every reader works on the stack; ``snapshots`` holds a view per time.
     """
 
     snapshots: tuple[PointConfig, ...]
@@ -47,24 +51,18 @@ class Trajectory:
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        snaps = tuple(self.snapshots)
-        if not snaps:
-            raise ValueError("a trajectory needs at least one snapshot")
-        first = snaps[0]
-        for t, snap in enumerate(snaps):
-            if snap.n != first.n or snap.d != first.d:
-                raise ValueError(
-                    f"snapshot {t} has shape ({snap.n}, {snap.d}), expected ({first.n}, {first.d}); "
-                    "the point indexing is fixed over time"
-                )
-        self._hold(np.stack([snap.points for snap in snaps]))
-
-    @classmethod
-    def _from_stack(cls, values, centers: CenterSet) -> "Trajectory":
-        """Trajectory over snapshots given as one (T+1, n, d) array, checked once as a whole the way
-        PointConfig checks one snapshot, with rows named "snapshot t row i". The snapshots are
-        read-only views of the checked stack, not checked again."""
-        stack = np.array(values, dtype=float)
+        snaps = self.snapshots
+        if not isinstance(snaps, np.ndarray):
+            snaps = [getattr(snap, "points", snap) for snap in snaps]
+        try:
+            stack = np.array(snaps, dtype=float)
+        except ValueError:  # name the first snapshot whose shape differs from snapshot 0, if one does
+            shapes = [np.shape(snap) for snap in snaps]
+            t = next((t for t, shape in enumerate(shapes) if shape != shapes[0]), None)
+            if t is None:
+                raise
+            raise ValueError(f"snapshot {t} has shape {shapes[t]}, expected {shapes[0]}; "
+                             "the point indexing is fixed over time") from None
         if stack.shape[:1] == (0,):
             raise ValueError("a trajectory needs at least one snapshot")
         if stack.ndim != 3:
@@ -75,14 +73,7 @@ class Trajectory:
         if n < 2:
             raise ValueError(f"snapshot 0 has {n} point(s); a configuration needs at least 2 points")
         _check_coordinates(stack, lambda r: f"snapshot {r // n} row {r % n + 1}")
-        traj = object.__new__(cls)
-        object.__setattr__(traj, "centers", centers)
-        traj._hold(stack)
-        return traj
-
-    def _hold(self, stack: np.ndarray) -> None:
-        """Keep the checked stack, made read-only, with the snapshots as views of it."""
-        if stack.shape[2] != self.centers.d:
+        if d != self.centers.d:
             raise ValueError("centers dimension does not match snapshots")
         stack.setflags(write=False)
         object.__setattr__(self, "snapshots", tuple(map(PointConfig._of_checked, stack)))
@@ -126,11 +117,10 @@ class _Pass(NamedTuple):
 
     def certificate(self, t: int) -> PersistenceCertificate:
         budget = float(self.deltas[:t].sum())  # a numpy sum, not a cumsum entry: they differ in the last ulp
-        bound = self.min_margins[0] / 2.0
-        return PersistenceCertificate(t, budget, bound, budget == 0.0 or budget < bound)
+        return PersistenceCertificate(t, budget, self.min_margins[0] / 2.0, _no_switch(budget, self.min_margins[0]))
 
     def stepwise(self) -> list[bool]:
-        return [bool(delta == 0.0 or delta < m / 2.0) for delta, m in zip(self.deltas, self.min_margins)]
+        return [_no_switch(delta, m) for delta, m in zip(self.deltas.tolist(), self.min_margins)]
 
     def instability_time(self, eta: float) -> int | None:
         return next((t for t, dist in enumerate(self.distances) if t > 0 and dist >= eta), None)
@@ -142,9 +132,7 @@ def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
     their labels. _nearest works in row blocks, so memory is O(block) beyond the stack and the
     (assigned, n) labels and margins."""
     stack = traj._stack
-    steps = np.diff(stack, axis=0)
-    # sqrt of a sum over the last axis, then max: bit-identical to perturbation_size
-    deltas = np.sqrt((steps * steps).sum(axis=2)).max(axis=1)
+    deltas = _max_displacement(stack[:-1], stack[1:])
     rows = stack[:assigned]
     labels, margins = _nearest(rows.reshape(-1, traj.d), traj.centers.centers)
     labels, margins = labels.reshape(len(rows), traj.n), margins.reshape(len(rows), traj.n)

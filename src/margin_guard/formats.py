@@ -342,7 +342,7 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
         centers = CenterSet(_json_coordinates(doc["centers"], path, "centers"))
     else:
         raise ValueError(f"{path}: no centers in the file and no centers file given")
-    return Trajectory._from_stack(stack, centers)
+    return Trajectory(stack, centers)
 
 
 def partition_from_lists(lists, n: int) -> Partition:

@@ -13,7 +13,9 @@ pass), both with the bisector matrix (the stability report with its radius
 search, and ``exact_switch_radius``), or both with that matrix's row minima
 alone (the switch radii). Its row blocks hold at most ``_BLOCK_ENTRIES``
 (point, center, coordinate) entries, so its memory beyond its outputs does not
-grow with n.
+grow with n. Each ``Assignment`` of a configuration comes through ``_assign``.
+``_no_switch`` is the one no-switch rule (size 0, or size < min_margin / 2) and
+``_max_displacement`` the one max per-point displacement formula.
 """
 
 from __future__ import annotations
@@ -95,12 +97,6 @@ class PointConfig:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def point(self, index: int) -> np.ndarray:
-        """Coordinate vector of the point with 1-based ``index``."""
-        if not 1 <= index <= self.n:
-            raise ValueError(f"point index {index} outside 1..{self.n}")
-        return self.points[index - 1]
 
     def with_point(self, index: int, coords) -> "PointConfig":
         """New configuration with the point at 1-based ``index`` replaced."""
@@ -273,9 +269,13 @@ def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> t
     return (labels, margins, bisectors)[:want]
 
 
-def _check_dimensions(config: PointConfig, centers: CenterSet) -> None:
+def _assign(config: PointConfig, centers: CenterSet, want: int = _MARGINS) -> tuple:
+    """The assignment of ``config`` and, as ``want`` asks, the kernel's bisector matrix
+    (``_BISECTORS``) or its row minima (``_RADII``), from one pass of the kernel."""
     if config.d != centers.d:
         raise ValueError(f"dimension mismatch: points are {config.d}-d, centers are {centers.d}-d")
+    labels, margins, *bisectors = _nearest(config.points, centers.centers, want)
+    return (Assignment._of_fresh(labels, margins, centers.k), *bisectors)
 
 
 def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
@@ -285,17 +285,19 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
     min over competing j of (dist(x_i, c_j) - dist(x_i, c_assigned)),
     and implicitly the minimum margin. Pure and deterministic.
     """
-    _check_dimensions(config, centers)
-    labels, margins = _nearest(config.points, centers.centers)
-    return Assignment._of_fresh(labels, margins, centers.k)
+    return _assign(config, centers)[0]
 
 
-def _point_nearest(point, centers: CenterSet, want: int = _MARGINS) -> tuple:
-    """The first ``want`` of the kernel's outputs for one point: its label, margin and (k,) bisector row."""
+def _point_nearest(point, centers: CenterSet, want: int = _MARGINS, label: int | None = None) -> tuple:
+    """The first ``want`` of the kernel's outputs for one point: its label, margin and (k,) bisector row.
+    A given ``label`` must be that label."""
     p = np.asarray(point, dtype=float)
     if p.shape != (centers.d,):
         raise ValueError(f"point must be a {centers.d}-vector")
-    return tuple(out[0] for out in _nearest(p[None, :], centers.centers, want))
+    outs = tuple(out[0] for out in _nearest(p[None, :], centers.centers, want))
+    if label is not None and label != outs[0]:
+        raise ValueError(f"label {label} is not the nearest-center label (expected {outs[0]})")
+    return outs
 
 
 def nearest_label(point, centers: CenterSet) -> int:
@@ -309,10 +311,20 @@ def margin(point, centers: CenterSet, label: int) -> float:
     Raises if ``label`` is not what the nearest-center rule produces, which
     signals misuse rather than a geometric condition.
     """
-    actual, gap = _point_nearest(point, centers)
-    if label != actual:
-        raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    return float(gap)
+    return float(_point_nearest(point, centers, label=label)[1])
+
+
+def _no_switch(size: float, min_margin: float) -> bool:
+    """True iff no perturbation of this size can change a label of an assignment with this minimum margin.
+    Strict at half the margin, where a tie can flip; size 0 is only the configuration itself."""
+    return size == 0.0 or size < min_margin / 2.0
+
+
+def _max_displacement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max_i dist(a_i, b_i) over the last two axes of equal-shape (..., n, d) arrays; each distance is
+    bit for bit np.linalg.norm(axis=-1)."""
+    diff = b - a
+    return np.sqrt((diff * diff).sum(axis=-1)).max(axis=-1)
 
 
 def perturbation_size(a: PointConfig, b: PointConfig) -> float:
@@ -322,4 +334,4 @@ def perturbation_size(a: PointConfig, b: PointConfig) -> float:
             f"shape mismatch: ({a.n}, {a.d}) vs ({b.n}, {b.d}); "
             "perturbations compare configurations over the same index set"
         )
-    return float(np.linalg.norm(a.points - b.points, axis=1).max())
+    return float(_max_displacement(a.points, b.points))

@@ -4,25 +4,26 @@ The certificate side is provable: a perturbation strictly smaller than half
 the minimum margin cannot change any assigned center, hence cannot change the
 induced partition. The search side is empirical: it upper-bounds the partition
 stability radius by exhibiting a concrete single-point move that changes the
-partition. One pass of the assignment kernel gives the labels, the margins and
-the bisector matrix; its row minima are the per-point switch radii. Where no
-search follows, the kernel takes those minima per row block and never holds
-the matrix whole. The search decides the candidate moves by the single-move
-rule (only the moved point's label can change) in batches of the cheapest
-steps, found with ``np.partition`` and never a full sort, labels the moved
-points of each row block of a batch with one labels-only call of the kernel,
-and re-assigns in full only the witness.
-The true radius lies between the two.
+partition. The certificate is ``geometry._no_switch``. The report holds the
+``Assignment`` of one ``geometry._assign`` pass, which also gives the bisector
+matrix; its row minima are the per-point switch radii, which
+``per_point_switch_radii`` takes per row block without the whole matrix. The
+search decides the candidate moves by the single-move rule (only the moved
+point's label can change) in batches of the cheapest steps, found with
+``np.partition`` and never a full sort, labels the moved points of each row
+block of a batch with one labels-only call of the kernel, and re-assigns in
+full only the witness. The true radius lies between the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .geometry import (_BISECTORS, _LABELS, _RADII, Assignment, CenterSet, PointConfig, _check_dimensions, _nearest,
+from .geometry import (_BISECTORS, _LABELS, _RADII, Assignment, CenterSet, PointConfig, _assign, _nearest, _no_switch,
                        _point_nearest, _row_blocks, assign_nearest, perturbation_size)
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
@@ -53,7 +54,7 @@ def no_switch_certificate(assignment: Assignment, epsilon: float) -> bool:
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError("epsilon must be finite and nonnegative")
-    return epsilon == 0.0 or epsilon < assignment.min_margin / 2.0
+    return _no_switch(epsilon, assignment.min_margin)
 
 
 def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
@@ -67,16 +68,6 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
-def _assigned_bisectors(
-    config: PointConfig, centers: CenterSet, want: int = _BISECTORS
-) -> tuple[Assignment, np.ndarray]:
-    """The assignment of ``config`` and, as ``want`` asks, its (n, k) bisector matrix (``_BISECTORS``)
-    or that matrix's row minima (``_RADII``), from one pass of the kernel."""
-    _check_dimensions(config, centers)
-    labels, margins, bisectors = _nearest(config.points, centers.centers, want)
-    return Assignment._of_fresh(labels, margins, centers.k), bisectors
-
-
 def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     """Infimum displacement of one point that reaches some decision boundary.
 
@@ -85,17 +76,14 @@ def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     is the minimum over j. Always >= margin/2, with equality when the point
     lies on the segment between the two centers.
     """
-    actual, _, bisectors = _point_nearest(point, centers, _BISECTORS)
-    if label != actual:
-        raise ValueError(f"label {label} is not the nearest-center label (expected {actual})")
-    return float(bisectors.min())
+    return float(_point_nearest(point, centers, _BISECTORS, label)[2].min())
 
 
 def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: Assignment | None = None) -> np.ndarray:
     """Exact single-point switch radius for every index of a configuration.
 
     A given ``assignment`` must be the configuration's own; the radii come from the kernel's own pass."""
-    own, radii = _assigned_bisectors(config, centers, _RADII)
+    own, radii = _assign(config, centers, _RADII)
     if assignment is not None and not np.array_equal(assignment.labels, own.labels):
         raise ValueError("assignment is not the nearest-center assignment of this configuration")
     return radii
@@ -185,19 +173,38 @@ def _radius_search(
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Margin statistics, certified lower bound, and empirical upper bound."""
+    """Margin statistics, certified lower bound, and empirical upper bound. Labels, margins, k, the
+    minimum margin and the fragile indices are read-only views of the ``assignment``."""
 
-    labels: np.ndarray
-    margins: np.ndarray
-    min_margin: float
-    margin_lower_bound_radius: float
+    assignment: Assignment
     per_point_switch_radius: np.ndarray
     assignment_radius: float
     partition: Partition
-    fragile_indices: tuple[int, ...]
     witness: PartitionRadiusWitness | None
-    k: int
-    search_note: str = SEARCH_NOTE
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.assignment.labels
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.assignment.margins
+
+    @property
+    def k(self) -> int:
+        return self.assignment.k
+
+    @cached_property
+    def min_margin(self) -> float:
+        return self.assignment.min_margin
+
+    @property
+    def margin_lower_bound_radius(self) -> float:
+        return self.min_margin / 2.0
+
+    @cached_property
+    def fragile_indices(self) -> tuple[int, ...]:
+        return self.assignment.fragile_indices()
 
     @property
     def empirical_partition_radius_upper(self) -> float | None:
@@ -218,7 +225,7 @@ class StabilityReport:
             "fragile_indices": list(self.fragile_indices),
             "empirical_partition_radius": None if w is None else {
                 "radius": float(w.radius),
-                "kind": self.search_note,
+                "kind": SEARCH_NOTE,
                 "moved_index": w.moved_index,
                 "witness_points": w.witness.points.tolist(),
                 "new_partition": w.new_partition.to_lists(),
@@ -226,19 +233,14 @@ class StabilityReport:
         }
 
 
-def analyze_stability(config: PointConfig, centers: CenterSet, search: bool = True) -> StabilityReport:
+def analyze_stability(config: PointConfig, centers: CenterSet) -> StabilityReport:
     """Full stability report for a configuration under fixed centers."""
-    assignment, bisectors = _assigned_bisectors(config, centers, _BISECTORS if search else _RADII)
-    radii = bisectors.min(axis=1) if search else bisectors
+    assignment, bisectors = _assign(config, centers, _BISECTORS)
+    radii = bisectors.min(axis=1)  # before the search overwrites the matrix with its steps
     return StabilityReport(
-        labels=assignment.labels,
-        margins=assignment.margins,
-        min_margin=assignment.min_margin,
-        margin_lower_bound_radius=assignment.min_margin / 2.0,
+        assignment=assignment,
         per_point_switch_radius=radii,
         assignment_radius=float(radii.min()),
         partition=induced_partition(assignment),
-        fragile_indices=assignment.fragile_indices(),
-        witness=_radius_search(config, centers, assignment, bisectors) if search else None,
-        k=centers.k,
+        witness=_radius_search(config, centers, assignment, bisectors),
     )

@@ -15,14 +15,14 @@ stream; Monte Carlo and sweep build a whole chunk's streams at once with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammaincc
 
-from .geometry import _LABELS, Assignment, CenterSet, PointConfig, _nearest, assign_nearest
+from .geometry import _LABELS, Assignment, CenterSet, PointConfig, _nearest, _no_switch, assign_nearest
 from .partitions import _label_distance
 
 __all__ = [
@@ -208,7 +208,11 @@ def expected_switch_bound(assignment: Assignment, model: PerturbationModel) -> f
 
 def expected_distance_bound(assignment: Assignment, model: PerturbationModel) -> float:
     """Upper bound min(1, 2/(n-1) * expected switch bound) on E[distance]."""
-    return min(1.0, (2.0 / (assignment.n - 1)) * expected_switch_bound(assignment, model))
+    return _distance_bound(assignment.n, expected_switch_bound(assignment, model))
+
+
+def _distance_bound(n: int, switch_bound: float) -> float:
+    return min(1.0, (2.0 / (n - 1)) * switch_bound)
 
 
 # Trials per chunk keep chunk * n * k within this (or one trial). The kernel blocks its own rows, so a chunk
@@ -314,7 +318,7 @@ def monte_carlo(
         mean_partition_distance=float(trial_dists.mean()),
         per_index_bound=per_index_bound,
         expected_switch_bound=total_bound,
-        expected_distance_bound=min(1.0, (2.0 / (config.n - 1)) * total_bound),
+        expected_distance_bound=_distance_bound(config.n, total_bound),
         trial_switch_counts=np.concatenate(trial_switches),
         trial_distances=trial_dists,
     )
@@ -337,21 +341,7 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_margin": float(self.min_margin),
-            "threshold": float(self.threshold),
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "epsilon": float(r.epsilon),
-                    "mean_distance": float(r.mean_distance),
-                    "max_distance": float(r.max_distance),
-                    "below_threshold": r.below_threshold,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def sweep_table(
@@ -388,7 +378,7 @@ def sweep_table(
                 epsilon=eps,
                 mean_distance=float(dists.mean()),
                 max_distance=float(dists.max()),
-                below_threshold=eps < threshold,
+                below_threshold=_no_switch(eps, base.min_margin),
             )
         )
     return SweepResult(

@@ -69,6 +69,30 @@ class TestTrajectoryType:
                 centers=CenterSet([[0.0, 0.0], [1.0, 1.0]]),
             )
 
+    def test_configs_and_their_stacked_array_build_the_same_trajectory(self, two_centers):
+        rng = np.random.default_rng(3)
+        snaps = random_walk(rng, two_centers, n=7, steps=5).snapshots
+        from_configs = Trajectory(snapshots=snaps, centers=two_centers)
+        from_stack = Trajectory(snapshots=np.stack([snap.points for snap in snaps]), centers=two_centers)
+        assert from_stack._stack.tobytes() == from_configs._stack.tobytes()
+        assert all(isinstance(snap, PointConfig) for snap in from_stack.snapshots)
+        got, want = _trajectory_pass(from_stack), _trajectory_pass(from_configs)
+        assert got.deltas.tobytes() == want.deltas.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert (got.min_margins, got.distances) == (want.min_margins, want.distances)
+
+    @pytest.mark.parametrize("as_arrays", [False, True])
+    def test_configs_and_arrays_raise_the_same_errors(self, two_centers, as_arrays):
+        def build(snaps, centers):
+            return Trajectory([snap.points if as_arrays else snap for snap in snaps], centers)
+
+        a = PointConfig([[0.0, 0.0], [1.0, 0.0]])
+        b = PointConfig([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^snapshot 1 has shape \(3, 2\), expected \(2, 2\); "):
+            build((a, b), two_centers)
+        with pytest.raises(ValueError, match="^centers dimension does not match snapshots$"):
+            build((PointConfig([[0.0], [1.0]]),), two_centers)
+
 
 class TestStepSizes:
     def test_constant_trajectory(self, two_centers, wide_pair):

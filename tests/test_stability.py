@@ -15,6 +15,7 @@ from margin_guard import (
     Partition,
     PartitionRadiusWitness,
     PointConfig,
+    Trajectory,
     analyze_stability,
     PerturbationModel,
     assign_nearest,
@@ -23,7 +24,11 @@ from margin_guard import (
     monte_carlo,
     no_switch_certificate,
     per_point_switch_radii,
+    persistence_certificate,
     perturbation_size,
+    step_sizes,
+    stepwise_stability_check,
+    sweep_table,
     switch_candidates,
 )
 from margin_guard import geometry, stability
@@ -51,6 +56,32 @@ class TestNoSwitchCertificate:
     def test_negative_epsilon_rejected(self, anchored_assignment):
         with pytest.raises(ValueError):
             no_switch_certificate(anchored_assignment, -0.1)
+
+    def test_every_caller_agrees_at_the_tie_and_one_ulp_below(self, two_centers):
+        # the certificate, both trajectory certificates and the sweep flag apply one rule: a size of
+        # exactly half the minimum margin is not certified, one ulp less is
+        config = PointConfig([[-2.0, 0.0], [2.0, 0.0], [0.25, 0.0]])
+        a = assign_nearest(config, two_centers)
+        tie = a.min_margin / 2.0
+        sizes = [tie, float(np.nextafter(tie, 0.0))]
+        # moving the first point along y by s makes a step of exactly s
+        trajs = [Trajectory((config, config.with_point(1, [-2.0, s])), two_centers) for s in sizes]
+        assert [float(step_sizes(t)[0]) for t in trajs] == sizes
+        rows = sweep_table(config, two_centers, sizes, trials=2, seed=0).rows
+        assert [no_switch_certificate(a, s) for s in sizes] == [False, True]
+        assert [persistence_certificate(t, 1).certified for t in trajs] == [False, True]
+        assert [stepwise_stability_check(t)[0] for t in trajs] == [False, True]
+        assert [row.below_threshold for row in rows] == [False, True]
+
+    def test_every_caller_certifies_size_zero_at_zero_margin(self, two_centers):
+        # the sweep takes positive radii only
+        on_boundary = PointConfig([[0.0, 0.0], [0.0, 1.0]])
+        a = assign_nearest(on_boundary, two_centers)
+        traj = Trajectory((on_boundary, on_boundary), two_centers)
+        assert a.min_margin == 0.0
+        assert no_switch_certificate(a, 0.0)
+        assert persistence_certificate(traj, 1).certified
+        assert stepwise_stability_check(traj) == [True]
 
 
 class TestSwitchCandidates:
@@ -123,11 +154,11 @@ class TestExactSwitchRadius:
         # up to 700 points against up to 40 centers span several row blocks of the kernel
         rng = np.random.default_rng(seed)
         config, centers = random_instance(rng, n_max=700, d_max=10, k_max=40)
-        assignment, bisectors = stability._assigned_bisectors(config, centers)
+        assignment, bisectors = geometry._assign(config, centers, geometry._BISECTORS)
         want = bisectors.min(axis=1).tobytes()
         assert bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1).tobytes() == want
         assert per_point_switch_radii(config, centers).tobytes() == want
-        assert analyze_stability(config, centers, search=False).per_point_switch_radius.tobytes() == want
+        assert analyze_stability(config, centers).per_point_switch_radius.tobytes() == want
 
     def test_radii_memory_at_k64_is_block_sized(self):
         # estimate, not a measurement: labels, margins and radii are three n-vectors of 0.8 MiB each,
@@ -443,7 +474,7 @@ class TestBatchedSearch:
         # the one partitioned copy of the steps
         config, centers = k64_instance()
         n, k = config.n, centers.k
-        assignment, bisectors = stability._assigned_bisectors(config, centers)
+        assignment, bisectors = geometry._assign(config, centers, geometry._BISECTORS)
         peak, witness = peak_traced_mib(lambda: stability._radius_search(config, centers, assignment, bisectors))
         assert witness is not None
         assert peak * 2**20 <= 1.25 * n * k * 8
@@ -454,21 +485,23 @@ class TestSearchWork:
         config, centers = checkerboard_with_singletons()
         calls = {"assign": 0, "bisectors": 0}
         batches = []
-        assign, nearest = stability.assign_nearest, stability._nearest
+        assign, nearest = stability.assign_nearest, geometry._nearest
 
         def counted_assign(*args):
             calls["assign"] += 1
             return assign(*args)
 
+        def counted_entry(points, targets, want):  # the kernel behind geometry._assign
+            calls["bisectors"] += want == geometry._BISECTORS
+            return nearest(points, targets, want)
+
         def counted_nearest(points, targets, want):
-            if want == geometry._BISECTORS:
-                calls["bisectors"] += 1
-            else:
-                assert want == geometry._LABELS
-                batches.append(points.shape[0])
+            assert want == geometry._LABELS
+            batches.append(points.shape[0])
             return nearest(points, targets, want)
 
         monkeypatch.setattr(stability, "assign_nearest", counted_assign)
+        monkeypatch.setattr(geometry, "_nearest", counted_entry)
         monkeypatch.setattr(stability, "_nearest", counted_nearest)
         report = analyze_stability(config, centers)
         # one bisector pass gives the report's labels, margins and radii; the witness alone is assigned in full
@@ -566,14 +599,9 @@ class TestStabilityReport:
         # the last center is empty: the highest used label is 2, but k is 3
         centers = CenterSet([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0]])
         config = PointConfig([[0.1, 0.0], [0.2, 0.1], [0.9, 0.0], [1.1, -0.1]])
-        report = analyze_stability(config, centers, search=False)
+        report = analyze_stability(config, centers)
         assert int(report.labels.max()) == 2
         assert report.to_json_dict()["k"] == 3
-
-    def test_search_can_be_disabled(self, anchored_config, two_centers):
-        report = analyze_stability(anchored_config, two_centers, search=False)
-        assert report.witness is None
-        assert report.to_json_dict()["empirical_partition_radius"] is None
 
 
 class TestSoundnessSampled:
