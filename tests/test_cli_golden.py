@@ -52,6 +52,9 @@ CASES = {
     "montecarlo_sigma_two_gaussians_n300.csv": [
         "montecarlo", *GAUSS, "--sigma", "0.2", "--trials", "100", "--format", "csv"],
     "montecarlo_rho_near_boundary.json": ["montecarlo", *NEAR, "--rho", "0.15", "--trials", "200"],
+    # 1,500 per-trial rows span 3 chunks of the n = 3 ball path
+    "montecarlo_rho_near_boundary.csv": [
+        "montecarlo", *NEAR, "--rho", "0.15", "--trials", "1500", "--format", "csv"],
     "montecarlo_sigma_near_boundary.json": ["montecarlo", *NEAR, "--sigma", "0.1", "--trials", "200"],
     "trajectory.json": ["trajectory", "--points", TRAJECTORY, "--eta", "0.5", "--seed", "0"],
     "trajectory.csv": ["trajectory", "--points", TRAJECTORY, "--eta", "0.5", "--seed", "0", "--format", "csv"],
