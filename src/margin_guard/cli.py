@@ -119,14 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("MARGIN_GUARD_SEED")
-    if env is not None:
+        source, seed = "--seed", args.seed
+    elif (env := os.environ.get("MARGIN_GUARD_SEED")) is not None:
         try:
-            return int(env)
+            source, seed = "MARGIN_GUARD_SEED", int(env)
         except ValueError:
             raise ValueError(f"MARGIN_GUARD_SEED must be an integer, got {env!r}") from None
-    return 0
+    else:
+        return 0
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_inputs(args, seed: int):

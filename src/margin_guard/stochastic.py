@@ -22,7 +22,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import gammaincc
 
-from .geometry import _LABELS, Assignment, CenterSet, PointConfig, _nearest, _no_switch, assign_nearest
+from .geometry import _LABELS, _MAX_COORDINATE, Assignment, CenterSet, PointConfig, _nearest, _no_switch, assign_nearest
 from .partitions import _label_distance
 
 __all__ = [
@@ -56,10 +56,11 @@ class PerturbationModel:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == BOUNDED_DISK and not 0 < self.scale < np.inf:
-            raise ValueError("bounded-disk radius must be finite and positive")
-        if self.kind == GAUSSIAN and not 0 <= self.scale < np.inf:
-            raise ValueError("gaussian scale must be finite and nonnegative")
+        # below the coordinate bound, so noise norms and the squared scale of the tail bounds stay finite
+        if self.kind == BOUNDED_DISK and not 0 < self.scale < _MAX_COORDINATE:
+            raise ValueError(f"bounded-disk radius must be finite, positive and below 1e150, got {self.scale!r}")
+        if self.kind == GAUSSIAN and not 0 <= self.scale < _MAX_COORDINATE:
+            raise ValueError(f"gaussian scale must be finite, nonnegative and below 1e150, got {self.scale!r}")
 
     @classmethod
     def bounded_disk(cls, rho: float, dim: int = 2) -> "PerturbationModel":
@@ -134,22 +135,22 @@ class _TrialSeeder:
 
 
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
-    """(trials, n, dim) independent per-index noise vectors. Each trial draws from its own generator
-    what it would draw alone, so values do not depend on how trials are grouped."""
-    draws, uniforms = [], []
-    for rng in rngs:
-        g = rng.standard_normal((n, model.dim))
-        if model.kind == BOUNDED_DISK:
-            # essentially impossible, but keeps directions defined: a zero-norm row needs a zero x * x
-            while not (g * g).all() and (redo := np.linalg.norm(g, axis=1) == 0).any():
-                g[redo] = rng.standard_normal((int(redo.sum()), model.dim))
-            uniforms.append(rng.random(n))
-        draws.append(g)
-    g = np.array(draws)
+    """(trials, n, dim) independent per-index noise vectors, one trial per generator of ``rngs``. Each
+    generator makes the draws the trial would make alone: its normals, for the ball a redraw of each
+    zero-norm row, then its uniforms. So values do not depend on how trials are grouped. Between a pass
+    drawing every trial's normals and one drawing every trial's uniforms, the ball's zero-norm guard is one
+    flat test per chunk, gating a slower per-row test; the chunk's generators stay alive between the two."""
+    rngs = list(rngs)
+    g = np.array([rng.standard_normal((n, model.dim)) for rng in rngs])
     if model.kind == GAUSSIAN:
         return g * model.scale
+    # essentially impossible, but keeps directions defined: a row has norm 0 iff every x * x is 0
+    if not (sq := g * g).all():
+        for t in np.flatnonzero((sq == 0).all(axis=2).any(axis=1)):
+            while (redo := (g[t] * g[t] == 0).all(axis=1)).any():
+                g[t, redo] = rngs[t].standard_normal((int(redo.sum()), model.dim))
     # uniform on the ball: random direction, radius rho * U^(1/d)
-    radii = model.scale * np.array(uniforms) ** (1.0 / model.dim)
+    radii = model.scale * np.array([rng.random(n) for rng in rngs]) ** (1.0 / model.dim)
     eta = g * (radii / np.linalg.norm(g, axis=2))[..., None]
     # the norm bound is a hard guarantee; nudge any float overshoot back inside
     out_norms = np.linalg.norm(eta, axis=2)
@@ -361,8 +362,8 @@ def sweep_table(
     grid = [float(e) for e in grid]
     if len(grid) < 2:
         raise ValueError("sweep grid needs at least 2 epsilon values")
-    if not all(0 < e < np.inf for e in grid):
-        raise ValueError("sweep epsilons must be finite and positive")
+    if bad := [e for e in grid if not 0 < e < _MAX_COORDINATE]:  # every value, before any row is drawn
+        raise ValueError(f"sweep epsilons must be finite, positive and below 1e150, got {bad[0]!r}")
     _check_trials(trials)
     base = assign_nearest(config, centers)
     threshold = base.min_margin / 2.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +392,24 @@ class TestTrialStreamLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+    @STOCHASTIC_COMMANDS
+    def test_negative_env_seed_exits_2(self, capsys, monkeypatch, anchored_files, command, flags):
+        monkeypatch.setenv("MARGIN_GUARD_SEED", "-3")
+        points, centers = anchored_files
+        assert main([command, "--points", points, "--centers", centers, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MARGIN_GUARD_SEED must be a non-negative integer, got -3\n"
+
+    @STOCHASTIC_COMMANDS
+    def test_negative_seed_with_a_seeded_preset_exits_2(self, capsys, command, flags):
+        # the preset draws with the seed before any trial does; the error still names the flag
+        assert main([command, "--preset", "two_gaussians", "--n", "20", *flags, "--seed", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -2\n"
 
     @STOCHASTIC_COMMANDS
     def test_more_trials_than_stream_keys_exit_2(self, capsys, monkeypatch, anchored_files, command, flags):
@@ -398,6 +419,25 @@ class TestTrialStreamLimits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "2**32" in captured.err
+
+
+class TestHugeNoiseScales:
+    """Scales at or above 1e150 once overflowed noise norms to inf, so the ball's overshoot loop never
+    ended, or overflowed the squared scale of the Gaussian tail bound. Each case runs in a child process
+    with a timeout, so a regression fails instead of hanging the suite."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["montecarlo", "--rho", "1e155"], "bounded-disk radius must be finite, positive and below 1e150, got 1e+155"),
+        (["sweep", "--grid", "0.1,1e160"], "sweep epsilons must be finite, positive and below 1e150, got 1e+160"),
+        (["montecarlo", "--sigma", "1e160"], "gaussian scale must be finite, nonnegative and below 1e150, got 1e+160"),
+    ])
+    def test_exits_2_without_a_traceback(self, argv, message):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "margin_guard", argv[0], "--preset", "near_boundary", *argv[1:]],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestSeedResolution:

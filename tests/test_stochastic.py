@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +48,20 @@ class TestModelValidation:
             PerturbationModel.bounded_disk(scale)
         with pytest.raises(ValueError, match="finite"):
             PerturbationModel.gaussian(scale)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e300])
+    def test_scales_at_the_coordinate_bound_rejected(self, scale):
+        with pytest.raises(ValueError, match="below 1e150"):
+            PerturbationModel.bounded_disk(scale)
+        with pytest.raises(ValueError, match="below 1e150"):
+            PerturbationModel.gaussian(scale)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_disk"])
+    def test_largest_scale_below_the_bound_runs(self, anchored_config, two_centers, kind):
+        # noise, labels and tail bounds stay finite without a RuntimeWarning, which pytest makes an error
+        model = PerturbationModel(kind=kind, scale=float(np.nextafter(1e150, 0.0)), dim=2)
+        report = monte_carlo(anchored_config, two_centers, model, trials=20, seed=0)
+        assert np.isfinite(report.per_index_bound).all() and np.isfinite(report.trial_distances).all()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -387,6 +403,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_table(anchored_config, two_centers, [0.1, 0.2], trials=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [1e150, 1e160, float("inf"), float("nan")])
+    def test_every_epsilon_checked_before_drawing(self, monkeypatch, anchored_config, two_centers, bad):
+        monkeypatch.setattr(stochastic, "_TrialSeeder", None)  # any draw would fail with TypeError
+        with pytest.raises(ValueError, match=re.escape(f"below 1e150, got {bad!r}")):
+            sweep_table(anchored_config, two_centers, [0.1, 0.2, bad], trials=10, seed=0)
+
     def test_more_trials_than_stream_keys_rejected_before_drawing(self, monkeypatch, anchored_config, two_centers):
         monkeypatch.setattr(stochastic, "_TrialSeeder", None)  # any draw would fail with TypeError
         with pytest.raises(ValueError, match=r"2\*\*32"):
@@ -453,17 +475,19 @@ def set_trials_per_chunk(monkeypatch, per_chunk, n, k):
 
 
 class ZeroNormRowGenerator:
-    """A generator whose first normal draw has a row of norm 0: all zeros, or values whose squares underflow."""
+    """A generator whose first ``zero_draws`` normal draws each have a row of norm 0 (row 1 of the first
+    draw, row 0 of a redraw): all zeros, or values whose squares underflow."""
 
-    def __init__(self, seed, fill):
+    def __init__(self, seed, fill, zero_draws=1):
         self.rng = np.random.default_rng(seed)
         self.fill = fill
+        self.zero_draws = zero_draws
         self.normal_draws = 0
 
     def standard_normal(self, size):
         g = self.rng.standard_normal(size)
-        if self.normal_draws == 0:
-            g[1] = self.fill
+        if self.normal_draws < self.zero_draws:
+            g[1 if self.normal_draws == 0 else 0] = self.fill
         self.normal_draws += 1
         return g
 
@@ -518,6 +542,43 @@ class TestChunkedTrialsMatchPerTrialLoop:
         _noise(model, 6, [stub])
         assert stub.normal_draws == 2  # the first draw, then one redraw of the row
         assert np.isfinite(chunk).all() and (np.linalg.norm(chunk, axis=2) > 0).all()
+
+    @pytest.mark.parametrize("fill", [0.0, 1e-200])
+    def test_two_flagged_trials_in_one_chunk(self, fill):
+        model = PerturbationModel.bounded_disk(0.5, dim=3)
+        streams = lambda: [  # noqa: E731
+            trial_rng(1, 0), ZeroNormRowGenerator(8, fill), trial_rng(1, 2), ZeroNormRowGenerator(9, fill),
+            trial_rng(1, 4),
+        ]
+        chunk_streams = streams()
+        chunk = _noise(model, 6, chunk_streams)
+        assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
+        assert [chunk_streams[t].normal_draws for t in (1, 3)] == [2, 2]
+
+    @pytest.mark.parametrize("fill", [0.0, 1e-200])
+    def test_a_redrawn_row_with_norm_0_is_redrawn_again(self, fill):
+        model = PerturbationModel.bounded_disk(0.5, dim=3)
+        streams = lambda: [trial_rng(1, 0), ZeroNormRowGenerator(8, fill, zero_draws=2)]  # noqa: E731
+        chunk_streams = streams()
+        chunk = _noise(model, 6, chunk_streams)
+        assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
+        assert chunk_streams[1].normal_draws == 3  # the first draw, then two redraws of the row
+
+
+class CountingGenerator:
+    """A trial's Generator that counts its draw calls by method name (test spy)."""
+
+    def __init__(self, bit_generator):
+        self.rng = np.random.Generator(bit_generator)
+        self.calls = Counter()
+
+    def standard_normal(self, size):
+        self.calls["standard_normal"] += 1
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        self.calls["random"] += 1
+        return self.rng.random(size)
 
 
 class TestChunkedTrialsWork:
@@ -581,6 +642,27 @@ class TestChunkedTrialsWork:
         assert len(streams) == 3 * 40
         assert len(tables) == 3 * len(chunks)
         assert all(want == geometry._LABELS for _, _, want in tables)
+
+    @pytest.mark.parametrize("model, draws", [
+        (PerturbationModel.bounded_disk(0.3), {"standard_normal": 1, "random": 1}),
+        (PerturbationModel.gaussian(0.3), {"standard_normal": 1}),
+    ])
+    def test_two_draws_per_ball_trial_and_one_per_gaussian_trial(
+            self, monkeypatch, anchored_config, two_centers, model, draws):
+        expected = monte_carlo(anchored_config, two_centers, model, trials=1500, seed=5)
+        chunk_trials = self.record_chunks(monkeypatch)
+        streams = []
+
+        def counting(bit_generator):
+            streams.append(CountingGenerator(bit_generator))
+            return streams[-1]
+
+        monkeypatch.setattr(stochastic, "Generator", counting)
+        report = monte_carlo(anchored_config, two_centers, model, trials=1500, seed=5)
+        assert chunk_trials == [range(0, 682), range(682, 1364), range(1364, 1500)]  # n = 3, k = 2
+        assert len(streams) == 1500
+        assert all(stream.calls == draws for stream in streams)
+        assert np.array_equal(report.trial_distances, expected.trial_distances)
 
     def test_memory_stays_small_over_many_trials(self):
         config, centers = two_gaussians(n=200, seed=3)
