@@ -219,6 +219,7 @@ def cmd_preset(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    _resolve_seed(args)  # the pass draws nothing, but a bad seed is an error here as everywhere
     traj = read_trajectory_file(args.points, args.centers)
     if traj.horizon < 1:
         raise ValueError("trajectory needs at least two snapshots")

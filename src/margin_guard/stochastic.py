@@ -4,7 +4,9 @@ Two independent-noise models are supported: uniform on the ball of radius rho
 (the planar disk generalized to d dimensions) and isotropic Gaussian with
 standard deviation sigma. The switching probability of a point is bounded by
 the tail P(norm(noise) >= margin / 2); both tails are evaluated exactly, and
-the Monte Carlo estimators exist to be compared against those bounds.
+the Monte Carlo estimators exist to be compared against those bounds. Only the
+Gaussian tail needs scipy (its regularized incomplete gamma function), so
+scipy is imported on the first Gaussian tail bound, not with this module.
 
 Randomness discipline: one master seed; the stream for trial t is derived
 from (seed, t) by seed-sequence splitting, so reports are reproducible
@@ -20,7 +22,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import gammaincc
 
 from .geometry import _LABELS, _MAX_COORDINATE, Assignment, CenterSet, PointConfig, _nearest, _no_switch, assign_nearest
 from .partitions import _label_distance
@@ -193,7 +194,16 @@ def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndar
     elif model.scale == 0.0:
         bounds = np.zeros(margins.shape)
     else:
-        bounds = gammaincc(model.dim / 2.0, np.array([g**2 for g in margins.tolist()]) / (8.0 * model.scale**2))
+        # imported at its only use, so that no other path pays for loading scipy.special
+        from scipy.special import gammaincc
+
+        # an x that overflows to inf has the exact tail 0
+        with np.errstate(over="ignore"):
+            if (denominator := 8.0 * model.scale**2) > 0.0:
+                x = np.array([g**2 for g in margins.tolist()]) / denominator
+            else:  # a sigma below about 1.6e-162 squares to 0: scale the margins first
+                x = (margins / model.scale) ** 2 / 8.0
+            bounds = gammaincc(model.dim / 2.0, x)
     bounds[margins == 0.0] = 1.0
     return bounds, float(np.cumsum(bounds)[-1])
 

@@ -440,6 +440,22 @@ class TestHugeNoiseScales:
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
+class TestTinyGaussianScales:
+    """8 sigma^2 underflows to 0 below sigma = 1.6e-162 and is subnormal just above, so the Gaussian tail
+    bound once printed numpy's divide-by-zero or overflow warnings. A child process has numpy's default
+    warning filters, under which such a warning goes to stderr."""
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160", "1e-155"])
+    def test_exits_0_with_empty_stderr(self, sigma):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "margin_guard", "montecarlo", "--preset", "near_boundary", "--sigma", sigma],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["per_index_bound"] == [0.0, 0.0, 0.0]
+
+
 class TestSeedResolution:
     def test_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MARGIN_GUARD_SEED", "77")
@@ -458,6 +474,22 @@ class TestSeedResolution:
     def test_invalid_env_var_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("MARGIN_GUARD_SEED", "not-a-number")
         assert main(["preset", "two_gaussians", "--n", "5"]) == 2
+
+    @pytest.mark.parametrize("flag, env, message", [
+        pytest.param(["--seed", "-1"], None, "--seed must be a non-negative integer, got -1", id="negative_flag"),
+        pytest.param([], "-3", "MARGIN_GUARD_SEED must be a non-negative integer, got -3", id="negative_env"),
+        pytest.param([], "abc", "MARGIN_GUARD_SEED must be an integer, got 'abc'", id="non_integer_env"),
+    ])
+    def test_trajectory_checks_the_seed(self, capsys, monkeypatch, tmp_path, anchored_config, two_centers,
+                                        flag, env, message):
+        # trajectory draws nothing, but takes --seed like every other seeded subcommand
+        path = tmp_path / "traj.json"
+        path.write_text(dump_json(trajectory_to_json_dict((anchored_config,) * 2, two_centers)))
+        if env is not None:
+            monkeypatch.setenv("MARGIN_GUARD_SEED", env)
+        assert main(["trajectory", "--points", str(path), *flag]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestExitCodes:

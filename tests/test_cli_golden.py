@@ -18,6 +18,9 @@ trajectory inputs, with
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,42 @@ def test_long_trajectory_pins_budget_summation_order():
     running = report["cumulative_budget"]
     assert any(p["cumulative_budget"] != running[p["horizon"] - 1] for p in report["persistence"])
     assert 0.0 < max(report["distance_from_initial"])
+
+
+# Runs in a fresh interpreter: imports the CLI, then runs each argv of argv[1] (a JSON list) through
+# main(), and prints the scipy modules loaded after the import and after each run.
+SCIPY_PROBE = """
+import json, sys
+import margin_guard, margin_guard.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+steps = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], margin_guard.cli.main(argv), scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_gaussian_montecarlo_loads_scipy(tmp_path):
+    """scipy serves only the Gaussian tail bound, and loading it about doubles a cold CLI process's
+    start-up, so every other subcommand must run without it."""
+    names = ["analyze_near_boundary.json", "trajectory.json", "sweep_two_gaussians_n300.json",
+             "preset_many_point_m3.json", "construct_near_boundary.json", "montecarlo_rho_near_boundary.json",
+             "montecarlo_sigma_near_boundary.json"]
+    runs = [[*CASES[name], "--out", str(tmp_path / name)] for name in names]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+    steps = json.loads(done.stdout)
+    *without, (command, code, loaded) = steps
+    assert [step[0] for step in without] == ["import", "analyze", "trajectory", "sweep", "preset", "construct",
+                                             "montecarlo"]
+    assert without == [[step[0], 0, []] for step in without]
+    assert (command, code) == ("montecarlo", 0) and "scipy.special" in loaded
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def long_trajectory_input(seed: int = 2026, n: int = 8, steps: int = 60) -> dict:

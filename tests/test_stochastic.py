@@ -227,6 +227,26 @@ class TestTailKernel:
             assert 0.0 < stochastic._tail_bounds(margins, disk)[0][1] < 1e-15
             assert stochastic._tail_bounds(np.array([0.0, 5e-324, 1.0]), flat)[0].tolist() == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-170, 1.5e-162, 1e-160, 1e-155])
+    def test_tiny_sigma_is_finite_and_silent(self, sigma, dim, anchored_config, two_centers):
+        # 8 sigma^2 underflows to 0 below about 1.6e-162 and is subnormal just above; the bounds must stay
+        # finite without a divide or overflow warning, which the suite turns into an error
+        margins = np.array([0.0, 1e-150, 1.0, 1e150])
+        assert stochastic._tail_bounds(margins, PerturbationModel.gaussian(sigma, dim))[0].tolist() == [1.0, 0, 0, 0]
+        report = monte_carlo(anchored_config, two_centers, PerturbationModel.gaussian(sigma, dim=2), trials=20, seed=0)
+        assert report.per_index_bound.tolist() == [0.0, 0.0, 0.0] and report.expected_switch_bound == 0.0
+        assert report.per_index_switch_frequency.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_sigma_whose_square_underflows_keeps_the_tail_of_its_scaled_margins(self, dim):
+        # the tail depends on margin / sigma only; a margin of the order of sigma keeps its bound
+        margins = np.array([0.0, 0.3, 1.0, 2.0, 4.0, 12.0])
+        want = stochastic._tail_bounds(margins, PerturbationModel.gaussian(1.0, dim))[0]
+        for scale in (1e-200, 1e-170, 1.5e-162):
+            got = stochastic._tail_bounds(margins * scale, PerturbationModel.gaussian(scale, dim))[0]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_nan_margin_rejected(self):
         with pytest.raises(ValueError):
             switch_probability_bound(float("nan"), PerturbationModel.gaussian(1.0))
@@ -272,13 +292,13 @@ class TestExpectedBounds:
 
     def test_monte_carlo_computes_each_tail_bound_once(self, monkeypatch, anchored_config, two_centers):
         # one gammaincc call over all n margins, and no per-point scalar call
-        calls, tail = [], stochastic.gammaincc
+        calls, tail = [], gammaincc
 
         def counted(a, x):
             calls.append(np.size(x))
             return tail(a, x)
 
-        monkeypatch.setattr(stochastic, "gammaincc", counted)
+        monkeypatch.setattr("scipy.special.gammaincc", counted)
         monkeypatch.setattr(stochastic, "switch_probability_bound", None)
         monte_carlo(anchored_config, two_centers, PerturbationModel.gaussian(0.2, dim=2), trials=2, seed=0)
         assert calls == [anchored_config.n]
