@@ -55,14 +55,14 @@ COMMANDS = {
 REFERENCE = ["-c", "import numpy"]
 
 
-def run_child(args: list[str], src: str | None) -> tuple[float, float, bytes]:
-    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child, which must succeed."""
+def run_child(args: list[str], src: str | None, cwd: Path | str = ROOT) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child run in ``cwd``, which must succeed."""
     env = dict(os.environ)
     if src is not None:
         env["PYTHONPATH"] = src
     with tempfile.TemporaryFile() as out:
         start = perf_counter()
-        proc = subprocess.Popen([sys.executable, *args], stdout=out, cwd=ROOT, env=env)
+        proc = subprocess.Popen([sys.executable, *args], stdout=out, cwd=cwd, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)

@@ -13,6 +13,7 @@ variable, which is in turn overridden by --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -54,7 +55,10 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared: parsing leaves it unchanged, and its help
+    text is formatted, with the terminal's width, when it is printed."""
     parser = argparse.ArgumentParser(
         prog="margin-guard",
         description="Stability analysis for nearest-center clustering partitions under perturbation.",

@@ -13,6 +13,15 @@ from (seed, t) by seed-sequence splitting, so reports are reproducible
 regardless of how trials would be scheduled. ``trial_rng`` defines that
 stream; Monte Carlo and sweep build a whole chunk's streams at once with
 ``_TrialSeeder``, state for state the same.
+
+Monte Carlo and sweep re-assign only the points that can switch. By the paper's
+necessity theorem, noise shorter than a point's switch radius r_i cannot change
+its label; ``_certified_radii`` lowers each r_i by a forward error bound of the
+float arithmetic, so a row whose noise norm stays below it keeps its base label
+bit for bit. Only the other rows, the candidates, reach the assignment kernel,
+and only trials with a changed label reach the distance kernel. A sweep row
+whose epsilon lies below every certified radius is zero in every trial and
+draws nothing. Streams, chunks and reports are those of the unpruned loop.
 """
 
 from __future__ import annotations
@@ -23,7 +32,19 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
-from .geometry import _LABELS, _MAX_COORDINATE, Assignment, CenterSet, PointConfig, _nearest, _no_switch, assign_nearest
+from .geometry import (
+    _LABELS,
+    _MAX_COORDINATE,
+    _RADII,
+    Assignment,
+    CenterSet,
+    PointConfig,
+    _assign,
+    _nearest,
+    _no_switch,
+    _row_norms,
+    _squared_distances,
+)
 from .partitions import _label_distance
 
 __all__ = [
@@ -152,12 +173,12 @@ def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
                 g[t, redo] = rngs[t].standard_normal((int(redo.sum()), model.dim))
     # uniform on the ball: random direction, radius rho * U^(1/d)
     radii = model.scale * np.array([rng.random(n) for rng in rngs]) ** (1.0 / model.dim)
-    eta = g * (radii / np.linalg.norm(g, axis=2))[..., None]
-    # the norm bound is a hard guarantee; nudge any float overshoot back inside
-    out_norms = np.linalg.norm(eta, axis=2)
+    eta = g * (radii / _row_norms(g))[..., None]
+    # the norm bound is a hard guarantee, in the norm the candidate filter computes; nudge any float overshoot back
+    out_norms = _row_norms(eta)
     while (over := out_norms > model.scale).any():
         eta[over] *= np.nextafter(1.0, 0.0)
-        out_norms = np.linalg.norm(eta, axis=2)
+        out_norms = _row_norms(eta)
     return eta
 
 
@@ -199,9 +220,9 @@ def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndar
 
         # an x that overflows to inf has the exact tail 0
         with np.errstate(over="ignore"):
-            if (denominator := 8.0 * model.scale**2) > 0.0:
+            if (denominator := 8.0 * model.scale**2) >= np.finfo(float).tiny:
                 x = np.array([g**2 for g in margins.tolist()]) / denominator
-            else:  # a sigma below about 1.6e-162 squares to 0: scale the margins first
+            else:  # below about 5.3e-155, 8 sigma^2 is subnormal or 0 and rounds coarsely: scale the margins first
                 x = (margins / model.scale) ** 2 / 8.0
             bounds = gammaincc(model.dim / 2.0, x)
     bounds[margins == 0.0] = 1.0
@@ -238,17 +259,74 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be <= 2**32, one 32-bit stream key per trial; got {trials}")
 
 
-def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, model, trials: int, entropy):
+# Unit roundoff of float64, and the least gap between two centers for which _certified_radii certifies anything.
+_UNIT_ROUNDOFF = 2.0**-53
+_MIN_CERTIFIED_GAP = 2.0**-400
+
+
+def _certified_radii(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per point i, r_i - s_i: its switch radius r_i from the kernel (``_RADII``) less a float slack
+    s_i. If noise eta has a computed norm (``_row_norms``) below it, the kernel labels fl(x_i + eta)
+    as it labels x_i, bit for bit, with no tie that rounding could create.
+
+    s_i = c (d + 2) u (L_i^2 / g + L_i), with u = 2^-53, c = 4, g the least gap between two centers
+    and L_i = |x_i| + max(r_i, 0) + max_j |c_j|. L_i bounds |x_i - c_j|, |fl(x_i + eta) - c_j| and
+    r_i, since a row below the radius has |eta| < r_i. Let l be the label of x_i, g_j = |c_j - c_l|
+    and b = min_j (|x_i - c_j|^2 - |x_i - c_l|^2) / (2 g_j) the exact radius. To first order in u:
+    - y = fl(x_i + eta) lies within |eta| + u L of x_i, and the computed norm of eta is within
+      (d/2 + 1) u L of |eta|;
+    - each squared distance of the kernel is within (d + 2) u of its exact value, relatively (d + 2
+      roundings of nonnegative terms, in any summation order). So r_i, a difference of two of them
+      over a computed gap within (d/2 + 2) u, lies within (d + 2) u L^2 / g + (d/2 + 4) u L of b;
+    - the kernel labels y by l, strictly ahead of every other center, if each computed squared
+      distance exceeds the own one by a factor above 1 + 4u: their rounded square roots then differ
+      too, so argmin meets no tie. |y - c_j|^2 - |y - c_l|^2 >= 2 g_j (b - |y - x_i|), so
+      b - |y - x_i| > (d + 9/2) u L^2 / g suffices;
+    - the comparison with fl(r_i - s_i) loses u L more.
+    Summed, s_i >= (2d + 13/2) u L^2 / g + (d + 7) u L suffices. c = 3 meets it for every d >= 1, and
+    c = 4 leaves room for the second-order terms and for the rounding of L_i, g and s_i themselves.
+
+    Underflow falls outside these relative bounds. L_i >= g / 2, so for g >= 2^-400 its absolute
+    errors (below 2^-1074 per square, hence 2^-537 sqrt(d) in a norm) stay far below u L_i. A smaller
+    g makes every radius -inf, as does a slack that overflows: every row is then a candidate."""
+    gaps = _squared_distances(centers, centers)
+    np.fill_diagonal(gaps, np.inf)
+    if not (gap := np.sqrt(gaps.min())) >= _MIN_CERTIFIED_GAP:
+        return np.full(len(points), -np.inf)
+    scale = _row_norms(points) + np.maximum(radii, 0.0) + _row_norms(centers).max()
+    with np.errstate(over="ignore"):
+        return radii - 4.0 * (points.shape[1] + 2) * _UNIT_ROUNDOFF * (scale * scale / gap + scale)
+
+
+def _base_pass(config: PointConfig, centers: CenterSet) -> tuple[Assignment, np.ndarray]:
+    """The unperturbed assignment and each point's certified radius, from one ``_RADII`` kernel pass."""
+    base, radii = _assign(config, centers, _RADII)
+    return base, _certified_radii(config.points, centers.centers, radii)
+
+
+def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, reach: np.ndarray, model, trials: int,
+                  entropy):
     """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from each trial t's stream
     ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, and each trial's partition distance to
-    the ``base`` labels. One ``_TrialSeeder`` serves every chunk."""
-    n, d = config.points.shape
+    the ``base`` labels. One ``_TrialSeeder`` serves every chunk.
+
+    A row (t, i) whose noise norm is below ``reach[i]`` (``_certified_radii``) keeps its base label;
+    the chunk's other rows, its candidates, go to the kernel in one call, and only trials with a
+    changed label go to the distance kernel, in one call. The kernel works row by row, so the labels
+    are those of the whole chunk's X + noise, bit for bit."""
+    n = config.n
     size = max(1, _CHUNK_ENTRIES // (n * centers.k))
     seeder = _TrialSeeder(entropy)
     for start in range(0, trials, size):
-        noisy = config.points + _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
-        labels = _nearest(noisy.reshape(-1, d), centers.centers, _LABELS)[0].reshape(-1, n)
-        yield labels, _label_distance(base, labels)
+        eta = _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
+        labels = np.tile(base, (len(eta), 1))
+        trial, point = np.nonzero(~(_row_norms(eta) < reach))  # a NaN or inf norm is a candidate too
+        if point.size:
+            labels[trial, point] = _nearest(config.points[point] + eta[trial, point], centers.centers, _LABELS)[0]
+        dists = np.zeros(len(labels))
+        if (moved := (labels != base).any(axis=1)).any():
+            dists[moved] = _label_distance(base, labels[moved])
+        yield labels, dists
 
 
 @dataclass(frozen=True)
@@ -309,9 +387,9 @@ def monte_carlo(
     _check_trials(trials)
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
-    base = assign_nearest(config, centers)
+    base, reach = _base_pass(config, centers)
     switch_counts, trial_switches, trial_dists = np.zeros(config.n, dtype=np.int64), [], []
-    for labels, dists in _trial_chunks(config, centers, base.labels, model, trials, seed):
+    for labels, dists in _trial_chunks(config, centers, base.labels, reach, model, trials, seed):
         switched = labels != base.labels
         switch_counts += switched.sum(axis=0)
         trial_switches.append(switched.sum(axis=1))
@@ -367,7 +445,9 @@ def sweep_table(
     For each epsilon on the grid, runs ``trials`` independent bounded-noise
     perturbations and records the mean and max partition distance. Every
     epsilon strictly below min_margin / 2 is marked; in that region the
-    distance is provably zero in every trial.
+    distance is provably zero in every trial. A row whose epsilon lies below
+    every point's certified radius is zero in every trial without a draw: the
+    noise norm never exceeds epsilon, so no row would reach the kernel.
     """
     grid = [float(e) for e in grid]
     if len(grid) < 2:
@@ -375,23 +455,21 @@ def sweep_table(
     if bad := [e for e in grid if not 0 < e < _MAX_COORDINATE]:  # every value, before any row is drawn
         raise ValueError(f"sweep epsilons must be finite, positive and below 1e150, got {bad[0]!r}")
     _check_trials(trials)
-    base = assign_nearest(config, centers)
+    base, reach = _base_pass(config, centers)
     threshold = base.min_margin / 2.0
     rows = []
     for eps in grid:
-        model = PerturbationModel.bounded_disk(eps, dim=config.d)
-        # keyed by the epsilon value itself (not its grid position), so adding grid points never changes existing rows
-        entropy = (seed, int(np.float64(eps).view(np.uint64)))
-        chunks = _trial_chunks(config, centers, base.labels, model, trials, entropy)
-        dists = np.concatenate([d for _, d in chunks])
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                mean_distance=float(dists.mean()),
-                max_distance=float(dists.max()),
-                below_threshold=_no_switch(eps, base.min_margin),
-            )
-        )
+        mean = peak = 0.0
+        if not eps < reach.min():
+            model = PerturbationModel.bounded_disk(eps, dim=config.d)
+            # keyed by the epsilon value itself (not its grid position), so adding grid points never changes
+            # existing rows
+            entropy = (seed, int(np.float64(eps).view(np.uint64)))
+            chunks = _trial_chunks(config, centers, base.labels, reach, model, trials, entropy)
+            dists = np.concatenate([d for _, d in chunks])
+            mean, peak = float(dists.mean()), float(dists.max())
+        rows.append(SweepRow(epsilon=eps, mean_distance=mean, max_distance=peak,
+                             below_threshold=_no_switch(eps, base.min_margin)))
     return SweepResult(
         min_margin=base.min_margin,
         threshold=threshold,

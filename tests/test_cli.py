@@ -555,3 +555,56 @@ def test_help_texts_match_snapshot(capsys, monkeypatch):
         text = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
         parts.append(f"==> {' '.join(['margin-guard', *argv])} <==\n{text}")
     assert "".join(parts) == (Path(__file__).parent / "golden" / "cli" / "help.txt").read_text()
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; each call must still behave as a fresh process."""
+
+    BASE = ["montecarlo", "--preset", "near_boundary", "--rho", "0.15", "--trials", "30"]
+
+    @staticmethod
+    def fresh_process(argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "MARGIN_GUARD_SEED"}
+        done = subprocess.run([sys.executable, "-m", "margin_guard", *argv], capture_output=True, text=True,
+                              timeout=60, env={**env, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_successive_calls_print_what_fresh_processes_print(self, capsys, monkeypatch):
+        monkeypatch.delenv("MARGIN_GUARD_SEED", raising=False)
+        argvs = [[*self.BASE, "--seed", "3"], [*self.BASE, "--format", "csv"], self.BASE]
+        outputs = []
+        for argv in argvs:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [self.fresh_process(argv) for argv in argvs]
+        assert outputs[0] != outputs[2]  # the seed of the first call did not stick
+
+    def test_a_usage_error_leaves_the_parser_usable(self, capsys):
+        assert main(["montecarlo", "--preset", "near_boundary", "--no-such-flag"]) == 2
+        assert main(["montecarlo", "--preset", "near_boundary", "--rho", "nan"]) == 2
+        capsys.readouterr()
+        assert main(["montecarlo", "--preset", "near_boundary", "--seed", "0", "--rho", "0.15", "--trials", "200"]) == 0
+        golden = Path(__file__).parent / "golden" / "cli" / "montecarlo_rho_near_boundary.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        import argparse
+
+        from margin_guard import cli
+
+        builds, add_subparsers = [], argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli.build_parser.cache_clear()
+        try:
+            assert main(["construct", "single_point"]) == 0
+            assert main(["construct", "near_boundary"]) == 0
+        finally:
+            cli.build_parser.cache_clear()  # drop the parser built under the spy
+        assert builds == ["margin-guard"]

@@ -298,6 +298,14 @@ class TestDistanceKernel:
         assert np.array_equal(full[0], expected_labels) and same_bits(full[1], expected_margins)
         assert same_bits(full[2], bisector_distances(points, centers, expected_labels))
 
+    @given(d=st.integers(1, 12), lead=st.sampled_from([(), (1,), (7,), (3, 5), (682, 3)]),
+           exponent=st.integers(-300, 149), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_norms_match_numpy_bit_for_bit(self, d, lead, exponent, seed):
+        # the noise draw bounds norms and the candidate filter compares them: both use this formula
+        v = np.random.default_rng(seed).normal(size=(*lead, d)) * 10.0**exponent
+        assert same_bits(np.atleast_1d(geometry._row_norms(v)), np.atleast_1d(np.linalg.norm(v, axis=-1)))
+
     @pytest.mark.parametrize("d", [2, 16])
     def test_assign_nearest_memory_is_block_sized(self, d):
         # the (n, k, d) broadcast difference alone would take 98 MiB at d = 2 and 781 MiB at d = 16

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import math
 import operator
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from margin_guard import (
     trial_rng,
 )
 from margin_guard import CenterSet, geometry, stochastic, two_gaussians
+from margin_guard.formats import dump_json
 from margin_guard.partitions import _label_distance
-from margin_guard.stochastic import _TrialSeeder, _noise
+from margin_guard.stochastic import MonteCarloReport, SweepResult, SweepRow, _TrialSeeder, _noise
 from conftest import peak_traced_mib
 
 
@@ -246,6 +249,16 @@ class TestTailKernel:
         for scale in (1e-200, 1e-170, 1.5e-162):
             got = stochastic._tail_bounds(margins * scale, PerturbationModel.gaussian(scale, dim))[0]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_sigma_whose_square_is_subnormal_bounds_the_true_tail(self, dim):
+        # 8 sigma^2 is subnormal for sigma up to about 5.3e-155 and rounds coarsely there; the true tail of a
+        # margin m sigma is that of m at sigma = 1 (at margin 2 sigma, d = 2: 0.6065, where 0.5353 was given)
+        ratios = np.array([0.3, 1.0, 2.0, 4.0, 8.0])
+        true_tail = gammaincc(dim / 2.0, ratios**2 / 8.0)
+        for sigma in np.geomspace(1.6e-162, 1.5e-154, 200):
+            bounds = stochastic._tail_bounds(ratios * sigma, PerturbationModel.gaussian(float(sigma), dim))[0]
+            assert (bounds >= true_tail * (1.0 - 1e-12)).all(), sigma
 
     def test_nan_margin_rejected(self):
         with pytest.raises(ValueError):
@@ -585,6 +598,165 @@ class TestChunkedTrialsMatchPerTrialLoop:
         assert chunk_streams[1].normal_draws == 3  # the first draw, then two redraws of the row
 
 
+def unpruned_chunks(config, centers, base, model, trials, entropy):
+    """Every row of every chunk through the kernel, and every trial through the distance kernel: the
+    chunked trial loop before candidate pruning (test oracle)."""
+    n, d = config.points.shape
+    size = max(1, stochastic._CHUNK_ENTRIES // (n * centers.k))
+    seeder = _TrialSeeder(entropy)
+    for start in range(0, trials, size):
+        noisy = config.points + _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
+        labels = geometry._nearest(noisy.reshape(-1, d), centers.centers, geometry._LABELS)[0].reshape(-1, n)
+        yield labels, _label_distance(base, labels)
+
+
+def unpruned_monte_carlo(config, centers, model, trials, seed):
+    """monte_carlo before candidate pruning (test oracle)."""
+    base = assign_nearest(config, centers)
+    chunks = list(unpruned_chunks(config, centers, base.labels, model, trials, seed))
+    switched = np.concatenate([labels for labels, _ in chunks]) != base.labels
+    dists = np.concatenate([d for _, d in chunks])
+    freq = switched.sum(axis=0) / trials
+    bounds, total = stochastic._tail_bounds(base.margins, model)
+    return MonteCarloReport(
+        trials=trials, seed=seed, model=model, per_index_switch_frequency=freq, mean_switched_count=float(freq.sum()),
+        mean_partition_distance=float(dists.mean()), per_index_bound=bounds, expected_switch_bound=total,
+        expected_distance_bound=stochastic._distance_bound(config.n, total), trial_switch_counts=switched.sum(axis=1),
+        trial_distances=dists,
+    )
+
+
+def unpruned_sweep(config, centers, grid, trials, seed):
+    """sweep_table before candidate pruning and row skipping (test oracle)."""
+    base = assign_nearest(config, centers)
+    rows = []
+    for eps in grid:
+        model = PerturbationModel.bounded_disk(eps, dim=config.d)
+        entropy = (seed, int(np.float64(eps).view(np.uint64)))
+        dists = np.concatenate([d for _, d in unpruned_chunks(config, centers, base.labels, model, trials, entropy)])
+        rows.append(SweepRow(eps, float(dists.mean()), float(dists.max()), geometry._no_switch(eps, base.min_margin)))
+    return SweepResult(base.min_margin, base.min_margin / 2.0, trials, seed, tuple(rows))
+
+
+def assert_same_report(got, want):
+    """Every field equal bit for bit, arrays with their dtypes."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert (type(a), a) == (type(b), b), field.name
+    assert dump_json(got.to_json_dict()) == dump_json(want.to_json_dict())
+
+
+# noise scales relative to the coordinate scale, and absolute ones at the extremes
+RELATIVE_NOISE = [1e-16, 1e-9, 1e-3, 0.05, 0.3, 2.0]
+ABSOLUTE_NOISE = [1e-300, 1e-160, 1e140]
+
+
+@st.composite
+def pruning_cases(draw):
+    """(config, centers, noise scales) with d in both summation branches of the kernel, k > n, duplicate
+    points, points exactly on a bisector, and points 0, 1e-16 or 1e-14 scale off one at scales 1e0 to 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    n, k = draw(st.integers(2, 7)), draw(st.integers(2, 6))
+    scale = 10.0 ** draw(st.integers(0, 8))
+    centers = rng.uniform(-scale, scale, (k, d))
+    points = rng.uniform(-1.5 * scale, 1.5 * scale, (n, d))
+    layout = draw(st.sampled_from(["random", "duplicates", "tie", "near_bisector"]))
+    if layout == "duplicates":
+        points[n // 2:] = points[: n - n // 2]
+    elif layout == "tie":  # centers 1 and 2 mirror each other in coordinate 0, and the points sit on that plane
+        centers[0, 0] = scale
+        centers[1] = centers[0] * np.where(np.arange(d) == 0, -1.0, 1.0)
+        points[:, 0] = 0.0
+    elif layout == "near_bisector":  # ROADMAP item 1's construction
+        axis = (centers[1] - centers[0]) / np.linalg.norm(centers[1] - centers[0])
+        across = rng.normal(size=(n, d)) * scale
+        across -= (across @ axis)[:, None] * axis
+        off = draw(st.sampled_from([0.0, 1e-16, 1e-14]))
+        points = (centers[0] + centers[1]) / 2.0 + across + off * scale * rng.choice([-1.0, 1.0], (n, 1)) * axis
+    noise = draw(st.lists(st.one_of(st.sampled_from(RELATIVE_NOISE).map(lambda r: r * scale),
+                                    st.sampled_from(ABSOLUTE_NOISE)), min_size=2, max_size=3))
+    return PointConfig(points), CenterSet(centers), noise
+
+
+class TestCandidatePruningMatchesTheUnprunedLoop:
+    """monte_carlo and sweep_table against the loop that sends every row to the kernel, bit for bit."""
+
+    @given(case=pruning_cases(), kind=st.sampled_from(["gaussian", "bounded_disk"]), trials=st.integers(1, 12),
+           per_chunk=st.sampled_from([1, 3, None]), seed=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_monte_carlo(self, case, kind, trials, per_chunk, seed):
+        config, centers, noise = case
+        model = PerturbationModel(kind=kind, scale=noise[0], dim=config.d)
+        entries = per_chunk * config.n * centers.k if per_chunk else stochastic._CHUNK_ENTRIES
+        with mock.patch.object(stochastic, "_CHUNK_ENTRIES", entries):
+            got = monte_carlo(config, centers, model, trials=trials, seed=seed)
+            want = unpruned_monte_carlo(config, centers, model, trials, seed)
+        assert_same_report(got, want)
+
+    @given(case=pruning_cases(), trials=st.integers(1, 12), per_chunk=st.sampled_from([1, 3, None]),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_table(self, case, trials, per_chunk, seed):
+        config, centers, grid = case
+        entries = per_chunk * config.n * centers.k if per_chunk else stochastic._CHUNK_ENTRIES
+        with mock.patch.object(stochastic, "_CHUNK_ENTRIES", entries):
+            got = sweep_table(config, centers, grid, trials=trials, seed=seed)
+            want = unpruned_sweep(config, centers, grid, trials, seed)
+        assert got == want
+        assert_same_report(got, want)
+
+    def test_centers_closer_than_the_certified_gap_send_every_row(self):
+        # 2^-400 is about 3.9e-121: below it no radius is certified, and every row goes to the kernel
+        config = PointConfig([[0.0, 0.0], [2e-122, 1e-122], [5e-123, 0.0]])
+        centers = CenterSet([[0.0, 0.0], [1e-121, 0.0], [1.0, 1.0]])
+        base, radii = geometry._assign(config, centers, geometry._RADII)
+        assert (radii > 0).all()
+        assert (stochastic._certified_radii(config.points, centers.centers, radii) == -np.inf).all()
+        for model in (PerturbationModel.gaussian(1e-122), PerturbationModel.bounded_disk(1e-125)):
+            assert_same_report(monte_carlo(config, centers, model, trials=20, seed=1),
+                               unpruned_monte_carlo(config, centers, model, 20, 1))
+
+
+class TestCertifiedRadii:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 8, 9]), k=st.integers(2, 6),
+           exponent=st.integers(-100, 100), off=st.sampled_from([1e-15, 1e-12, 1e-8, 1e-3, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_noise_just_below_the_radius_keeps_the_label(self, seed, d, k, exponent, off):
+        # the worst direction: straight at the nearest bisector, with the longest norm the filter lets through
+        rng = np.random.default_rng(seed)
+        scale = 2.0**exponent
+        centers = CenterSet(rng.uniform(-scale, scale, (k, d)))
+        c = centers.centers
+        points = (c[0] + c[1]) / 2.0 + off * scale * (c[0] - c[1]) + rng.normal(size=(6, d)) * scale * 1e-3
+        base, radii = geometry._assign(PointConfig(points), centers, geometry._RADII)
+        reach = stochastic._certified_radii(points, c, radii)
+        for i in np.flatnonzero(reach > 0):
+            bisector = geometry._nearest(points[i:i + 1], c, geometry._BISECTORS)[2][0]
+            toward = c[np.argmin(bisector)] - c[base.labels[i] - 1]
+            eta = toward * (reach[i] / np.linalg.norm(toward))
+            while not geometry._row_norms(eta) < reach[i]:
+                eta *= np.nextafter(1.0, 0.0)
+            assert geometry._nearest((points[i] + eta)[None, :], c, geometry._LABELS)[0][0] == base.labels[i]
+
+    def test_slack_is_below_a_part_in_1e13_of_unit_scale_inputs(self, anchored_config, two_centers):
+        base, radii = geometry._assign(anchored_config, two_centers, geometry._RADII)
+        reach = stochastic._certified_radii(anchored_config.points, two_centers.centers, radii)
+        assert ((radii - reach > 0) & (radii - reach < 1e-13)).all()
+
+    def test_every_row_is_a_candidate_near_a_bisector_at_coordinates_near_1e8(self):
+        rng = np.random.default_rng(7)
+        centers = rng.uniform(-1e8, 1e8, (3, 2))
+        axis = (centers[1] - centers[0]) / np.linalg.norm(centers[1] - centers[0])
+        across = np.outer(rng.normal(size=20), [-axis[1], axis[0]])
+        points = (centers[0] + centers[1]) / 2.0 + 1e-16 * 1e8 * axis + across
+        base, radii = geometry._assign(PointConfig(points), CenterSet(centers), geometry._RADII)
+        assert (stochastic._certified_radii(points, centers, radii) < 0).all()
+
+
 class CountingGenerator:
     """A trial's Generator that counts its draw calls by method name (test spy)."""
 
@@ -629,39 +801,59 @@ class TestChunkedTrialsWork:
 
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
-        # one labels-only kernel call per chunk; the kernel blocks its own rows
+        # the labels-only kernel gets exactly the chunk's candidate rows, in one call or none, and the
+        # distance kernel exactly its trials with a changed label, in one call or none
         chunk_trials = self.record_chunks(monkeypatch)
         rngs = self.count_calls(monkeypatch, "trial_rng")
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_nearest")
+        distances = self.count_calls(monkeypatch, "_label_distance")
         set_trials_per_chunk(monkeypatch, per_chunk, anchored_config.n, two_centers.k)
-        monte_carlo(anchored_config, two_centers, PerturbationModel.bounded_disk(0.3), trials=50, seed=1)
+        model = PerturbationModel.bounded_disk(0.3)
+        report = monte_carlo(anchored_config, two_centers, model, trials=50, seed=1)
         assert len(rngs) == 0
         size = per_chunk or 50
         assert seeders == [(1,)]
-        assert chunk_trials == [range(start, min(start + size, 50)) for start in range(0, 50, size)]
+        chunk_ranges = [range(start, min(start + size, 50)) for start in range(0, 50, size)]
+        assert chunk_trials == chunk_ranges and len(chunk_ranges) == chunks
         assert len(seed_sequences) == 1  # one shared pool per run, whatever the chunk count
         assert len(streams) == 50
-        assert len(tables) == chunks
+
+        # radii (1, 1, 0.1) against noise norms up to 0.3: only the third point's longer draws can switch
+        points = anchored_config.points
+        eta = np.array([noise_one_trial(model, 3, trial_rng(1, t)) for t in range(50)])
+        candidate = np.linalg.norm(eta, axis=2) >= np.array([1.0, 1.0, 0.1]) - 1e-13
+        assert not candidate[:, :2].any() and 0 < candidate[:, 2].sum() < 50
+        assert np.concatenate([p for p, _, _ in tables]).tobytes() == (points + eta)[candidate].tobytes()
+        assert [len(p) for p, _, _ in tables] == [candidate[c].sum() for c in chunk_ranges if candidate[c].any()]
         assert all(want == geometry._LABELS for _, _, want in tables)
+        moved = report.trial_switch_counts > 0
+        assert 0 < moved.sum() < candidate.sum()
+        assert [labels.shape[0] for _, labels in distances] == [moved[c].sum() for c in chunk_ranges if moved[c].any()]
+        assert (report.trial_distances[~moved] == 0.0).all() and (report.trial_distances[moved] > 0.0).all()
 
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
+        # the 0.05 row lies below every certified radius (about 0.1, 1, 1): it makes no seeder, stream or draw
         chunk_trials = self.record_chunks(monkeypatch)
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
+        draws = self.count_calls(monkeypatch, "_noise")
         tables = self.count_calls(monkeypatch, "_nearest")
         set_trials_per_chunk(monkeypatch, 7, anchored_config.n, two_centers.k)
-        sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
+        result = sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
         chunks = [range(start, min(start + 7, 40)) for start in range(0, 40, 7)]
-        assert seeders == [((2, int(np.float64(e).view(np.uint64))),) for e in (0.05, 0.2, 0.5)]
-        assert chunk_trials == 3 * chunks
-        assert len(seed_sequences) == 3  # one shared pool per epsilon row, whatever the chunk count
-        assert len(streams) == 3 * 40
-        assert len(tables) == 3 * len(chunks)
+        assert seeders == [((2, int(np.float64(e).view(np.uint64))),) for e in (0.2, 0.5)]
+        assert chunk_trials == 2 * chunks
+        assert len(seed_sequences) == 2  # one shared pool per drawn epsilon row, whatever the chunk count
+        assert len(streams) == 2 * 40
+        assert len(draws) == 2 * len(chunks)
+        assert 0 < len(tables) <= 2 * len(chunks)
         assert all(want == geometry._LABELS for _, _, want in tables)
+        assert result.rows[0] == SweepRow(0.05, 0.0, 0.0, True)
+        assert result == unpruned_sweep(anchored_config, two_centers, [0.05, 0.2, 0.5], 40, 2)
 
     @pytest.mark.parametrize("model, draws", [
         (PerturbationModel.bounded_disk(0.3), {"standard_normal": 1, "random": 1}),
