@@ -1,0 +1,190 @@
+"""Ledger of fresh CLI processes: wall time, peak memory and report digest of each command in a suite.
+
+Usage, from the repository root:
+
+    python3 bench/ledger.py SUITE [--repeats R] [--n N] [--tree NAME=SRC ...] [--out PATH]
+
+Every CLI call starts a new interpreter, so its import time is part of what a
+user waits for. Each command of SUITE runs as a fresh ``python -m margin_guard``
+child with the source directory SRC on PYTHONPATH (default: this checkout's
+src/, named ``current``), in a temporary directory that holds the suite's
+inputs, so no recorded command names a local path. Wall time is taken around
+the child, and its peak RSS comes from ``os.wait4``. ``coldstart`` runs the
+subcommands on the inputs of tests/golden/cli and takes no N. ``scale`` runs
+them on N points in d = 2: the two_gaussians preset, and ``k64`` from
+``write_k64``.
+
+Every run of a command, in every tree, must print the same report, whose
+SHA-256 the ledger records; a command that names a golden file must print it
+byte for byte. A reference child, ``python -c "import numpy"``, runs before
+each tree's commands in every round. Host load moves it with the children, so
+each command's median over the reference's median is steadier than either
+time alone. Trees run in alternating order from round to round, so a drift in
+host speed falls on every tree alike. The ledger, with per-run wall times, is
+written as JSON (default BENCH_<SUITE>.json at the repository root).
+"""
+
+from __future__ import annotations
+
+import os
+
+# Before numpy is imported in any child: one BLAS thread, as the benchmark runs it.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import json
+import multiprocessing
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from importlib.metadata import version
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path("tests", "golden", "cli")
+REFERENCE = ["-c", "import numpy"]
+
+
+def copy_trajectory_input(directory: Path, n: int) -> None:
+    shutil.copy(ROOT / GOLDEN / "trajectory_long_input.json", directory)
+
+
+def write_k64(directory: Path, n: int) -> None:
+    """n points around 64 centers uniform in [-10, 10]^2, each a center picked at random plus N(0, 0.8^2)
+    noise per coordinate, from ``default_rng(0)``, as k64.points.csv and k64.centers.csv."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(-10.0, 10.0, (64, 2))
+    points = centers[rng.integers(0, 64, n)] + rng.normal(0.0, 0.8, (n, 2))
+    for name, rows in (("k64.points.csv", points), ("k64.centers.csv", centers)):
+        body = "\n".join(f"{x!r},{y!r}" for x, y in rows.tolist())
+        (directory / name).write_text(f"x1,x2\n{body}\n")
+
+
+GAUSS = ["--preset", "two_gaussians", "--n", "300", "--seed", "0"]
+K64 = ["--points", "k64.points.csv", "--centers", "k64.centers.csv"]
+# suite: (input writer, {name: (argv after ``python -m margin_guard`` with N for the point count, golden or None)})
+SUITES = {
+    "coldstart": (copy_trajectory_input, {
+        "analyze": (["analyze", *GAUSS, "--epsilon", "0.1"], "analyze_two_gaussians_n300.json"),
+        "trajectory": (["trajectory", "--points", "trajectory_long_input.json", "--eta", "0.2", "--seed", "0"],
+                       "trajectory_long.json"),
+        "sweep": (["sweep", *GAUSS, "--grid", "0.01,0.1,0.4,1.0", "--trials", "40"], "sweep_two_gaussians_n300.json"),
+        "montecarlo_rho": (["montecarlo", *GAUSS, "--rho", "0.3", "--trials", "100"],
+                           "montecarlo_rho_two_gaussians_n300.json"),
+        "montecarlo_sigma": (["montecarlo", *GAUSS, "--sigma", "0.2", "--trials", "100"],
+                             "montecarlo_sigma_two_gaussians_n300.json"),
+    }),
+    "scale": (write_k64, {
+        "montecarlo_k64_sigma0.05": (["montecarlo", *K64, "--sigma", "0.05", "--trials", "200", "--seed", "0"], None),
+        "montecarlo_k64_sigma0.3": (["montecarlo", *K64, "--sigma", "0.3", "--trials", "20", "--seed", "0"], None),
+        "montecarlo_two_g_sigma0.3": (["montecarlo", "--preset", "two_gaussians", "--n", "N", "--sigma", "0.3",
+                                       "--trials", "100", "--seed", "0"], None),
+        "sweep_two_g": (["sweep", "--preset", "two_gaussians", "--n", "N", "--grid", "0.05,0.2,0.5", "--trials", "100",
+                         "--seed", "0"], None),
+    }),
+}
+
+
+def run_child(args: list[str], src: str | None, cwd: str) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child run in ``cwd``, which must succeed."""
+    env = dict(os.environ)
+    if src is not None:
+        env["PYTHONPATH"] = src
+    with tempfile.TemporaryFile() as out:
+        start = perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], stdout=out, cwd=cwd, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = perf_counter() - start
+        if code := os.waitstatus_to_exitcode(status):
+            raise SystemExit(f"ledger: python {' '.join(args)} exited with {code}")
+        out.seek(0)
+        return wall, usage.ru_maxrss / 1024.0, out.read()
+
+
+def summary(args: list[str], runs: list[tuple[float, float]]) -> dict:
+    walls = [wall for wall, _ in runs]
+    return {"command": " ".join(["python", *args]), "median_s": statistics.median(walls),
+            "peak_rss_mb": max(rss for _, rss in runs), "wall_s": walls}
+
+
+def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
+    write_inputs, table = SUITES[suite]
+    argvs = {cmd: ["-m", "margin_guard", *(str(n) if a == "N" else a for a in argv)] for cmd, (argv, _) in table.items()}
+    # a command's golden fixes its digest before the first run; without one, the first run fixes it
+    digests = {cmd: hashlib.sha256((ROOT / GOLDEN / golden).read_bytes()).hexdigest()
+               for cmd, (_, golden) in table.items() if golden}
+    runs = {name: {cmd: [] for cmd in table} for name in trees}
+    reference = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # a child's peak RSS from os.wait4 is at least this process's, so a fresh interpreter writes the inputs
+        writer = multiprocessing.get_context("spawn").Process(target=write_inputs, args=(Path(tmp), n))
+        writer.start()
+        writer.join()
+        if writer.exitcode:
+            raise SystemExit(f"ledger: writing the {suite} inputs exited with {writer.exitcode}")
+        for round_ in range(repeats):
+            for name in (list(trees) if round_ % 2 == 0 else list(reversed(trees))):
+                reference.append(run_child(REFERENCE, None, tmp)[:2])
+                for cmd, argv in argvs.items():
+                    wall, rss, report = run_child(argv, trees[name], tmp)
+                    digest = hashlib.sha256(report).hexdigest()
+                    if digests.setdefault(cmd, digest) != digest:
+                        raise SystemExit(f"ledger: {name} {cmd} does not reproduce {table[cmd][1] or 'its first run'}")
+                    runs[name][cmd].append((wall, rss))
+    ref = summary(REFERENCE, reference)
+    result = {name: {cmd: summary(argvs[cmd], samples) for cmd, samples in cmds.items()} for name, cmds in runs.items()}
+    for cmds in result.values():
+        for cmd, entry in cmds.items():
+            entry.update(ratio_to_reference=entry["median_s"] / ref["median_s"], report_sha256=digests[cmd])
+    return {
+        "environment": {"python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy"),
+                        "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
+        "suite": suite,
+        "n": n,
+        "repeats": repeats,
+        "reference": ref,
+        "trees": result,
+    }
+
+
+def parse_tree(text: str) -> tuple[str, str]:
+    name, sep, src = text.partition("=")
+    if not (sep and name and src):
+        raise argparse.ArgumentTypeError(f"expected NAME=SRC, got {text!r}")
+    if not (Path(src) / "margin_guard" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"{src} holds no margin_guard package")
+    return name, str(Path(src).resolve())
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("suite", choices=SUITES)
+    p.add_argument("--repeats", type=int, default=5, help="rounds; each runs every command once per tree")
+    p.add_argument("--n", type=int, default=10**5, help="point count N in a suite's commands and inputs")
+    p.add_argument("--tree", type=parse_tree, action="append", metavar="NAME=SRC",
+                   help="a source directory to measure, repeatable (default: current=src)")
+    p.add_argument("--out", type=Path, help="ledger file (default: BENCH_<SUITE>.json at the repository root)")
+    args = p.parse_args(argv)
+    if args.repeats < 1:
+        p.error("--repeats must be >= 1")
+    trees = dict(args.tree or [("current", str(ROOT / "src"))])
+    ledger = measure(args.suite, trees, args.repeats, args.n)
+    (args.out or ROOT / f"BENCH_{args.suite}.json").write_text(json.dumps(ledger, indent=2) + "\n")
+    for name, cmds in ledger["trees"].items():
+        for cmd, entry in cmds.items():
+            print(f"{name:>10} {cmd:<26} {entry['median_s']:.3f} s  x{entry['ratio_to_reference']:.2f}"
+                  f"  {entry['peak_rss_mb']:.1f} MiB")
+    print(f"{'reference':>10} {'import numpy':<26} {ledger['reference']['median_s']:.3f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,7 +31,7 @@ STANDARD_CENTERS = CenterSet(np.array([[-1.0, 0.0], [1.0, 0.0]]))
 FIXTURE_NAMES = ("single_point", "many_point", "near_boundary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterexampleFixture:
     kind: str
     config: PointConfig

@@ -37,7 +37,7 @@ __all__ = [
 DRIFT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots X(0..T) over one index set, with centers shared across time.
 
@@ -48,7 +48,7 @@ class Trajectory:
 
     snapshots: tuple[PointConfig, ...]
     centers: CenterSet
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         snaps = self.snapshots

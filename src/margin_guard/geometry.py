@@ -72,7 +72,15 @@ def _coordinate_matrix(rows, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _d_vector(point, d: int) -> np.ndarray:
+    """``point`` as a float array of shape (d,); a scalar, a shorter vector or a row is refused."""
+    p = np.asarray(point, dtype=float)
+    if p.shape != (d,):
+        raise ValueError(f"point must be a {d}-vector")
+    return p
+
+
+@dataclass(frozen=True, eq=False)
 class PointConfig:
     """Ordered tuple of n >= 2 labeled points in R^d."""
 
@@ -105,14 +113,14 @@ class PointConfig:
         if not 1 <= index <= self.n:
             raise ValueError(f"point index {index} outside 1..{self.n}")
         new = np.array(self.points)
-        new[index - 1] = np.asarray(coords, dtype=float)
+        new[index - 1] = _d_vector(coords, self.d)
         return PointConfig(new)
 
     def __repr__(self) -> str:
         return f"PointConfig(n={self.n}, d={self.d})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterSet:
     """Ordered list of k >= 2 pairwise-distinct fixed centers."""
 
@@ -141,7 +149,7 @@ class CenterSet:
         return f"CenterSet(k={self.k}, d={self.d})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Nearest-center labels and margins for one configuration.
 
@@ -300,10 +308,7 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
 def _point_nearest(point, centers: CenterSet, want: int = _MARGINS, label: int | None = None) -> tuple:
     """The first ``want`` of the kernel's outputs for one point: its label, margin and (k,) bisector row.
     A given ``label`` must be that label."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (centers.d,):
-        raise ValueError(f"point must be a {centers.d}-vector")
-    outs = tuple(out[0] for out in _nearest(p[None, :], centers.centers, want))
+    outs = tuple(out[0] for out in _nearest(_d_vector(point, centers.d)[None, :], centers.centers, want))
     if label is not None and label != outs[0]:
         raise ValueError(f"label {label} is not the nearest-center label (expected {outs[0]})")
     return outs

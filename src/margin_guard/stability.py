@@ -96,7 +96,7 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(vectors[:, None, :] @ vectors[:, :, None])[:, :, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionRadiusWitness:
     """A verified perturbation that changes the induced partition."""
 
@@ -171,7 +171,7 @@ def _radius_search(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Margin statistics, certified lower bound, and empirical upper bound. Labels, margins, k, the
     minimum margin and the fragile indices are read-only views of the ``assignment``."""

@@ -211,7 +211,9 @@ def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndar
     sum() is compensated from Python 3.12 on, so its last bits would depend on the Python version. Powers
     are Python's float ``**`` per element: numpy's array power and x * x differ from it in some last bits."""
     if model.kind == BOUNDED_DISK:
-        bounds = np.array([1.0 - r**model.dim if r < 1.0 else 0.0 for r in (margins / (2.0 * model.scale)).tolist()])
+        with np.errstate(over="ignore"):  # a ratio that overflows to inf has the exact tail 0
+            ratios = margins / (2.0 * model.scale)
+        bounds = np.array([1.0 - r**model.dim if r < 1.0 else 0.0 for r in ratios.tolist()])
     elif model.scale == 0.0:
         bounds = np.zeros(margins.shape)
     else:
@@ -329,7 +331,7 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
         yield labels, dists
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloReport:
     """Empirical switching estimates next to their analytic bounds.
 

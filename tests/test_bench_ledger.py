@@ -1,0 +1,48 @@
+"""Smoke test of bench/ledger.py, one round of each suite at a tiny size checked for its keys only (timings stay
+out of the test suite), and of the checked-in BENCH_<suite>.json ledgers, which must have the same shape."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = {
+    "coldstart": {"analyze", "trajectory", "sweep", "montecarlo_rho", "montecarlo_sigma"},
+    "scale": {"montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3", "montecarlo_two_g_sigma0.3", "sweep_two_g"},
+}
+ENTRY = {"command", "median_s", "peak_rss_mb", "wall_s", "ratio_to_reference", "report_sha256"}
+
+
+def check_shape(ledger: dict, suite: str, trees: set, repeats: int, n: int) -> None:
+    assert set(ledger) == {"environment", "suite", "n", "repeats", "reference", "trees"}
+    assert set(ledger["environment"]) == {"python", "numpy", "scipy", "nproc", "machine"}
+    assert (ledger["suite"], ledger["n"], ledger["repeats"]) == (suite, n, repeats)
+    assert set(ledger["reference"]) == ENTRY - {"ratio_to_reference", "report_sha256"}
+    assert len(ledger["reference"]["wall_s"]) == repeats * len(trees)
+    assert set(ledger["trees"]) == trees
+    for cmds in ledger["trees"].values():
+        assert set(cmds) == COMMANDS[suite]
+        for entry in cmds.values():
+            assert set(entry) == ENTRY and len(entry["wall_s"]) == repeats
+            assert entry["command"].startswith("python -m margin_guard ") and "/" not in entry["command"]
+            assert entry["median_s"] > 0 and entry["peak_rss_mb"] > 0 and entry["ratio_to_reference"] > 0
+            assert len(entry["report_sha256"]) == 64
+    # every tree printed the same reports
+    assert len({tuple(entry["report_sha256"] for entry in cmds.values()) for cmds in ledger["trees"].values()}) == 1
+
+
+@pytest.mark.parametrize("suite", sorted(COMMANDS))
+def test_one_round_writes_every_key(tmp_path, suite):
+    out = tmp_path / "ledger.json"
+    argv = [sys.executable, str(ROOT / "bench" / "ledger.py"), suite, "--repeats", "1", "--n", "300", "--out", str(out)]
+    subprocess.run(argv, check=True, capture_output=True, timeout=300)
+    check_shape(json.loads(out.read_text()), suite, {"current"}, 1, 300)
+
+
+@pytest.mark.parametrize("suite", sorted(COMMANDS))
+def test_checked_in_ledger_compares_parent_and_change(suite):
+    ledger = json.loads((ROOT / f"BENCH_{suite}.json").read_text())
+    check_shape(ledger, suite, {"parent", "change"}, ledger["repeats"], {"coldstart": 300, "scale": 10**5}[suite])

@@ -60,6 +60,11 @@ class TestAnalyze:
         assert main(["analyze", "--points", str(points), "--centers", str(centers)]) == 2
         assert "dimension mismatch" in capsys.readouterr().err
 
+    def test_unallocatable_input_exits_2(self, capsys):
+        # the preset's first array of 10**15 entries cannot be allocated, so the call fails at once
+        assert main(["analyze", "--preset", "two_gaussians", "--n", str(10**15)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_malformed_file_exits_2_naming_record(self, capsys, tmp_path, anchored_files):
         _, centers = anchored_files
         bad = tmp_path / "bad.csv"
@@ -442,14 +447,16 @@ class TestHugeNoiseScales:
 
 class TestTinyGaussianScales:
     """8 sigma^2 underflows to 0 below sigma = 1.6e-162 and is subnormal just above, so the Gaussian tail
-    bound once printed numpy's divide-by-zero or overflow warnings. A child process has numpy's default
-    warning filters, under which such a warning goes to stderr."""
+    bound once printed numpy's divide-by-zero or overflow warnings; so did the ball's margin / (2 rho)
+    below rho = 1e-309. A child process has numpy's default warning filters, under which such a warning
+    goes to stderr."""
 
-    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160", "1e-155"])
-    def test_exits_0_with_empty_stderr(self, sigma):
+    @pytest.mark.parametrize("noise", [["--sigma", "1e-200"], ["--sigma", "1e-160"], ["--sigma", "1e-155"],
+                                       ["--rho", "1e-320"]], ids=["1e-200", "1e-160", "1e-155", "rho-1e-320"])
+    def test_exits_0_with_empty_stderr(self, noise):
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
-            [sys.executable, "-m", "margin_guard", "montecarlo", "--preset", "near_boundary", "--sigma", sigma],
+            [sys.executable, "-m", "margin_guard", "montecarlo", "--preset", "near_boundary", *noise],
             capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
         )
         assert (done.returncode, done.stderr) == (0, "")

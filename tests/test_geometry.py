@@ -7,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from margin_guard import (
     CenterSet,
+    PerturbationModel,
     PointConfig,
+    Trajectory,
+    analyze_stability,
     assign_nearest,
     geometry,
     margin,
+    monte_carlo,
     nearest_label,
     perturbation_size,
+    single_point_instability,
 )
 from conftest import bisector_distances, peak_traced_mib
 
@@ -93,6 +98,12 @@ class TestConstruction:
         assert np.array_equal(moved.points[0], cfg.points[0])
         with pytest.raises(ValueError):
             cfg.with_point(3, [0.0, 0.0])
+
+    @pytest.mark.parametrize("coords", [5.0, [7.0], [[5.0, 5.0]]])
+    def test_with_point_refuses_anything_but_a_d_vector(self, coords):
+        # numpy would broadcast each of these into the row
+        with pytest.raises(ValueError, match="point must be a 2-vector"):
+            PointConfig([[0.0, 0.0], [1.0, 1.0]]).with_point(1, coords)
 
 
 class TestAssignNearest:
@@ -328,3 +339,24 @@ class TestDistanceKernel:
         result = assign_nearest(anchored_config, two_centers)
         assert calls == [2, 1]  # row blocks of 2 points
         assert list(result.labels) == [1, 2, 2] and result.margins.tolist() == pytest.approx([2.0, 2.0, 0.2])
+
+
+_POINTS, _CENTERS = [[-2.0, 0.0], [2.0, 0.0], [0.1, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PointConfig(_POINTS),
+    lambda: CenterSet(_CENTERS),
+    lambda: assign_nearest(PointConfig(_POINTS), CenterSet(_CENTERS)),
+    lambda: Trajectory([_POINTS, _POINTS], CenterSet(_CENTERS)),
+    lambda: analyze_stability(PointConfig(_POINTS), CenterSet(_CENTERS)),
+    lambda: analyze_stability(PointConfig(_POINTS), CenterSet(_CENTERS)).witness,
+    lambda: monte_carlo(PointConfig(_POINTS), CenterSet(_CENTERS), PerturbationModel.bounded_disk(0.3), 4, seed=0),
+    lambda: single_point_instability(1.0),
+], ids=["PointConfig", "CenterSet", "Assignment", "Trajectory", "StabilityReport", "PartitionRadiusWitness",
+        "MonteCarloReport", "CounterexampleFixture"])
+def test_value_types_compare_and_hash_by_identity(build):
+    # generated from ndarray fields, == raised numpy's ambiguous-truth error and hash() raised TypeError
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
