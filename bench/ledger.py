@@ -2,17 +2,18 @@
 
 Usage, from the repository root:
 
-    python3 bench/ledger.py SUITE [--repeats R] [--n N] [--tree NAME=SRC ...] [--out PATH]
+    python3 bench/ledger.py SUITE --out PATH [--repeats R] [--n N] [--tree NAME=SRC ...]
 
 Every CLI call starts a new interpreter, so its import time is part of what a
 user waits for. Each command of SUITE runs as a fresh ``python -m margin_guard``
 child with the source directory SRC on PYTHONPATH (default: this checkout's
 src/, named ``current``), in a temporary directory that holds the suite's
 inputs, so no recorded command names a local path. Wall time is taken around
-the child, and its peak RSS comes from ``os.wait4``. ``coldstart`` runs the
-subcommands on the inputs of tests/golden/cli and takes no N. ``scale`` runs
-them on N points in d = 2: the two_gaussians preset, and ``k64`` from
-``write_k64``.
+the child, and its peak RSS comes from ``os.wait4``. Each suite carries the
+point count N its commands run at, which --n overrides. ``coldstart`` runs the
+subcommands on the inputs of tests/golden/cli at N = 300, the size of its
+goldens, which hold only at that N. ``scale`` runs them on N = 10^5 points in
+d = 2: the two_gaussians preset, and ``k64`` from ``write_k64``.
 
 Every run of a command, in every tree, must print the same report, whose
 SHA-256 the ledger records; a command that names a golden file must print it
@@ -21,7 +22,8 @@ each tree's commands in every round. Host load moves it with the children, so
 each command's median over the reference's median is steadier than either
 time alone. Trees run in alternating order from round to round, so a drift in
 host speed falls on every tree alike. The ledger, with per-run wall times, is
-written as JSON (default BENCH_<SUITE>.json at the repository root).
+written as JSON to --out, which has no default, so that no smoke run overwrites
+a checked-in BENCH_<SUITE>.json.
 """
 
 from __future__ import annotations
@@ -68,11 +70,12 @@ def write_k64(directory: Path, n: int) -> None:
         (directory / name).write_text(f"x1,x2\n{body}\n")
 
 
-GAUSS = ["--preset", "two_gaussians", "--n", "300", "--seed", "0"]
+GAUSS = ["--preset", "two_gaussians", "--n", "N", "--seed", "0"]
 K64 = ["--points", "k64.points.csv", "--centers", "k64.centers.csv"]
-# suite: (input writer, {name: (argv after ``python -m margin_guard`` with N for the point count, golden or None)})
+# suite: (input writer, default N, {name: (argv after ``python -m margin_guard`` with N for the point count,
+# golden or None)})
 SUITES = {
-    "coldstart": (copy_trajectory_input, {
+    "coldstart": (copy_trajectory_input, 300, {
         "analyze": (["analyze", *GAUSS, "--epsilon", "0.1"], "analyze_two_gaussians_n300.json"),
         "trajectory": (["trajectory", "--points", "trajectory_long_input.json", "--eta", "0.2", "--seed", "0"],
                        "trajectory_long.json"),
@@ -82,7 +85,7 @@ SUITES = {
         "montecarlo_sigma": (["montecarlo", *GAUSS, "--sigma", "0.2", "--trials", "100"],
                              "montecarlo_sigma_two_gaussians_n300.json"),
     }),
-    "scale": (write_k64, {
+    "scale": (write_k64, 10**5, {
         "montecarlo_k64_sigma0.05": (["montecarlo", *K64, "--sigma", "0.05", "--trials", "200", "--seed", "0"], None),
         "montecarlo_k64_sigma0.3": (["montecarlo", *K64, "--sigma", "0.3", "--trials", "20", "--seed", "0"], None),
         "montecarlo_two_g_sigma0.3": (["montecarlo", "--preset", "two_gaussians", "--n", "N", "--sigma", "0.3",
@@ -116,7 +119,7 @@ def summary(args: list[str], runs: list[tuple[float, float]]) -> dict:
 
 
 def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
-    write_inputs, table = SUITES[suite]
+    write_inputs, _, table = SUITES[suite]
     argvs = {cmd: ["-m", "margin_guard", *(str(n) if a == "N" else a for a in argv)] for cmd, (argv, _) in table.items()}
     # a command's golden fixes its digest before the first run; without one, the first run fixes it
     digests = {cmd: hashlib.sha256((ROOT / GOLDEN / golden).read_bytes()).hexdigest()
@@ -168,16 +171,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--repeats", type=int, default=5, help="rounds; each runs every command once per tree")
-    p.add_argument("--n", type=int, default=10**5, help="point count N in a suite's commands and inputs")
+    p.add_argument("--n", type=int, help="point count N in a suite's commands and inputs (default: the suite's)")
     p.add_argument("--tree", type=parse_tree, action="append", metavar="NAME=SRC",
                    help="a source directory to measure, repeatable (default: current=src)")
-    p.add_argument("--out", type=Path, help="ledger file (default: BENCH_<SUITE>.json at the repository root)")
+    p.add_argument("--out", type=Path, required=True, help="ledger file")
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("--repeats must be >= 1")
     trees = dict(args.tree or [("current", str(ROOT / "src"))])
-    ledger = measure(args.suite, trees, args.repeats, args.n)
-    (args.out or ROOT / f"BENCH_{args.suite}.json").write_text(json.dumps(ledger, indent=2) + "\n")
+    ledger = measure(args.suite, trees, args.repeats, SUITES[args.suite][1] if args.n is None else args.n)
+    args.out.write_text(json.dumps(ledger, indent=2) + "\n")
     for name, cmds in ledger["trees"].items():
         for cmd, entry in cmds.items():
             print(f"{name:>10} {cmd:<26} {entry['median_s']:.3f} s  x{entry['ratio_to_reference']:.2f}"

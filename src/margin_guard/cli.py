@@ -5,6 +5,11 @@ radius report), sweep (distance vs. noise radius table), preset (input file
 generation), trajectory (time-series report), montecarlo (random-noise
 estimates vs. analytic bounds), and construct (instability fixture emitter).
 
+Each subcommand returns its report as (payload, table): a function that builds
+the JSON dict, and (columns, rows, notes) for csv_table or None, each built only
+when written. main alone formats it by --format and writes it to --out or
+stdout; only preset writes its own two CSV files.
+
 Exit codes: 0 success, 2 input or usage error, 3 internal invariant violation.
 The default seed is 0, overridden by the MARGIN_GUARD_SEED environment
 variable, which is in turn overridden by --seed.
@@ -151,36 +156,23 @@ def _resolve_inputs(args, seed: int):
     return read_points(args.points), read_centers(args.centers)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     seed = _resolve_seed(args)
     config, centers = _resolve_inputs(args, seed)
     report = analyze_stability(config, centers)
-    certificate, candidates = {}, frozenset()
+    notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
+    columns = ["index", "label", "margin", "switch_radius"]
+    rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
+    fields = {}  # the JSON report's --epsilon fields
     if args.epsilon is not None:
-        assignment = report.assignment
-        certificate = {"epsilon": args.epsilon, "certified_no_switch": no_switch_certificate(assignment, args.epsilon)}
-        candidates = switch_candidates(assignment, args.epsilon)
-    if args.format == "csv":
-        notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
-        columns = ["index", "label", "margin", "switch_radius"]
-        rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
-        if certificate:
-            columns.append("switch_candidate")
-            rows = [(*row, row[0] in candidates) for row in rows]
-        _emit(csv_table(columns, rows, **notes, **certificate), args.out)
-        return 0
-    payload = report.to_json_dict()
-    if certificate:
-        payload.update(certificate, switch_candidates=sorted(candidates))
-    _emit(dump_json(payload), args.out)
-    return 0
+        certificate = {"epsilon": args.epsilon,
+                       "certified_no_switch": no_switch_certificate(report.assignment, args.epsilon)}
+        candidates = switch_candidates(report.assignment, args.epsilon)
+        notes.update(certificate)
+        fields = {**certificate, "switch_candidates": sorted(candidates)}
+        columns.append("switch_candidate")
+        rows = ((*row, row[0] in candidates) for row in rows)
+    return lambda: {**report.to_json_dict(), **fields}, (columns, rows, notes)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -190,39 +182,34 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--grid must be comma-separated numbers, got {text!r}") from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     seed = _resolve_seed(args)
     config, centers = _resolve_inputs(args, seed)
     result = sweep_table(config, centers, _parse_grid(args.grid), trials=args.trials, seed=seed)
-    if args.format == "csv":
-        rows = [(r.epsilon, r.mean_distance, r.max_distance, r.below_threshold) for r in result.rows]
-        _emit(csv_table(["epsilon", "mean_S", "max_S", "threshold_flag"], rows, threshold=result.threshold), args.out)
-    else:
-        _emit(dump_json(result.to_json_dict()), args.out)
-    return 0
+    rows = ((r.epsilon, r.mean_distance, r.max_distance, r.below_threshold) for r in result.rows)
+    columns = ["epsilon", "mean_S", "max_S", "threshold_flag"]
+    return result.to_json_dict, (columns, rows, {"threshold": result.threshold})
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args):
     seed = _resolve_seed(args)
     config, centers = make_preset(
         args.name, n=args.n, sigma0=args.sigma0, seed=seed,
         epsilon=args.epsilon, m=args.m, delta=args.delta,
     )
-    if args.format == "csv":
-        if args.out is None:
-            raise ValueError("csv preset output needs --out (two files are written)")
-        points_path = Path(f"{args.out}.points.csv")
-        centers_path = Path(f"{args.out}.centers.csv")
-        points_path.write_text(points_to_csv(config))
-        centers_path.write_text(centers_to_csv(centers))
-        sys.stdout.write(f"wrote {points_path} and {centers_path}\n")
-        return 0
-    payload = {**points_to_json_dict(config), **centers_to_json_dict(centers), "preset": args.name}
-    _emit(dump_json(payload), args.out)
-    return 0
+    if args.format == "json":
+        return lambda: {**points_to_json_dict(config), **centers_to_json_dict(centers), "preset": args.name}, None
+    if args.out is None:
+        raise ValueError("csv preset output needs --out (two files are written)")
+    points_path = Path(f"{args.out}.points.csv")
+    centers_path = Path(f"{args.out}.centers.csv")
+    points_path.write_text(points_to_csv(config))
+    centers_path.write_text(centers_to_csv(centers))
+    sys.stdout.write(f"wrote {points_path} and {centers_path}\n")
+    return None
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args):
     _resolve_seed(args)  # the pass draws nothing, but a bad seed is an error here as everywhere
     traj = read_trajectory_file(args.points, args.centers)
     if traj.horizon < 1:
@@ -234,44 +221,34 @@ def cmd_trajectory(args) -> int:
     certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]
     stepwise = run.stepwise()
 
-    if args.format == "csv":
-        columns = ["step", "delta", "cumulative_budget", "persistence_certified", "stepwise_pass",
-                   "distance_from_initial"]
-        rows = zip(range(traj.horizon), run.deltas, budgets, [c.certified for c in certs], stepwise, run.distances[1:])
-        _emit(csv_table(columns, rows), args.out)
-        return 0
+    def payload() -> dict:
+        doc = {
+            "snapshots": traj.horizon + 1,
+            "n": traj.n,
+            "d": traj.d,
+            "centers_fixed_over_time": True,
+            "initial_min_margin": certs[0].initial_radius_lower_bound * 2.0,
+            "initial_radius_lower_bound": certs[0].initial_radius_lower_bound,
+            "step_sizes": run.deltas.tolist(),
+            "cumulative_budget": budgets.tolist(),
+            "persistence": [{"horizon": c.horizon, "cumulative_budget": c.cumulative_budget, "certified": c.certified}
+                            for c in certs],
+            "stepwise_pass": stepwise,
+            "distance_from_initial": run.distances,
+        }
+        if args.eta is not None:
+            tau = run.instability_time(args.eta)
+            doc.update(eta=args.eta, instability_time=tau)
+            if tau is None:
+                doc["instability_time_note"] = "not observed within horizon"
+        return doc
 
-    payload = {
-        "snapshots": traj.horizon + 1,
-        "n": traj.n,
-        "d": traj.d,
-        "centers_fixed_over_time": True,
-        "initial_min_margin": certs[0].initial_radius_lower_bound * 2.0,
-        "initial_radius_lower_bound": certs[0].initial_radius_lower_bound,
-        "step_sizes": run.deltas.tolist(),
-        "cumulative_budget": budgets.tolist(),
-        "persistence": [
-            {
-                "horizon": c.horizon,
-                "cumulative_budget": c.cumulative_budget,
-                "certified": c.certified,
-            }
-            for c in certs
-        ],
-        "stepwise_pass": stepwise,
-        "distance_from_initial": run.distances,
-    }
-    if args.eta is not None:
-        tau = run.instability_time(args.eta)
-        payload["eta"] = args.eta
-        payload["instability_time"] = tau
-        if tau is None:
-            payload["instability_time_note"] = "not observed within horizon"
-    _emit(dump_json(payload), args.out)
-    return 0
+    columns = ["step", "delta", "cumulative_budget", "persistence_certified", "stepwise_pass", "distance_from_initial"]
+    rows = zip(range(traj.horizon), run.deltas, budgets, (c.certified for c in certs), stepwise, run.distances[1:])
+    return payload, (columns, rows, {})
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args):
     seed = _resolve_seed(args)
     config, centers = _resolve_inputs(args, seed)
     if (args.rho is None) == (args.sigma is None):
@@ -281,20 +258,12 @@ def cmd_montecarlo(args) -> int:
     else:
         model = PerturbationModel.gaussian(args.sigma, dim=config.d)
     report = monte_carlo(config, centers, model, trials=args.trials, seed=seed)
-    if args.format == "csv":
-        rows = zip(range(report.trials), report.trial_switch_counts, report.trial_distances)
-        _emit(csv_table(["trial", "n_switched", "partition_distance"], rows), args.out)
-    else:
-        _emit(dump_json(report.to_json_dict()), args.out)
-    return 0
+    rows = zip(range(report.trials), report.trial_switch_counts, report.trial_distances)
+    return report.to_json_dict, (["trial", "n_switched", "partition_distance"], rows, {})
 
 
-def cmd_construct(args) -> int:
-    if args.format != "json":
-        raise ValueError("construct emits JSON fixtures only")
-    fx = make_fixture(args.name, epsilon=args.epsilon, m=args.m, delta=args.delta)
-    _emit(dump_json(fx.to_json_dict()), args.out)
-    return 0
+def cmd_construct(args):
+    return make_fixture(args.name, epsilon=args.epsilon, m=args.m, delta=args.delta).to_json_dict, None
 
 
 def main(argv=None) -> int:
@@ -304,7 +273,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:
+            payload, table = report
+            if args.format == "json":
+                text = dump_json(payload())
+            elif table is None:
+                raise ValueError(f"{args.command} emits JSON only")
+            else:
+                columns, rows, notes = table
+                text = csv_table(columns, rows, **notes)
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                Path(args.out).write_text(text)
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

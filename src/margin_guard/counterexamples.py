@@ -77,6 +77,22 @@ def single_point_instability(epsilon: float) -> CounterexampleFixture:
     return replace(near_boundary_instability(epsilon / 4.0), kind="single_point")
 
 
+def _crossing(kind: str, delta: float, ys: list[float]) -> CounterexampleFixture:
+    """Anchors 1 and 2 at (-2, 0) and (2, 0); indices 3.. sit at (delta, y) for each y in ``ys`` and
+    all move to (-delta, y), which flips the partition from {{1}, {2, 3, ...}} to {{1, 3, ...}, {2}}."""
+    n = len(ys) + 2
+    rows = np.array([[-2.0, 0.0], [2.0, 0.0]] + [[delta, y] for y in ys])
+    config = PointConfig(rows)
+    rows[2:, 0] = -delta
+    perturbed = PointConfig(rows)
+    return CounterexampleFixture(
+        kind=kind, config=config, perturbed=perturbed, centers=STANDARD_CENTERS,
+        expected_before=Partition([[1], list(range(2, n + 1))], n=n),
+        expected_after=Partition([[1] + list(range(3, n + 1)), [2]], n=n),
+        perturbation_size=perturbation_size(config, perturbed),
+    )
+
+
 def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
     """m near-boundary points all cross at once under a 2*delta move.
 
@@ -88,21 +104,7 @@ def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
         raise ValueError("epsilon must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    delta = epsilon / 4.0
-    rows = [[-2.0, 0.0], [2.0, 0.0]] + [[delta, float(i)] for i in range(1, m + 1)]
-    config = PointConfig(np.array(rows))
-    moved = np.array(rows)
-    moved[2:, 0] = -delta
-    perturbed = PointConfig(moved)
-    return CounterexampleFixture(
-        kind="many_point",
-        config=config,
-        perturbed=perturbed,
-        centers=STANDARD_CENTERS,
-        expected_before=Partition([[1], list(range(2, m + 3))], n=m + 2),
-        expected_after=Partition([[1] + list(range(3, m + 3)), [2]], n=m + 2),
-        perturbation_size=perturbation_size(config, perturbed),
-    )
+    return _crossing("many_point", epsilon / 4.0, [float(i) for i in range(1, m + 1)])
 
 
 def near_boundary_instability(delta: float) -> CounterexampleFixture:
@@ -114,17 +116,7 @@ def near_boundary_instability(delta: float) -> CounterexampleFixture:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    config = PointConfig(np.array([[-2.0, 0.0], [2.0, 0.0], [delta, 0.0]]))
-    perturbed = config.with_point(3, [-delta, 0.0])
-    return CounterexampleFixture(
-        kind="near_boundary",
-        config=config,
-        perturbed=perturbed,
-        centers=STANDARD_CENTERS,
-        expected_before=Partition([[1], [2, 3]], n=3),
-        expected_after=Partition([[1, 3], [2]], n=3),
-        perturbation_size=perturbation_size(config, perturbed),
-    )
+    return _crossing("near_boundary", delta, [0.0])
 
 
 def make_fixture(name: str, epsilon: float = 1.0, m: int = 1, delta: float = 0.1) -> CounterexampleFixture:

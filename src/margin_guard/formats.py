@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import Trajectory
 from .geometry import CenterSet, PointConfig
-from .partitions import Partition
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -40,7 +40,6 @@ __all__ = [
     "read_centers",
     "trajectory_to_json_dict",
     "read_trajectory_file",
-    "partition_from_lists",
 ]
 
 SCHEMA_VERSION = 1
@@ -314,8 +313,6 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     order, and requires the centers from a separate file. Either way the
     snapshots become one (T+1, n, d) array, checked once as a whole.
     """
-    from .dynamics import Trajectory  # local import to avoid a cycle
-
     path = Path(path)
     doc = {}
     if path.suffix.lower() == ".json":
@@ -343,8 +340,3 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     else:
         raise ValueError(f"{path}: no centers in the file and no centers file given")
     return Trajectory(stack, centers)
-
-
-def partition_from_lists(lists, n: int) -> Partition:
-    """Partition from its canonical JSON form (list of 1-based index lists)."""
-    return Partition(lists, n=n)

@@ -15,9 +15,9 @@ minima alone (the switch radii, also Monte Carlo's base pass). Its row blocks
 hold at most ``_BLOCK_ENTRIES`` (point, center, coordinate) entries, so its
 memory beyond its outputs does not grow with n. Each ``Assignment`` of a
 configuration comes through ``_assign``. ``_no_switch`` is the one no-switch
-rule (size 0, or size < min_margin / 2), ``_row_norms`` the one
-displacement-norm formula and ``_max_displacement`` the one max per-point
-displacement formula.
+rule (size 0, or size < min_margin / 2), ``_row_norms`` the one row-norm
+formula (displacements, noise and the radius search's directions) and
+``_max_displacement`` the one max per-point displacement formula.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .geometry import (_BISECTORS, _LABELS, _RADII, Assignment, CenterSet, PointConfig, _assign, _nearest, _no_switch,
-                       _point_nearest, _row_blocks, assign_nearest, perturbation_size)
+                       _point_nearest, _row_blocks, _row_norms, assign_nearest, perturbation_size)
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
@@ -89,13 +89,6 @@ def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: 
     return radii
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """(m, 1) Euclidean norms of the rows of an (m, d) array, each bit for bit np.linalg.norm of
-    its row: the stacked matmul takes one BLAS dot per row, as the 1-d norm does, where
-    np.linalg.norm(axis=1) sums the squares in another order."""
-    return np.sqrt(vectors[:, None, :] @ vectors[:, :, None])[:, :, 0]
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionRadiusWitness:
     """A verified perturbation that changes the induced partition."""
@@ -152,7 +145,7 @@ def _radius_search(
         rows, cols = np.divmod(block, centers.k)
         own = labels[rows]
         direction = ctr[cols] - ctr[own]
-        points = config.points[rows] + steps[block][:, None] * (direction / _row_norms(direction))
+        points = config.points[rows] + steps[block][:, None] * (direction / _row_norms(direction)[:, None])
         new = _nearest(points, ctr, _LABELS)[0] - 1  # ties to the lowest index
         accepted = np.flatnonzero((new != own) & ((sizes[own] != 1) | (sizes[new] != 0)))
         if accepted.size:

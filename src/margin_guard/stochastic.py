@@ -175,9 +175,12 @@ def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
     radii = model.scale * np.array([rng.random(n) for rng in rngs]) ** (1.0 / model.dim)
     eta = g * (radii / _row_norms(g))[..., None]
     # the norm bound is a hard guarantee, in the norm the candidate filter computes; nudge any float overshoot back
-    out_norms = _row_norms(eta)
+    # an ulp at a time; past 64 nudges each doubles, as an ulp may never move a norm whose squares are subnormal
+    out_norms, shrink, nudges = _row_norms(eta), 2.0**-53, 0
     while (over := out_norms > model.scale).any():
-        eta[over] *= np.nextafter(1.0, 0.0)
+        eta[over] *= 1.0 - shrink
+        nudges += 1
+        shrink *= 2.0 if nudges > 64 else 1.0
         out_norms = _row_norms(eta)
     return eta
 

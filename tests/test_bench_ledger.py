@@ -36,10 +36,21 @@ def check_shape(ledger: dict, suite: str, trees: set, repeats: int, n: int) -> N
 
 @pytest.mark.parametrize("suite", sorted(COMMANDS))
 def test_one_round_writes_every_key(tmp_path, suite):
+    # coldstart runs at its own N, 300, without --n; scale is shrunk to it
     out = tmp_path / "ledger.json"
-    argv = [sys.executable, str(ROOT / "bench" / "ledger.py"), suite, "--repeats", "1", "--n", "300", "--out", str(out)]
-    subprocess.run(argv, check=True, capture_output=True, timeout=300)
+    argv = [sys.executable, str(ROOT / "bench" / "ledger.py"), suite, "--repeats", "1", "--out", str(out)]
+    subprocess.run(argv + ([] if suite == "coldstart" else ["--n", "300"]), check=True, capture_output=True,
+                   timeout=300)
     check_shape(json.loads(out.read_text()), suite, {"current"}, 1, 300)
+
+
+def test_a_run_without_out_exits_2_and_writes_no_ledger():
+    before = {path: path.read_bytes() for path in ROOT.glob("BENCH_*.json")}
+    argv = [sys.executable, str(ROOT / "bench" / "ledger.py"), "coldstart", "--repeats", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "--out" in done.stderr
+    assert {path: path.read_bytes() for path in ROOT.glob("BENCH_*.json")} == before
+    assert len(before) == 2
 
 
 @pytest.mark.parametrize("suite", sorted(COMMANDS))

@@ -184,8 +184,11 @@ class TestConstruct:
         doc = run_json(capsys, ["construct", "near_boundary", "--delta", "0.1"])
         assert doc["perturbation_size"] == pytest.approx(0.2)
 
-    def test_csv_not_supported(self, capsys):
-        assert main(["construct", "single_point", "--format", "csv"]) == 2
+    def test_csv_not_supported(self, capsys, tmp_path):
+        out = tmp_path / "fixture.csv"
+        assert main(["construct", "single_point", "--format", "csv", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: construct emits JSON only\n")
+        assert not out.exists()
 
     def test_bad_epsilon_exits_2(self, capsys):
         assert main(["construct", "single_point", "--epsilon", "-1"]) == 2
@@ -546,6 +549,37 @@ def test_output_file_writing(tmp_path, anchored_files):
     assert main(["analyze", "--points", points, "--centers", centers, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
+
+
+TRAJECTORY_INPUT = str(Path(__file__).parent / "golden" / "cli" / "trajectory_input.json")
+NEAR = ["--preset", "near_boundary", "--seed", "2"]
+
+
+OUT_CASES = {
+    "analyze-json": ["analyze", *NEAR],
+    "analyze-csv": ["analyze", *NEAR, "--format", "csv"],
+    "analyze-epsilon-json": ["analyze", *NEAR, "--epsilon", "0.05"],
+    "analyze-epsilon-csv": ["analyze", *NEAR, "--epsilon", "0.05", "--format", "csv"],
+    "sweep-json": ["sweep", *NEAR, "--grid", "0.05,0.5", "--trials", "5"],
+    "sweep-csv": ["sweep", *NEAR, "--grid", "0.05,0.5", "--trials", "5", "--format", "csv"],
+    "trajectory-json": ["trajectory", "--points", TRAJECTORY_INPUT, "--eta", "0.5"],
+    "trajectory-csv": ["trajectory", "--points", TRAJECTORY_INPUT, "--format", "csv"],
+    "montecarlo-json": ["montecarlo", *NEAR, "--rho", "0.15", "--trials", "20"],
+    "montecarlo-csv": ["montecarlo", *NEAR, "--sigma", "0.1", "--trials", "20", "--format", "csv"],
+    "preset-json": ["preset", "two_gaussians", "--n", "6"],
+    "construct-json": ["construct", "many_point", "--m", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_CASES.values(), ids=OUT_CASES)
+def test_out_receives_the_bytes_stdout_would(capsys, tmp_path, argv):
+    # main alone formats and writes every report, so --out PATH and stdout get the same text
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.encode()
 
 
 HELP_COMMANDS = ["", "analyze", "sweep", "preset", "trajectory", "montecarlo", "construct"]

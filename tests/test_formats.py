@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from margin_guard import CenterSet, PointConfig, Trajectory, formats
+from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats
 from margin_guard.formats import (
     centers_to_csv,
     centers_to_json_dict,
     dump_json,
     format_float,
-    partition_from_lists,
     points_to_csv,
     points_to_json_dict,
     read_centers,
@@ -400,7 +399,8 @@ class TestJsonCoordinates:
 
 
 def test_partition_from_lists():
-    p = partition_from_lists([[1, 3], [2]], n=3)
+    # a report's canonical partition form (1-based index lists) reads back through Partition itself
+    p = Partition([[1, 3], [2]], n=3)
     assert p.blocks == ((1, 3), (2,))
     with pytest.raises(ValueError):
-        partition_from_lists([[1], [2]], n=3)
+        Partition([[1], [2]], n=3)

@@ -14,6 +14,7 @@ import pytest
 
 from margin_guard import (
     CenterSet,
+    Partition,
     PointConfig,
     assign_nearest,
     induced_partition,
@@ -22,7 +23,7 @@ from margin_guard import (
     perturbation_size,
     single_point_instability,
 )
-from margin_guard.formats import dump_json, partition_from_lists
+from margin_guard.formats import dump_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,7 +49,7 @@ def test_golden_data_reproduces_expected_partitions(filename):
     n = config.n
     before = induced_partition(assign_nearest(config, centers))
     after = induced_partition(assign_nearest(perturbed, centers))
-    assert before == partition_from_lists(doc["expected_before"], n)
-    assert after == partition_from_lists(doc["expected_after"], n)
+    assert before == Partition(doc["expected_before"], n=n)
+    assert after == Partition(doc["expected_after"], n=n)
     assert before != after
     assert perturbation_size(config, perturbed) == doc["perturbation_size"]

@@ -235,7 +235,7 @@ def candidate_loop_search(config, centers, slack_rel=1e-9, slack_floor=1e-12):
     for step, pos, j in candidates:
         own = assignment.labels[pos]
         direction = centers.centers[j - 1] - centers.centers[own - 1]
-        direction = direction / np.linalg.norm(direction)
+        direction = direction / np.linalg.norm(direction, axis=-1)
         moved = config.with_point(pos + 1, config.points[pos] + step * direction)
         after = induced_partition(assign_nearest(moved, centers))
         if after != before:
@@ -254,7 +254,7 @@ def full_reassignment_search(config, centers):
     for c in np.lexsort((cols, rows, steps)):
         pos, step = int(rows[c]), float(steps[c])
         direction = centers.centers[cols[c]] - centers.centers[assignment.labels[pos] - 1]
-        moved = config.with_point(pos + 1, config.points[pos] + step * (direction / np.linalg.norm(direction)))
+        moved = config.with_point(pos + 1, config.points[pos] + step * (direction / np.linalg.norm(direction, axis=-1)))
         after = induced_partition(assign_nearest(moved, centers))
         if after != before:
             return PartitionRadiusWitness(perturbation_size(config, moved), moved, pos + 1, after)
@@ -348,7 +348,7 @@ class TestSearchAgainstCandidateLoop:
             step = r + max(1e-9 * r, 1e-12)
             own = centers.centers[report.labels[pos] - 1]
             moves = [
-                config.points[pos] + step * ((c - own) / np.linalg.norm(c - own))
+                config.points[pos] + step * ((c - own) / np.linalg.norm(c - own, axis=-1))
                 for j, c in enumerate(centers.centers)
                 if j != report.labels[pos] - 1
             ]
@@ -455,18 +455,14 @@ class TestBatchedSearch:
         assert done.returncode == 0, done.stderr
         assert '"empirical_partition_radius": null' in done.stdout
 
-    @given(
-        st.integers(1, 12),
-        st.integers(0, 2**32 - 1),
-        st.floats(-3.0, 100.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_row_norms_match_the_1d_norm_bit_for_bit(self, d, seed, exponent):
-        rng = np.random.default_rng(seed)
-        vectors = rng.normal(size=(64, d)) * 10.0 ** rng.uniform(-3.0, exponent, (64, 1))
-        norms = stability._row_norms(vectors)
-        assert norms.shape == (64, 1)
-        assert norms[:, 0].tobytes() == np.array([np.linalg.norm(v) for v in vectors]).tobytes()
+    def test_direction_norm_is_the_row_norm_formula(self):
+        # k = 8, n = 200 at unit scale: here the witness's last bits differed when each direction's norm
+        # was a BLAS dot, which is not sqrt(x*x + y*y) for every 2-d vector
+        rng = np.random.default_rng(90)
+        centers = rng.normal(size=(8, 2))
+        config = PointConfig(centers[rng.integers(0, 8, 200)] + rng.normal(0.0, 0.3, (200, 2)))
+        centers = CenterSet(centers)
+        assert_same_witness(analyze_stability(config, centers).witness, full_reassignment_search(config, centers))
 
     def test_memory_stays_near_the_step_matrix(self):
         # 64 centers with 10^5 points around them; building and sorting all n (k - 1) candidates took

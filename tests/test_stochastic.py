@@ -84,6 +84,22 @@ class TestSampling:
             eta = _noise(model, 100, [rng])[0]
             assert (np.linalg.norm(eta, axis=1) <= 0.37).all()
 
+    def test_subnormal_squares_end_the_norm_nudges(self, monkeypatch):
+        # rho = 1e-160 in d = 8: every square of this draw's row 5 is subnormal, so its computed norm stayed at
+        # 1.00024e-160 under one-ulp nudges, and the draw never returned
+        norms, calls = geometry._row_norms, []
+
+        def counted(v):
+            calls.append(v.shape)
+            assert len(calls) < 1000, "the nudges do not end"
+            return norms(v)
+
+        monkeypatch.setattr(stochastic, "_row_norms", counted)
+        model = PerturbationModel.bounded_disk(1e-160, dim=8)
+        eta = _noise(model, 6, [np.random.default_rng(191)])[0]
+        assert (norms(eta) <= 1e-160).all()
+        assert np.array_equal(eta, noise_one_trial(model, 6, np.random.default_rng(191)))
+
     def test_gaussian_zero_scale_is_identity(self, anchored_config):
         model = PerturbationModel.gaussian(0.0, dim=2)
         out = sample_perturbation(model, anchored_config, 123)
@@ -466,8 +482,11 @@ def noise_one_trial(model, n, rng):
     radii = model.scale * rng.random(n) ** (1.0 / model.dim)
     eta = g * (radii / norms)[:, None]
     out_norms = np.linalg.norm(eta, axis=1)
-    while (over := out_norms > model.scale).any():
-        eta[over] *= np.nextafter(1.0, 0.0)
+    factors = [np.nextafter(1.0, 0.0)] * 65 + [1.0 - 2.0**e for e in range(-52, 1)]
+    for factor in factors:
+        if not (over := out_norms > model.scale).any():
+            break
+        eta[over] *= factor
         out_norms = np.linalg.norm(eta, axis=1)
     return eta
 
