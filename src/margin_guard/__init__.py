@@ -1,114 +1,27 @@
-"""Stability analysis for nearest-center clustering partitions under perturbation."""
+"""Stability analysis for nearest-center clustering partitions under perturbation.
 
-from .counterexamples import (
-    CounterexampleFixture,
-    many_point_instability,
-    near_boundary_instability,
-    single_point_instability,
-)
-from .dynamics import (
-    DriftCheck,
-    PersistenceCertificate,
-    Trajectory,
-    cumulative_drift_check,
-    instability_time,
-    persistence_certificate,
-    snapshot_partitions,
-    step_sizes,
-    stepwise_stability_check,
-)
-from .errors import InvariantViolation
-from .geometry import (
-    Assignment,
-    CenterSet,
-    PointConfig,
-    assign_nearest,
-    margin,
-    nearest_label,
-    perturbation_size,
-)
-from .partitions import (
-    PairRelation,
-    Partition,
-    induced_partition,
-    iter_partitions,
-    pair_disagreements,
-    partition_distance,
-    switched_index_distance_bound,
-)
-from .presets import make_preset, two_gaussians
-from .stability import (
-    PartitionRadiusWitness,
-    StabilityReport,
-    analyze_stability,
-    exact_switch_radius,
-    no_switch_certificate,
-    per_point_switch_radii,
-    switch_candidates,
-)
-from .stochastic import (
-    MonteCarloReport,
-    PerturbationModel,
-    SweepResult,
-    SweepRow,
-    expected_distance_bound,
-    expected_switch_bound,
-    monte_carlo,
-    sample_perturbation,
-    sweep_table,
-    switch_probability_bound,
-    trial_rng,
-)
+The package exports exactly the names its library modules list in their own ``__all__``; a new public
+name goes into its module's ``__all__`` only. ``cli`` and ``formats`` stay out of this namespace.
+"""
+
+from . import counterexamples, dynamics, errors, geometry, partitions, presets, stability, stochastic
+from .counterexamples import *
+from .dynamics import *
+from .errors import *
+from .geometry import *
+from .partitions import *
+from .presets import *
+from .stability import *
+from .stochastic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "CenterSet",
-    "CounterexampleFixture",
-    "DriftCheck",
-    "InvariantViolation",
-    "MonteCarloReport",
-    "PairRelation",
-    "Partition",
-    "PartitionRadiusWitness",
-    "PersistenceCertificate",
-    "PerturbationModel",
-    "PointConfig",
-    "StabilityReport",
-    "SweepResult",
-    "SweepRow",
-    "Trajectory",
-    "analyze_stability",
-    "assign_nearest",
-    "cumulative_drift_check",
-    "exact_switch_radius",
-    "expected_distance_bound",
-    "expected_switch_bound",
-    "induced_partition",
-    "instability_time",
-    "iter_partitions",
-    "make_preset",
-    "many_point_instability",
-    "margin",
-    "monte_carlo",
-    "near_boundary_instability",
-    "nearest_label",
-    "no_switch_certificate",
-    "pair_disagreements",
-    "partition_distance",
-    "per_point_switch_radii",
-    "persistence_certificate",
-    "perturbation_size",
-    "sample_perturbation",
-    "single_point_instability",
-    "snapshot_partitions",
-    "stepwise_stability_check",
-    "step_sizes",
-    "sweep_table",
-    "switch_candidates",
-    "switch_probability_bound",
-    "switched_index_distance_bound",
-    "trial_rng",
-    "two_gaussians",
-]
+__all__ = []
+__all__ += counterexamples.__all__
+__all__ += dynamics.__all__
+__all__ += errors.__all__
+__all__ += geometry.__all__
+__all__ += partitions.__all__
+__all__ += presets.__all__
+__all__ += stability.__all__
+__all__ += stochastic.__all__

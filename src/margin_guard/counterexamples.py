@@ -10,6 +10,7 @@ fixed ground truth rather than recomputed values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,13 +19,10 @@ from .geometry import CenterSet, PointConfig, perturbation_size
 from .partitions import Partition
 
 __all__ = [
-    "STANDARD_CENTERS",
-    "FIXTURE_NAMES",
     "CounterexampleFixture",
     "single_point_instability",
     "many_point_instability",
     "near_boundary_instability",
-    "make_fixture",
 ]
 
 STANDARD_CENTERS = CenterSet(np.array([[-1.0, 0.0], [1.0, 0.0]]))
@@ -77,11 +75,14 @@ def single_point_instability(epsilon: float) -> CounterexampleFixture:
     return replace(near_boundary_instability(epsilon / 4.0), kind="single_point")
 
 
-def _crossing(kind: str, delta: float, ys: list[float]) -> CounterexampleFixture:
+def _crossing(kind: str, delta: float, ys: np.ndarray) -> CounterexampleFixture:
     """Anchors 1 and 2 at (-2, 0) and (2, 0); indices 3.. sit at (delta, y) for each y in ``ys`` and
     all move to (-delta, y), which flips the partition from {{1}, {2, 3, ...}} to {{1, 3, ...}, {2}}."""
     n = len(ys) + 2
-    rows = np.array([[-2.0, 0.0], [2.0, 0.0]] + [[delta, y] for y in ys])
+    rows = np.empty((n, 2))
+    rows[:2] = [[-2.0, 0.0], [2.0, 0.0]]
+    rows[2:, 0] = delta
+    rows[2:, 1] = ys
     config = PointConfig(rows)
     rows[2:, 0] = -delta
     perturbed = PointConfig(rows)
@@ -104,7 +105,7 @@ def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
         raise ValueError("epsilon must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _crossing("many_point", epsilon / 4.0, [float(i) for i in range(1, m + 1)])
+    return _crossing("many_point", epsilon / 4.0, np.arange(1.0, operator.index(m) + 1.0))
 
 
 def near_boundary_instability(delta: float) -> CounterexampleFixture:
@@ -116,7 +117,7 @@ def near_boundary_instability(delta: float) -> CounterexampleFixture:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _crossing("near_boundary", delta, [0.0])
+    return _crossing("near_boundary", delta, np.zeros(1))
 
 
 def make_fixture(name: str, epsilon: float = 1.0, m: int = 1, delta: float = 0.1) -> CounterexampleFixture:

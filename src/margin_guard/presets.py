@@ -8,7 +8,7 @@ import numpy as np
 from .counterexamples import FIXTURE_NAMES, STANDARD_CENTERS, make_fixture
 from .geometry import CenterSet, PointConfig
 
-__all__ = ["PRESET_NAMES", "two_gaussians", "make_preset"]
+__all__ = ["two_gaussians", "make_preset"]
 
 PRESET_NAMES = ("two_gaussians", *FIXTURE_NAMES)
 

@@ -28,7 +28,6 @@ from .geometry import (_BISECTORS, _LABELS, _RADII, Assignment, CenterSet, Point
 from .partitions import Partition, _pair_disagreement_count, induced_partition
 
 __all__ = [
-    "SEARCH_NOTE",
     "StabilityReport",
     "PartitionRadiusWitness",
     "no_switch_certificate",

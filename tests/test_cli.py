@@ -184,6 +184,12 @@ class TestConstruct:
         doc = run_json(capsys, ["construct", "near_boundary", "--delta", "0.1"])
         assert doc["perturbation_size"] == pytest.approx(0.2)
 
+    def test_unallocatable_many_point_exits_2(self, capsys):
+        # the fixture's y values are one array of 10**15 entries, which cannot be allocated, so the call
+        # fails at once instead of building Python objects row by row until memory runs out
+        assert main(["construct", "many_point", "--m", str(10**15)]) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_csv_not_supported(self, capsys, tmp_path):
         out = tmp_path / "fixture.csv"
         assert main(["construct", "single_point", "--format", "csv", "--out", str(out)]) == 2

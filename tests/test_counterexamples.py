@@ -117,6 +117,8 @@ def test_parameter_validation():
         single_point_instability(-1.0)
     with pytest.raises(ValueError):
         many_point_instability(1.0, 0)
+    with pytest.raises(TypeError):  # a point count must be an integer, not rounded down
+        many_point_instability(1.0, 2.5)
     with pytest.raises(ValueError):
         near_boundary_instability(0.0)
 
