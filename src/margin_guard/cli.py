@@ -7,12 +7,14 @@ estimates vs. analytic bounds), and construct (instability fixture emitter).
 
 Each subcommand returns its report as (payload, table): a function that builds
 the JSON dict, and (columns, rows, notes) for csv_table or None, each built only
-when written. main alone formats it by --format and writes it to --out or
-stdout; only preset writes its own two CSV files.
+when written. main alone resolves the seed before the subcommand runs, then
+formats the report by --format and writes it to --out or stdout; only preset
+writes its own two CSV files.
 
 Exit codes: 0 success, 2 input or usage error, 3 internal invariant violation.
 The default seed is 0, overridden by the MARGIN_GUARD_SEED environment
-variable, which is in turn overridden by --seed.
+variable, which is in turn overridden by --seed. construct declares no --seed
+and ignores the variable.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("preset", help="emit a generated (points, centers) input")
-    p.add_argument("name", choices=PRESET_NAMES)
+    p.add_argument("preset", choices=PRESET_NAMES)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--sigma0", type=float, default=0.2)
     p.add_argument("--epsilon", type=float, default=1.0)
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         source, seed = "--seed", args.seed
     elif (env := os.environ.get("MARGIN_GUARD_SEED")) is not None:
         try:
@@ -141,24 +143,23 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _resolve_inputs(args, seed: int):
-    has_files = args.points is not None or args.centers is not None
-    if args.preset is not None and has_files:
+def _resolve_inputs(args):
+    points, centers = getattr(args, "points", None), getattr(args, "centers", None)  # preset declares neither
+    if args.preset is not None and (points is not None or centers is not None):
         raise ValueError("give either --points/--centers or --preset, not both")
     if args.preset is not None:
         epsilon = getattr(args, "epsilon", None)
         return make_preset(
-            args.preset, n=args.n, sigma0=args.sigma0, seed=seed,
+            args.preset, n=args.n, sigma0=args.sigma0, seed=args.seed,
             epsilon=1.0 if epsilon is None else epsilon, m=args.m, delta=args.delta,
         )
-    if args.points is None or args.centers is None:
+    if points is None or centers is None:
         raise ValueError("need both --points and --centers, or a --preset")
-    return read_points(args.points), read_centers(args.centers)
+    return read_points(points), read_centers(centers)
 
 
 def cmd_analyze(args):
-    seed = _resolve_seed(args)
-    config, centers = _resolve_inputs(args, seed)
+    config, centers = _resolve_inputs(args)
     report = analyze_stability(config, centers)
     notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
     columns = ["index", "label", "margin", "switch_radius"]
@@ -183,22 +184,17 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args):
-    seed = _resolve_seed(args)
-    config, centers = _resolve_inputs(args, seed)
-    result = sweep_table(config, centers, _parse_grid(args.grid), trials=args.trials, seed=seed)
+    config, centers = _resolve_inputs(args)
+    result = sweep_table(config, centers, _parse_grid(args.grid), trials=args.trials, seed=args.seed)
     rows = ((r.epsilon, r.mean_distance, r.max_distance, r.below_threshold) for r in result.rows)
     columns = ["epsilon", "mean_S", "max_S", "threshold_flag"]
     return result.to_json_dict, (columns, rows, {"threshold": result.threshold})
 
 
 def cmd_preset(args):
-    seed = _resolve_seed(args)
-    config, centers = make_preset(
-        args.name, n=args.n, sigma0=args.sigma0, seed=seed,
-        epsilon=args.epsilon, m=args.m, delta=args.delta,
-    )
+    config, centers = _resolve_inputs(args)
     if args.format == "json":
-        return lambda: {**points_to_json_dict(config), **centers_to_json_dict(centers), "preset": args.name}, None
+        return lambda: {**points_to_json_dict(config), **centers_to_json_dict(centers), "preset": args.preset}, None
     if args.out is None:
         raise ValueError("csv preset output needs --out (two files are written)")
     points_path = Path(f"{args.out}.points.csv")
@@ -210,7 +206,6 @@ def cmd_preset(args):
 
 
 def cmd_trajectory(args):
-    _resolve_seed(args)  # the pass draws nothing, but a bad seed is an error here as everywhere
     traj = read_trajectory_file(args.points, args.centers)
     if traj.horizon < 1:
         raise ValueError("trajectory needs at least two snapshots")
@@ -227,7 +222,7 @@ def cmd_trajectory(args):
             "n": traj.n,
             "d": traj.d,
             "centers_fixed_over_time": True,
-            "initial_min_margin": certs[0].initial_radius_lower_bound * 2.0,
+            "initial_min_margin": run.min_margins[0],
             "initial_radius_lower_bound": certs[0].initial_radius_lower_bound,
             "step_sizes": run.deltas.tolist(),
             "cumulative_budget": budgets.tolist(),
@@ -249,15 +244,14 @@ def cmd_trajectory(args):
 
 
 def cmd_montecarlo(args):
-    seed = _resolve_seed(args)
-    config, centers = _resolve_inputs(args, seed)
+    config, centers = _resolve_inputs(args)
     if (args.rho is None) == (args.sigma is None):
         raise ValueError("choose exactly one noise model: --rho (bounded) or --sigma (gaussian)")
     if args.rho is not None:
         model = PerturbationModel.bounded_disk(args.rho, dim=config.d)
     else:
         model = PerturbationModel.gaussian(args.sigma, dim=config.d)
-    report = monte_carlo(config, centers, model, trials=args.trials, seed=seed)
+    report = monte_carlo(config, centers, model, trials=args.trials, seed=args.seed)
     rows = zip(range(report.trials), report.trial_switch_counts, report.trial_distances)
     return report.to_json_dict, (["trial", "n_switched", "partition_distance"], rows, {})
 
@@ -273,6 +267,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "seed" in args:  # every subcommand but construct declares --seed
+            args.seed = _resolve_seed(args)
         report = args.func(args)
         if report is not None:
             payload, table = report

@@ -88,8 +88,8 @@ def _crossing(kind: str, delta: float, ys: np.ndarray) -> CounterexampleFixture:
     perturbed = PointConfig(rows)
     return CounterexampleFixture(
         kind=kind, config=config, perturbed=perturbed, centers=STANDARD_CENTERS,
-        expected_before=Partition([[1], list(range(2, n + 1))], n=n),
-        expected_after=Partition([[1] + list(range(3, n + 1)), [2]], n=n),
+        expected_before=Partition.from_labels(np.arange(n) == 0),  # index 1 alone
+        expected_after=Partition.from_labels(np.arange(n) == 1),  # index 2 alone
         perturbation_size=perturbation_size(config, perturbed),
     )
 

@@ -225,7 +225,12 @@ def switched_index_distance_bound(m: int, n: int) -> float:
         raise ValueError("ground-set size must be >= 2")
     if not 0 <= m <= n:
         raise ValueError(f"switched count {m} outside 0..{n}")
-    return min(1.0, 2.0 * m / (n - 1))
+    return _distance_bound(n, m)
+
+
+def _distance_bound(n: int, switched: float) -> float:
+    """min(1, 2/(n-1) * switched), unchecked: the one rounding of the bound, shared with Monte Carlo."""
+    return min(1.0, (2.0 / (n - 1)) * switched)
 
 
 def iter_partitions(n: int):

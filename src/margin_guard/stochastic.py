@@ -45,7 +45,7 @@ from .geometry import (
     _row_norms,
     _squared_distances,
 )
-from .partitions import _label_distance
+from .partitions import _distance_bound, _label_distance
 
 __all__ = [
     "PerturbationModel",
@@ -248,10 +248,6 @@ def expected_distance_bound(assignment: Assignment, model: PerturbationModel) ->
     return _distance_bound(assignment.n, expected_switch_bound(assignment, model))
 
 
-def _distance_bound(n: int, switch_bound: float) -> float:
-    return min(1.0, (2.0 / (n - 1)) * switch_bound)
-
-
 # Trials per chunk keep chunk * n * k within this (or one trial). The kernel blocks its own rows, so a chunk
 # bounds the (chunk, n, d) noise and the (chunk, n) labels; the value fixes which trials share a chunk.
 _CHUNK_ENTRIES = 2**12
@@ -311,9 +307,9 @@ def _base_pass(config: PointConfig, centers: CenterSet) -> tuple[Assignment, np.
 
 def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, reach: np.ndarray, model, trials: int,
                   entropy):
-    """Per chunk of trials, the (chunk, n) 1-based labels of X + noise from each trial t's stream
-    ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``, and each trial's partition distance to
-    the ``base`` labels. One ``_TrialSeeder`` serves every chunk.
+    """Per chunk of trials, the (chunk, n) mask of switched rows, whose 1-based label in X + noise from
+    trial t's stream ``default_rng(SeedSequence(entropy, spawn_key=(t,)))`` differs from ``base``, and
+    each trial's partition distance to the ``base`` labels. One ``_TrialSeeder`` serves every chunk.
 
     A row (t, i) whose noise norm is below ``reach[i]`` (``_certified_radii``) keeps its base label;
     the chunk's other rows, its candidates, go to the kernel in one call, and only trials with a
@@ -328,10 +324,11 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
         trial, point = np.nonzero(~(_row_norms(eta) < reach))  # a NaN or inf norm is a candidate too
         if point.size:
             labels[trial, point] = _nearest(config.points[point] + eta[trial, point], centers.centers, _LABELS)[0]
+        switched = labels != base
         dists = np.zeros(len(labels))
-        if (moved := (labels != base).any(axis=1)).any():
+        if (moved := switched.any(axis=1)).any():
             dists[moved] = _label_distance(base, labels[moved])
-        yield labels, dists
+        yield switched, dists
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,8 +391,7 @@ def monte_carlo(
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
     base, reach = _base_pass(config, centers)
     switch_counts, trial_switches, trial_dists = np.zeros(config.n, dtype=np.int64), [], []
-    for labels, dists in _trial_chunks(config, centers, base.labels, reach, model, trials, seed):
-        switched = labels != base.labels
+    for switched, dists in _trial_chunks(config, centers, base.labels, reach, model, trials, seed):
         switch_counts += switched.sum(axis=0)
         trial_switches.append(switched.sum(axis=1))
         trial_dists.append(dists)

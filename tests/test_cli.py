@@ -408,14 +408,32 @@ class TestTrialStreamLimits:
         assert captured.err.startswith("error: ")
         assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
-    @STOCHASTIC_COMMANDS
-    def test_negative_env_seed_exits_2(self, capsys, monkeypatch, anchored_files, command, flags):
+    @pytest.mark.parametrize("command, flags", [  # every subcommand that declares --seed
+        ("montecarlo", ["--rho", "0.1"]), ("sweep", ["--grid", "0.1,0.2"]), ("analyze", []),
+        ("preset", ["two_gaussians"]), ("trajectory", []),
+    ])
+    def test_negative_env_seed_exits_2(self, capsys, monkeypatch, tmp_path, anchored_files, anchored_config,
+                                       two_centers, command, flags):
         monkeypatch.setenv("MARGIN_GUARD_SEED", "-3")
         points, centers = anchored_files
-        assert main([command, "--points", points, "--centers", centers, *flags]) == 2
+        inputs = ["--points", points, "--centers", centers]
+        if command == "preset":
+            inputs = []
+        elif command == "trajectory":
+            path = tmp_path / "traj.json"
+            path.write_text(dump_json(trajectory_to_json_dict((anchored_config,) * 2, two_centers)))
+            inputs = ["--points", str(path)]
+        assert main([command, *inputs, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: MARGIN_GUARD_SEED must be a non-negative integer, got -3\n"
+
+    def test_construct_ignores_the_env_seed(self, capsys, monkeypatch):
+        # construct declares no --seed and draws nothing, so a bad MARGIN_GUARD_SEED is not its error
+        monkeypatch.setenv("MARGIN_GUARD_SEED", "-3")
+        assert main(["construct", "single_point", "--epsilon", "0.5"]) == 0
+        golden = Path(__file__).parent / "golden" / "cli" / "construct_single_point.json"
+        assert capsys.readouterr().out == golden.read_text()
 
     @STOCHASTIC_COMMANDS
     def test_negative_seed_with_a_seeded_preset_exits_2(self, capsys, command, flags):

@@ -34,7 +34,7 @@ def test_single_point_construction(epsilon):
     assert after == fx.expected_after == Partition([[1, 3], [2]], n=3)
 
 
-@pytest.mark.parametrize("epsilon,m", [(1.0, 3), (0.4, 10), (2.0, 1)])
+@pytest.mark.parametrize("epsilon,m", [(1.0, 3), (0.4, 10), (2.0, 1), (1.0, 1000)])
 def test_many_point_construction(epsilon, m):
     fx = many_point_instability(epsilon, m)
     assert fx.config.n == m + 2

@@ -24,11 +24,12 @@ from margin_guard import (
     sample_perturbation,
     sweep_table,
     switch_probability_bound,
+    switched_index_distance_bound,
     trial_rng,
 )
 from margin_guard import CenterSet, geometry, stochastic, two_gaussians
 from margin_guard.formats import dump_json
-from margin_guard.partitions import _label_distance
+from margin_guard.partitions import _distance_bound, _label_distance
 from margin_guard.stochastic import MonteCarloReport, SweepResult, SweepRow, _TrialSeeder, _noise
 from conftest import peak_traced_mib
 
@@ -298,6 +299,18 @@ class TestExpectedBounds:
         assert a.min_margin == 0.0
         model = PerturbationModel.bounded_disk(0.5, dim=2)
         assert expected_switch_bound(a, model) == 3.0
+
+    def test_distance_bound_is_the_switched_index_bound(self, two_centers):
+        # three zero-margin points on the bisector x = 0 and eight far from it: the switch bound is exactly 3,
+        # where 2.0 * 3 / 10 and (2.0 / 10) * 3 differ in the last bit
+        far = [[x, y] for x in (-3.0, 3.0, -4.0, 4.0) for y in (0.0, 1.0)]
+        cfg = PointConfig([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], *far])
+        a = assign_nearest(cfg, two_centers)
+        model = PerturbationModel.bounded_disk(0.1, dim=2)
+        assert expected_switch_bound(a, model) == 3.0
+        assert expected_distance_bound(a, model) == switched_index_distance_bound(3, 11)
+        assert monte_carlo(cfg, two_centers, model, trials=1, seed=0).expected_distance_bound == \
+            switched_index_distance_bound(3, 11)
 
     def test_distance_bound_caps_at_one(self, two_centers):
         cfg = PointConfig([[0.0, -1.0], [0.0, 1.0]])
@@ -640,7 +653,7 @@ def unpruned_monte_carlo(config, centers, model, trials, seed):
     return MonteCarloReport(
         trials=trials, seed=seed, model=model, per_index_switch_frequency=freq, mean_switched_count=float(freq.sum()),
         mean_partition_distance=float(dists.mean()), per_index_bound=bounds, expected_switch_bound=total,
-        expected_distance_bound=stochastic._distance_bound(config.n, total), trial_switch_counts=switched.sum(axis=1),
+        expected_distance_bound=_distance_bound(config.n, total), trial_switch_counts=switched.sum(axis=1),
         trial_distances=dists,
     )
 
