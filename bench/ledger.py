@@ -13,7 +13,9 @@ the child, and its peak RSS comes from ``os.wait4``. Each suite carries the
 point count N its commands run at, which --n overrides. ``coldstart`` runs the
 subcommands on the inputs of tests/golden/cli at N = 300, the size of its
 goldens, which hold only at that N. ``scale`` runs them on N = 10^5 points in
-d = 2: the two_gaussians preset, and ``k64`` from ``write_k64``.
+d = 2: the two_gaussians preset, and ``k64`` from ``write_k64``. Its one row
+at a fixed size, 10^5 Monte Carlo trials on the 3-point near_boundary preset,
+measures the cost of each trial rather than of each point.
 
 Every run of a command, in every tree, must print the same report, whose
 SHA-256 the ledger records; a command that names a golden file must print it
@@ -92,6 +94,8 @@ SUITES = {
                                        "--trials", "100", "--seed", "0"], None),
         "sweep_two_g": (["sweep", "--preset", "two_gaussians", "--n", "N", "--grid", "0.05,0.2,0.5", "--trials", "100",
                          "--seed", "0"], None),
+        "montecarlo_near_boundary_trials": (["montecarlo", "--preset", "near_boundary", "--delta", "0.05",
+                                             "--rho", "0.2", "--trials", "100000", "--seed", "0"], None),
     }),
 }
 

@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .counterexamples import FIXTURE_NAMES, make_fixture
@@ -41,7 +42,7 @@ from .formats import (
 )
 from .presets import PRESET_NAMES, make_preset
 from .stability import analyze_stability, no_switch_certificate, switch_candidates
-from .stochastic import PerturbationModel, monte_carlo, sweep_table
+from .stochastic import PerturbationModel, _check_trials, _sweep_grid, monte_carlo, sweep_table
 
 __all__ = ["main", "entry"]
 
@@ -178,14 +179,17 @@ def cmd_analyze(args):
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"--grid must be comma-separated numbers, got {text!r}") from None
+    return _sweep_grid(grid)
 
 
 def cmd_sweep(args):
+    grid = _parse_grid(args.grid)  # flags first: a bad one exits 2 before any input is read or generated
+    _check_trials(args.trials)
     config, centers = _resolve_inputs(args)
-    result = sweep_table(config, centers, _parse_grid(args.grid), trials=args.trials, seed=args.seed)
+    result = sweep_table(config, centers, grid, trials=args.trials, seed=args.seed)
     rows = ((r.epsilon, r.mean_distance, r.max_distance, r.below_threshold) for r in result.rows)
     columns = ["epsilon", "mean_S", "max_S", "threshold_flag"]
     return result.to_json_dict, (columns, rows, {"threshold": result.threshold})
@@ -206,11 +210,11 @@ def cmd_preset(args):
 
 
 def cmd_trajectory(args):
+    if args.eta is not None and not 0.0 < args.eta <= 1.0:  # before the file is read
+        raise ValueError("--eta must lie in (0, 1]")
     traj = read_trajectory_file(args.points, args.centers)
     if traj.horizon < 1:
         raise ValueError("trajectory needs at least two snapshots")
-    if args.eta is not None and not 0.0 < args.eta <= 1.0:
-        raise ValueError("--eta must lie in (0, 1]")
     run = _trajectory_pass(traj)
     budgets = run.deltas.cumsum()
     certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]
@@ -244,14 +248,16 @@ def cmd_trajectory(args):
 
 
 def cmd_montecarlo(args):
-    config, centers = _resolve_inputs(args)
     if (args.rho is None) == (args.sigma is None):
         raise ValueError("choose exactly one noise model: --rho (bounded) or --sigma (gaussian)")
+    # flags first: the model checks its scale, with the input's dimension set once the input is read
     if args.rho is not None:
-        model = PerturbationModel.bounded_disk(args.rho, dim=config.d)
+        model = PerturbationModel.bounded_disk(args.rho, dim=1)
     else:
-        model = PerturbationModel.gaussian(args.sigma, dim=config.d)
-    report = monte_carlo(config, centers, model, trials=args.trials, seed=args.seed)
+        model = PerturbationModel.gaussian(args.sigma, dim=1)
+    _check_trials(args.trials)
+    config, centers = _resolve_inputs(args)
+    report = monte_carlo(config, centers, replace(model, dim=config.d), trials=args.trials, seed=args.seed)
     rows = zip(range(report.trials), report.trial_switch_counts, report.trial_distances)
     return report.to_json_dict, (["trial", "n_switched", "partition_distance"], rows, {})
 

@@ -159,21 +159,29 @@ class _TrialSeeder:
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
     """(trials, n, dim) independent per-index noise vectors, one trial per generator of ``rngs``. Each
     generator makes the draws the trial would make alone: its normals, for the ball a redraw of each
-    zero-norm row, then its uniforms. So values do not depend on how trials are grouped. Between a pass
-    drawing every trial's normals and one drawing every trial's uniforms, the ball's zero-norm guard is one
-    flat test per chunk, gating a slower per-row test; the chunk's generators stay alive between the two."""
+    zero-norm row, then its uniforms. So values do not depend on how trials are grouped. The chunk's
+    normals and uniforms are allocated once, and each generator fills its own trial's row of them; between
+    the pass of normals and the pass of uniforms, the ball's zero-norm guard is one flat test per chunk,
+    gating a slower per-row test. Scale and radius are applied in place, in the order of the formulas."""
     rngs = list(rngs)
-    g = np.array([rng.standard_normal((n, model.dim)) for rng in rngs])
+    g = np.empty((len(rngs), n, model.dim))
+    for rng, row in zip(rngs, g):
+        rng.standard_normal(out=row)
     if model.kind == GAUSSIAN:
-        return g * model.scale
+        return np.multiply(g, model.scale, out=g)
     # essentially impossible, but keeps directions defined: a row has norm 0 iff every x * x is 0
     if not (sq := g * g).all():
         for t in np.flatnonzero((sq == 0).all(axis=2).any(axis=1)):
             while (redo := (g[t] * g[t] == 0).all(axis=1)).any():
                 g[t, redo] = rngs[t].standard_normal((int(redo.sum()), model.dim))
-    # uniform on the ball: random direction, radius rho * U^(1/d)
-    radii = model.scale * np.array([rng.random(n) for rng in rngs]) ** (1.0 / model.dim)
-    eta = g * (radii / _row_norms(g))[..., None]
+    # uniform on the ball: random direction g / |g|, radius rho * U^(1/d)
+    radii = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, radii):
+        rng.random(out=row)
+    radii **= 1.0 / model.dim
+    radii *= model.scale
+    radii /= _row_norms(g)
+    eta = np.multiply(g, radii[..., None], out=g)
     # the norm bound is a hard guarantee, in the norm the candidate filter computes; nudge any float overshoot back
     # an ulp at a time; past 64 nudges each doubles, as an ulp may never move a norm whose squares are subnormal
     out_norms, shrink, nudges = _row_norms(eta), 2.0**-53, 0
@@ -414,6 +422,16 @@ def monte_carlo(
     )
 
 
+def _sweep_grid(grid) -> list[float]:
+    """The sweep's epsilons as floats, every value checked before any row is drawn."""
+    grid = [float(e) for e in grid]
+    if len(grid) < 2:
+        raise ValueError("sweep grid needs at least 2 epsilon values")
+    if bad := [e for e in grid if not 0 < e < _MAX_COORDINATE]:
+        raise ValueError(f"sweep epsilons must be finite, positive and below 1e150, got {bad[0]!r}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: float
@@ -450,11 +468,7 @@ def sweep_table(
     every point's certified radius is zero in every trial without a draw: the
     noise norm never exceeds epsilon, so no row would reach the kernel.
     """
-    grid = [float(e) for e in grid]
-    if len(grid) < 2:
-        raise ValueError("sweep grid needs at least 2 epsilon values")
-    if bad := [e for e in grid if not 0 < e < _MAX_COORDINATE]:  # every value, before any row is drawn
-        raise ValueError(f"sweep epsilons must be finite, positive and below 1e150, got {bad[0]!r}")
+    grid = _sweep_grid(grid)
     _check_trials(trials)
     base, reach = _base_pass(config, centers)
     threshold = base.min_margin / 2.0

@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from margin_guard import InvariantViolation, PointConfig, many_point_instability, two_gaussians
+from margin_guard import (
+    CenterSet,
+    InvariantViolation,
+    PerturbationModel,
+    PointConfig,
+    analyze_stability,
+    many_point_instability,
+    monte_carlo,
+    sweep_table,
+    two_gaussians,
+)
 from margin_guard.cli import main
 from margin_guard.formats import centers_to_csv, dump_json, format_float, points_to_csv, trajectory_to_json_dict
 
@@ -565,6 +575,89 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+class TestFlagsBeforeInputs:
+    """A bad flag exits 2 with its own error before any input is read or generated."""
+
+    def test_trajectory_eta_before_the_file(self, capsys, tmp_path):
+        assert main(["trajectory", "--points", str(tmp_path / "missing.json"), "--eta", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: --eta must lie in (0, 1]\n")
+
+    def test_montecarlo_noise_model_before_the_files(self, capsys, tmp_path):
+        files = ["--points", str(tmp_path / "missing.csv"), "--centers", str(tmp_path / "missing_centers.csv")]
+        assert main(["montecarlo", *files, "--rho", "0.1", "--sigma", "0.1"]) == 2
+        want = "error: choose exactly one noise model: --rho (bounded) or --sigma (gaussian)\n"
+        assert capsys.readouterr() == ("", want)
+
+    def test_sweep_grid_before_the_files(self, capsys, tmp_path):
+        files = ["--points", str(tmp_path / "missing.csv"), "--centers", str(tmp_path / "missing_centers.csv")]
+        assert main(["sweep", *files, "--grid", "abc"]) == 2
+        assert capsys.readouterr() == ("", "error: --grid must be comma-separated numbers, got 'abc'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--rho", "0.1", "--sigma", "0.1"],
+        ["montecarlo", "--rho", "nan"],
+        ["montecarlo", "--rho", "0.1", "--trials", "0"],
+        ["sweep", "--grid", "0.1"],
+        ["sweep", "--grid", "0.1,inf"],
+        ["sweep", "--grid", "0.1,0.2", "--trials", "0"],
+    ])
+    def test_no_preset_is_generated_for_a_bad_flag(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("margin_guard.cli.make_preset", None)  # generating would raise TypeError
+        assert main([*argv, "--preset", "two_gaussians", "--n", "100000"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def degenerate_inputs():
+    """(points, centers) of the degenerate shapes: k >> n, d = 1 and duplicate points."""
+    rng = np.random.default_rng(5)
+    return {
+        "k_much_greater_than_n": (rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, (500, 2))),
+        "d1": ([[-2.0], [-0.5], [0.25], [3.0]], [[-1.0], [1.0]]),
+        "duplicates": ([[0.3, 0.1]] * 3 + [[-1.2, 0.4]] * 2 + [[0.9, -0.2]], [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    }
+
+
+def write_degenerate_input(tmp_path, shape):
+    """The shape's (config, centers), written as CSV files, and the flags that name the files."""
+    config, centers = (cls(rows) for cls, rows in zip((PointConfig, CenterSet), degenerate_inputs()[shape]))
+    (tmp_path / "p.csv").write_text(points_to_csv(config))
+    (tmp_path / "c.csv").write_text(centers_to_csv(centers))
+    return config, centers, ["--points", str(tmp_path / "p.csv"), "--centers", str(tmp_path / "c.csv")]
+
+
+class TestDegenerateInputs:
+    """Degenerate inputs run through the CLI and print the library's report, byte for byte."""
+
+    LIBRARY = {
+        "analyze": ([], analyze_stability),
+        "montecarlo": (["--rho", "0.3", "--trials", "50", "--seed", "3"],
+                       lambda config, centers: monte_carlo(
+                           config, centers, PerturbationModel.bounded_disk(0.3, dim=config.d), trials=50, seed=3)),
+        "sweep": (["--grid", "0.05,0.5", "--trials", "20", "--seed", "3"],
+                  lambda config, centers: sweep_table(config, centers, [0.05, 0.5], trials=20, seed=3)),
+    }
+
+    @pytest.mark.parametrize("command", sorted(LIBRARY))
+    @pytest.mark.parametrize("shape", sorted(degenerate_inputs()))
+    def test_cli_prints_the_library_report(self, capsys, tmp_path, shape, command):
+        config, centers, files = write_degenerate_input(tmp_path, shape)
+        flags, library = self.LIBRARY[command]
+        code = main([command, *files, *flags])
+        assert capsys.readouterr() == (dump_json(library(config, centers).to_json_dict()), "")
+        assert code == 0
+
+    def test_d1_analyze_by_hand(self, capsys, tmp_path):
+        # centers -1 and 1 bisect at 0; the cheapest move carries 0.25 across it into the first block
+        doc = run_json(capsys, ["analyze", *write_degenerate_input(tmp_path, "d1")[2]])
+        assert doc["labels"] == [1, 1, 2, 2] and doc["partition"] == [[1, 2], [3, 4]]
+        assert doc["margins"] == [2.0, 1.0, 0.5, 2.0]
+        assert doc["per_point_switch_radius"] == [2.0, 0.5, 0.25, 3.0]
+        witness = doc["empirical_partition_radius"]
+        assert witness["moved_index"] == 3 and witness["new_partition"] == [[1, 2, 3], [4]]
+        assert witness["radius"] == pytest.approx(0.25 * (1 + 1e-9), rel=1e-12)
+        assert -1e-9 < witness["witness_points"][2][0] < 0.0
 
 
 def test_output_file_writing(tmp_path, anchored_files):

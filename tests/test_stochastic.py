@@ -549,15 +549,15 @@ class ZeroNormRowGenerator:
         self.zero_draws = zero_draws
         self.normal_draws = 0
 
-    def standard_normal(self, size):
-        g = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
         if self.normal_draws < self.zero_draws:
             g[1 if self.normal_draws == 0 else 0] = self.fill
         self.normal_draws += 1
         return g
 
-    def random(self, size):
-        return self.rng.random(size)
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
 
 
 class TestChunkedTrialsMatchPerTrialLoop:
@@ -796,13 +796,13 @@ class CountingGenerator:
         self.rng = np.random.Generator(bit_generator)
         self.calls = Counter()
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self.calls["standard_normal"] += 1
-        return self.rng.standard_normal(size)
+        return self.rng.standard_normal(size, out=out)
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         self.calls["random"] += 1
-        return self.rng.random(size)
+        return self.rng.random(size, out=out)
 
 
 class TestChunkedTrialsWork:
