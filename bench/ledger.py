@@ -21,8 +21,10 @@ Every run of a command, in every tree, must print the same report, whose
 SHA-256 the ledger records; a command that names a golden file must print it
 byte for byte. A reference child, ``python -c "import numpy"``, runs before
 each tree's commands in every round. Host load moves it with the children, so
-each command's median over the reference's median is steadier than either
-time alone. Trees run in alternating order from round to round, so a drift in
+each command's wall time over the wall time of the reference run just before
+it cancels a drift in host speed from round to round, which a ratio of two
+medians would not; the ledger gives those per-round ratios with their median
+and quartiles. Trees run in alternating order from round to round, so a drift in
 host speed falls on every tree alike. The ledger, with per-run wall times, is
 written as JSON to --out, which has no default, so that no smoke run overwrites
 a checked-in BENCH_<SUITE>.json.
@@ -122,6 +124,13 @@ def summary(args: list[str], runs: list[tuple[float, float]]) -> dict:
             "peak_rss_mb": max(rss for _, rss in runs), "wall_s": walls}
 
 
+def quartiles(values: list[float]) -> dict:
+    """First quartile, median and third quartile of ``values``, by the inclusive method."""
+    # before Python 3.13, quantiles needs at least two values
+    q1, median, q3 = values * 3 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
 def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
     write_inputs, _, table = SUITES[suite]
     argvs = {cmd: ["-m", "margin_guard", *(str(n) if a == "N" else a for a in argv)] for cmd, (argv, _) in table.items()}
@@ -129,6 +138,7 @@ def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
     digests = {cmd: hashlib.sha256((ROOT / GOLDEN / golden).read_bytes()).hexdigest()
                for cmd, (_, golden) in table.items() if golden}
     runs = {name: {cmd: [] for cmd in table} for name in trees}
+    ratios = {name: {cmd: [] for cmd in table} for name in trees}
     reference = []
     with tempfile.TemporaryDirectory() as tmp:
         # a child's peak RSS from os.wait4 is at least this process's, so a fresh interpreter writes the inputs
@@ -146,11 +156,13 @@ def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
                     if digests.setdefault(cmd, digest) != digest:
                         raise SystemExit(f"ledger: {name} {cmd} does not reproduce {table[cmd][1] or 'its first run'}")
                     runs[name][cmd].append((wall, rss))
+                    ratios[name][cmd].append(wall / reference[-1][0])
     ref = summary(REFERENCE, reference)
     result = {name: {cmd: summary(argvs[cmd], samples) for cmd, samples in cmds.items()} for name, cmds in runs.items()}
-    for cmds in result.values():
+    for name, cmds in result.items():
         for cmd, entry in cmds.items():
-            entry.update(ratio_to_reference=entry["median_s"] / ref["median_s"], report_sha256=digests[cmd])
+            entry.update(ratios=ratios[name][cmd], ratio_to_reference=quartiles(ratios[name][cmd]),
+                         report_sha256=digests[cmd])
     return {
         "environment": {"python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy"),
                         "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
@@ -187,8 +199,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(ledger, indent=2) + "\n")
     for name, cmds in ledger["trees"].items():
         for cmd, entry in cmds.items():
-            print(f"{name:>10} {cmd:<26} {entry['median_s']:.3f} s  x{entry['ratio_to_reference']:.2f}"
-                  f"  {entry['peak_rss_mb']:.1f} MiB")
+            ratio = entry["ratio_to_reference"]
+            print(f"{name:>10} {cmd:<26} {entry['median_s']:.3f} s  x{ratio['median']:.2f}"
+                  f" ({ratio['q1']:.2f}-{ratio['q3']:.2f})  {entry['peak_rss_mb']:.1f} MiB")
     print(f"{'reference':>10} {'import numpy':<26} {ledger['reference']['median_s']:.3f} s")
     return 0
 

@@ -42,7 +42,7 @@ __all__ = [
 _MAX_COORDINATE = 1e150
 
 # Row blocks of the distance kernels hold at most this many (point, center, coordinate) entries:
-# 512 KiB of float64 per temporary, whatever n is.
+# 512 KiB of float64 per temporary, whatever n is. Monte Carlo's trial chunks use the same budget.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -207,7 +207,11 @@ class Assignment:
 
 
 def _row_blocks(n: int, entries_per_row: int):
-    """Slices of ``range(n)`` holding at most _BLOCK_ENTRIES entries of ``entries_per_row`` each (at least one row)."""
+    """Slices of ``range(n)`` holding at most _BLOCK_ENTRIES entries of ``entries_per_row`` each (at least one row).
+
+    The kernels block point rows by k * d entries each; Monte Carlo and sweep block trials by
+    n * (k + d) each (``stochastic._trial_chunks``), so one budget bounds both. The last slice may
+    stop past n."""
     size = max(1, _BLOCK_ENTRIES // entries_per_row)
     return (slice(start, start + size) for start in range(0, n, size))
 

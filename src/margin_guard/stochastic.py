@@ -12,7 +12,10 @@ Randomness discipline: one master seed; the stream for trial t is derived
 from (seed, t) by seed-sequence splitting, so reports are reproducible
 regardless of how trials would be scheduled. ``trial_rng`` defines that
 stream; Monte Carlo and sweep build a whole chunk's streams at once with
-``_TrialSeeder``, state for state the same.
+``_TrialSeeder``, state for state the same, from one ``_Words`` seed source
+per chunk. Trial chunks come from ``geometry._row_blocks`` with n * (k + d)
+entries per trial, so the one budget ``_BLOCK_ENTRIES`` bounds both the
+kernel's row blocks and a chunk's noise, labels and generators.
 
 Monte Carlo and sweep re-assign only the points that can switch. By the paper's
 necessity theorem, noise shorter than a point's switch radius r_i cannot change
@@ -42,6 +45,7 @@ from .geometry import (
     _assign,
     _nearest,
     _no_switch,
+    _row_blocks,
     _row_norms,
     _squared_distances,
 )
@@ -118,13 +122,15 @@ _STATE_XOR, _STATE_MUL = _STATE_HASH[:8].reshape(2, 4), _STATE_HASH[1:].reshape(
 
 
 class _Words(ISeedSequence):
-    """A seed sequence whose state is 4 precomputed uint64 words, PCG64's whole request."""
+    """One chunk's seed source: each ``generate_state`` call hands out the next row of a (trials, 4)
+    uint64 array of precomputed state words, PCG64's whole request. PCG64 asks once, when it is built,
+    so the chunk's generators share one source, built in order, one row each."""
 
-    def __init__(self, words):
-        self.words = words
+    def __init__(self, rows):
+        self.rows = iter(rows)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        return next(self.rows)
 
 
 def _xorshift(v: np.ndarray) -> np.ndarray:
@@ -137,7 +143,10 @@ class _TrialSeeder:
     state for state. ``entropy`` is an int or a tuple of ints. seed_seq hashes the entropy words first
     and the spawn word last, so every trial shares numpy's own ``SeedSequence(entropy).pool``, built
     once here with the spawn word's hash constants; ``rngs`` computes only the spawn word's mixing
-    into that pool and generate_state's 8 output words, one uint32 broadcast each."""
+    into that pool and generate_state's 8 output words, one uint32 broadcast each, and builds the
+    chunk's generators as a list from one ``_Words`` source. All of them are alive at once: a chunk
+    holds at most 2^16 // (n (k + d)) trials, at most 10,922 since n, k >= 2 and d >= 1, and 2,000
+    generators take about 1.2 MiB traced."""
 
     def __init__(self, entropy):
         self.pool = SeedSequence(entropy).pool
@@ -152,18 +161,17 @@ class _TrialSeeder:
         pool = _xorshift(_MIX_MULT_L * self.pool - _MIX_MULT_R * spawn)
         state = _xorshift((pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL)
         # little-endian pairs of output words are PCG64's 4 uint64 seed words
-        for row in state.reshape(-1, 8).view("<u8").astype(np.uint64):
-            yield Generator(PCG64(_Words(row)))
+        words = _Words(state.reshape(-1, 8).view("<u8").astype(np.uint64))
+        return [Generator(PCG64(words)) for _ in range(len(state))]
 
 
 def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
-    """(trials, n, dim) independent per-index noise vectors, one trial per generator of ``rngs``. Each
-    generator makes the draws the trial would make alone: its normals, for the ball a redraw of each
+    """(trials, n, dim) independent per-index noise vectors, one trial per generator of the list ``rngs``.
+    Each generator makes the draws the trial would make alone: its normals, for the ball a redraw of each
     zero-norm row, then its uniforms. So values do not depend on how trials are grouped. The chunk's
     normals and uniforms are allocated once, and each generator fills its own trial's row of them; between
     the pass of normals and the pass of uniforms, the ball's zero-norm guard is one flat test per chunk,
     gating a slower per-row test. Scale and radius are applied in place, in the order of the formulas."""
-    rngs = list(rngs)
     g = np.empty((len(rngs), n, model.dim))
     for rng, row in zip(rngs, g):
         rng.standard_normal(out=row)
@@ -256,11 +264,6 @@ def expected_distance_bound(assignment: Assignment, model: PerturbationModel) ->
     return _distance_bound(assignment.n, expected_switch_bound(assignment, model))
 
 
-# Trials per chunk keep chunk * n * k within this (or one trial). The kernel blocks its own rows, so a chunk
-# bounds the (chunk, n, d) noise and the (chunk, n) labels; the value fixes which trials share a chunk.
-_CHUNK_ENTRIES = 2**12
-
-
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -318,16 +321,18 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
     """Per chunk of trials, the (chunk, n) mask of switched rows, whose 1-based label in X + noise from
     trial t's stream ``default_rng(SeedSequence(entropy, spawn_key=(t,)))`` differs from ``base``, and
     each trial's partition distance to the ``base`` labels. One ``_TrialSeeder`` serves every chunk.
+    Chunks are ``_row_blocks`` of the trials at n * (k + d) entries per trial, its n * k (point,
+    center) entries and its n * d noise coordinates, so ``_BLOCK_ENTRIES`` bounds a chunk's arrays in
+    d as in n, with one trial per chunk once n * (k + d) exceeds it.
 
     A row (t, i) whose noise norm is below ``reach[i]`` (``_certified_radii``) keeps its base label;
     the chunk's other rows, its candidates, go to the kernel in one call, and only trials with a
     changed label go to the distance kernel, in one call. The kernel works row by row, so the labels
     are those of the whole chunk's X + noise, bit for bit."""
     n = config.n
-    size = max(1, _CHUNK_ENTRIES // (n * centers.k))
     seeder = _TrialSeeder(entropy)
-    for start in range(0, trials, size):
-        eta = _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
+    for rows in _row_blocks(trials, n * (centers.k + config.d)):
+        eta = _noise(model, n, seeder.rngs(range(trials)[rows]))
         labels = np.tile(base, (len(eta), 1))
         trial, point = np.nonzero(~(_row_norms(eta) < reach))  # a NaN or inf norm is a candidate too
         if point.size:

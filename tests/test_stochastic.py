@@ -159,6 +159,22 @@ class TestTrialRngs:
             for trial, rng in zip(trials, _TrialSeeder(entropy).rngs(trials), strict=True):
                 assert_numpy_stream(rng, entropy, trial)
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 7), (5, 682), (2**32 - 40, 2**32)])
+    def test_the_shared_seed_source_is_asked_once_per_generator(self, monkeypatch, a, b):
+        # a numpy release whose PCG64 asked twice would shift every later generator of the chunk by a row
+        calls = []
+        generate_state = stochastic._Words.generate_state
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return generate_state(self, *args, **kwargs)
+
+        monkeypatch.setattr(stochastic._Words, "generate_state", counting)
+        rngs = _TrialSeeder(3).rngs(range(a, b))
+        assert len(calls) == len(rngs) == b - a
+        for trial, rng in ((a, rngs[0]), (b - 1, rngs[-1])):
+            assert rng.bit_generator.state == trial_rng(3, trial).bit_generator.state
+
 
 class TestSwitchProbabilityBound:
     def test_zero_margin_gives_one(self):
@@ -534,9 +550,10 @@ def random_setup(n, d, k=3):
     return PointConfig(rng.uniform(-1.5, 1.5, (n, d))), CenterSet(rng.uniform(-1.0, 1.0, (k, d)))
 
 
-def set_trials_per_chunk(monkeypatch, per_chunk, n, k):
+def set_trials_per_chunk(monkeypatch, per_chunk, config, centers):
+    """Trial chunks of ``per_chunk`` trials, through the one block budget of n * (k + d) entries per trial."""
     if per_chunk is not None:  # None keeps the default chunk size
-        monkeypatch.setattr(stochastic, "_CHUNK_ENTRIES", per_chunk * n * k)
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", per_chunk * config.n * (centers.k + config.d))
 
 
 class ZeroNormRowGenerator:
@@ -571,7 +588,7 @@ class TestChunkedTrialsMatchPerTrialLoop:
         config, centers = random_setup(n, d)
         model = PerturbationModel(kind=kind, scale=0.3, dim=d)
         trials = 9 if n == 2000 else 30
-        set_trials_per_chunk(monkeypatch, per_chunk, n, centers.k)
+        set_trials_per_chunk(monkeypatch, per_chunk, config, centers)
         report = monte_carlo(config, centers, model, trials=trials, seed=11)
         switched, dists = per_trial_loop(config, centers, model, trials, lambda t: trial_rng(11, t))
         assert np.array_equal(report.trial_switch_counts, switched.sum(axis=1))
@@ -585,7 +602,7 @@ class TestChunkedTrialsMatchPerTrialLoop:
     def test_sweep_table(self, monkeypatch, d, n, per_chunk):
         config, centers = random_setup(n, d)
         trials = 9 if n == 2000 else 30
-        set_trials_per_chunk(monkeypatch, per_chunk, n, centers.k)
+        set_trials_per_chunk(monkeypatch, per_chunk, config, centers)
         result = sweep_table(config, centers, [0.1, 0.6], trials=trials, seed=4)
         for row in result.rows:
             model = PerturbationModel.bounded_disk(row.epsilon, dim=d)
@@ -634,10 +651,9 @@ def unpruned_chunks(config, centers, base, model, trials, entropy):
     """Every row of every chunk through the kernel, and every trial through the distance kernel: the
     chunked trial loop before candidate pruning (test oracle)."""
     n, d = config.points.shape
-    size = max(1, stochastic._CHUNK_ENTRIES // (n * centers.k))
     seeder = _TrialSeeder(entropy)
-    for start in range(0, trials, size):
-        noisy = config.points + _noise(model, n, seeder.rngs(range(start, min(start + size, trials))))
+    for rows in geometry._row_blocks(trials, n * (centers.k + d)):
+        noisy = config.points + _noise(model, n, seeder.rngs(range(trials)[rows]))
         labels = geometry._nearest(noisy.reshape(-1, d), centers.centers, geometry._LABELS)[0].reshape(-1, n)
         yield labels, _label_distance(base, labels)
 
@@ -723,8 +739,8 @@ class TestCandidatePruningMatchesTheUnprunedLoop:
     def test_monte_carlo(self, case, kind, trials, per_chunk, seed):
         config, centers, noise = case
         model = PerturbationModel(kind=kind, scale=noise[0], dim=config.d)
-        entries = per_chunk * config.n * centers.k if per_chunk else stochastic._CHUNK_ENTRIES
-        with mock.patch.object(stochastic, "_CHUNK_ENTRIES", entries):
+        entries = per_chunk * config.n * (centers.k + config.d) if per_chunk else geometry._BLOCK_ENTRIES
+        with mock.patch.object(geometry, "_BLOCK_ENTRIES", entries):
             got = monte_carlo(config, centers, model, trials=trials, seed=seed)
             want = unpruned_monte_carlo(config, centers, model, trials, seed)
         assert_same_report(got, want)
@@ -734,8 +750,8 @@ class TestCandidatePruningMatchesTheUnprunedLoop:
     @settings(max_examples=200, deadline=None)
     def test_sweep_table(self, case, trials, per_chunk, seed):
         config, centers, grid = case
-        entries = per_chunk * config.n * centers.k if per_chunk else stochastic._CHUNK_ENTRIES
-        with mock.patch.object(stochastic, "_CHUNK_ENTRIES", entries):
+        entries = per_chunk * config.n * (centers.k + config.d) if per_chunk else geometry._BLOCK_ENTRIES
+        with mock.patch.object(geometry, "_BLOCK_ENTRIES", entries):
             got = sweep_table(config, centers, grid, trials=trials, seed=seed)
             want = unpruned_sweep(config, centers, grid, trials, seed)
         assert got == want
@@ -842,7 +858,7 @@ class TestChunkedTrialsWork:
         streams = self.count_calls(monkeypatch, "Generator")
         tables = self.count_calls(monkeypatch, "_nearest")
         distances = self.count_calls(monkeypatch, "_label_distance")
-        set_trials_per_chunk(monkeypatch, per_chunk, anchored_config.n, two_centers.k)
+        set_trials_per_chunk(monkeypatch, per_chunk, anchored_config, two_centers)
         model = PerturbationModel.bounded_disk(0.3)
         report = monte_carlo(anchored_config, two_centers, model, trials=50, seed=1)
         assert len(rngs) == 0
@@ -874,7 +890,7 @@ class TestChunkedTrialsWork:
         streams = self.count_calls(monkeypatch, "Generator")
         draws = self.count_calls(monkeypatch, "_noise")
         tables = self.count_calls(monkeypatch, "_nearest")
-        set_trials_per_chunk(monkeypatch, 7, anchored_config.n, two_centers.k)
+        set_trials_per_chunk(monkeypatch, 7, anchored_config, two_centers)
         result = sweep_table(anchored_config, two_centers, [0.05, 0.2, 0.5], trials=40, seed=2)
         chunks = [range(start, min(start + 7, 40)) for start in range(0, 40, 7)]
         assert seeders == [((2, int(np.float64(e).view(np.uint64))),) for e in (0.2, 0.5)]
@@ -903,7 +919,7 @@ class TestChunkedTrialsWork:
 
         monkeypatch.setattr(stochastic, "Generator", counting)
         report = monte_carlo(anchored_config, two_centers, model, trials=1500, seed=5)
-        assert chunk_trials == [range(0, 682), range(682, 1364), range(1364, 1500)]  # n = 3, k = 2
+        assert chunk_trials == [range(1500)[rows] for rows in geometry._row_blocks(1500, 3 * (2 + 2))]  # n, k, d
         assert len(streams) == 1500
         assert all(stream.calls == draws for stream in streams)
         assert np.array_equal(report.trial_distances, expected.trial_distances)
@@ -913,4 +929,15 @@ class TestChunkedTrialsWork:
         model = PerturbationModel.bounded_disk(0.3, dim=2)
         peak, report = peak_traced_mib(lambda: monte_carlo(config, centers, model, trials=5000, seed=0))
         assert report.trial_distances.size == 5000
+        assert peak < 4.0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_disk"])
+    def test_chunk_memory_is_bounded_in_d(self, kind):
+        # a trial's n * d noise coordinates count against the block budget: at n = 10, k = 2, d = 256 a chunk
+        # holds 25 trials, about 0.5 MiB of noise
+        config, centers = random_setup(10, 256, k=2)
+        model = PerturbationModel(kind=kind, scale=0.3, dim=256)
+        monte_carlo(config, centers, model, trials=1, seed=0)  # scipy's first import stays out of the trace
+        peak, report = peak_traced_mib(lambda: monte_carlo(config, centers, model, trials=500, seed=0))
+        assert report.trial_distances.size == 500
         assert peak < 4.0
