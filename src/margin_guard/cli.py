@@ -41,7 +41,7 @@ from .formats import (
     read_trajectory_file,
 )
 from .presets import PRESET_NAMES, make_preset
-from .stability import analyze_stability, no_switch_certificate, switch_candidates
+from .stability import _check_epsilon, analyze_stability, no_switch_certificate, switch_candidates
 from .stochastic import PerturbationModel, _check_trials, _sweep_grid, monte_carlo, sweep_table
 
 __all__ = ["main", "entry"]
@@ -160,6 +160,8 @@ def _resolve_inputs(args):
 
 
 def cmd_analyze(args):
+    if args.epsilon is not None:  # flags first: a bad one exits 2 before any input is read or generated
+        _check_epsilon(args.epsilon)
     config, centers = _resolve_inputs(args)
     report = analyze_stability(config, centers)
     notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}

@@ -62,6 +62,12 @@ class CounterexampleFixture:
         }
 
 
+def _check_positive(name: str, value: float) -> None:
+    """A fixture's epsilon or delta must be finite and positive; the error names the parameter."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def single_point_instability(epsilon: float) -> CounterexampleFixture:
     """Three points, one of which crosses the boundary under a 2*delta move.
 
@@ -70,8 +76,7 @@ def single_point_instability(epsilon: float) -> CounterexampleFixture:
     point at (delta, 0) moves to (-delta, 0) and switches, changing the
     partition from {{1}, {2, 3}} to {{1, 3}, {2}}.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     return replace(near_boundary_instability(epsilon / 4.0), kind="single_point")
 
 
@@ -101,8 +106,7 @@ def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
     to (-delta, i). The partition flips from {{1}, {2, ..., m+2}} to
     {{1, 3, ..., m+2}, {2}}.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     if m < 1:
         raise ValueError("m must be >= 1")
     return _crossing("many_point", epsilon / 4.0, np.arange(1.0, operator.index(m) + 1.0))
@@ -115,8 +119,7 @@ def near_boundary_instability(delta: float) -> CounterexampleFixture:
     by the boundary offset, so both the margin and the partition-changing
     perturbation shrink together as delta -> 0.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive("delta", delta)
     return _crossing("near_boundary", delta, np.zeros(1))
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trajectory
-from .geometry import CenterSet, PointConfig
+from .geometry import CenterSet, PointConfig, _row_blocks
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -175,10 +175,6 @@ def _json_doc(path: Path, key: str) -> dict:
     return doc
 
 
-# Records per step of the bulk CSV parse, which bounds the field strings held at once.
-_CSV_CHUNK = 2**14
-
-
 def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
     """The t column and the coordinates of ``records``, parsed in bulk, or None where the bulk parse
     could read or word a record otherwise than the csv loop of _read_csv_records: a record whose
@@ -186,8 +182,8 @@ def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int
     quote character, which neither accepts; without quotes csv splits a line at its commas, and
     float gives the same bits either way."""
     times, coords = [], np.empty((len(records), width - timed))
-    for start in range(0, len(records), _CSV_CHUNK):
-        chunk = records[start:start + _CSV_CHUNK]
+    for rows in _row_blocks(len(records), width):  # bounds the field strings held at once
+        chunk = records[rows]
         if set(map(str.count, chunk, repeat(","))) != {width - 1}:
             return None
         fields = ",".join(chunk).split(",")
@@ -201,7 +197,7 @@ def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int
             values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
         except ValueError:
             return None
-        coords[start:start + len(chunk)] = values.reshape(len(chunk), width - timed)
+        coords[rows] = values.reshape(len(chunk), width - timed)
     return times, coords
 
 

@@ -18,6 +18,8 @@ configuration comes through ``_assign``. ``_no_switch`` is the one no-switch
 rule (size 0, or size < min_margin / 2), ``_row_norms`` the one row-norm
 formula (displacements, noise and the radius search's directions) and
 ``_max_displacement`` the one max per-point displacement formula.
+``_FRAGILE_MARGIN`` = 1e-12 is the one margin below which a label is reported
+as fragile (``Assignment.fragile_indices``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ __all__ = [
 # A coordinate difference stays below 2e150, so each squared distance, a sum of d squares of at
 # most 4e300, stays finite for every d below 4e7.
 _MAX_COORDINATE = 1e150
+
+# A point whose margin falls below this is flagged as fragile: its label may not survive rounding.
+_FRAGILE_MARGIN = 1e-12
 
 # Row blocks of the distance kernels hold at most this many (point, center, coordinate) entries:
 # 512 KiB of float64 per temporary, whatever n is. Monte Carlo's trial chunks use the same budget.
@@ -197,13 +202,13 @@ class Assignment:
     def min_margin(self) -> float:
         return float(self.margins.min())
 
-    def fragile_indices(self, threshold: float = 1e-12) -> tuple[int, ...]:
-        """1-based indices whose margin falls below ``threshold``.
+    def fragile_indices(self) -> tuple[int, ...]:
+        """1-based indices whose margin falls below ``_FRAGILE_MARGIN``.
 
         Assignment itself uses exact floating-point comparison; this diagnostic
         flags points whose label is numerically fragile.
         """
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.margins < threshold))
+        return tuple(int(i) + 1 for i in np.flatnonzero(self.margins < _FRAGILE_MARGIN))
 
 
 def _row_blocks(n: int, entries_per_row: int):

@@ -43,6 +43,12 @@ SEARCH_NOTE = "upper bound (single-move adversary)"
 _BATCH_GROWTH = 4
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The one check of a perturbation size epsilon: finite and nonnegative."""
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+
+
 def no_switch_certificate(assignment: Assignment, epsilon: float) -> bool:
     """True iff every perturbation of size <= epsilon provably preserves labels.
 
@@ -51,8 +57,7 @@ def no_switch_certificate(assignment: Assignment, epsilon: float) -> bool:
     tie rule may flip it. epsilon = 0 certifies trivially even at zero margin,
     since the only size-0 perturbation is the configuration itself.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+    _check_epsilon(epsilon)
     return _no_switch(epsilon, assignment.min_margin)
 
 
@@ -62,8 +67,7 @@ def switch_candidates(assignment: Assignment, epsilon: float) -> frozenset[int]:
     Exactly the indices with margin <= 2 * epsilon. Indices outside the set
     provably cannot change their assigned center.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+    _check_epsilon(epsilon)
     return frozenset(int(i) + 1 for i in np.flatnonzero(assignment.margins <= 2.0 * epsilon))
 
 
@@ -78,14 +82,9 @@ def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     return float(_point_nearest(point, centers, _BISECTORS, label)[2].min())
 
 
-def per_point_switch_radii(config: PointConfig, centers: CenterSet, assignment: Assignment | None = None) -> np.ndarray:
-    """Exact single-point switch radius for every index of a configuration.
-
-    A given ``assignment`` must be the configuration's own; the radii come from the kernel's own pass."""
-    own, radii = _assign(config, centers, _RADII)
-    if assignment is not None and not np.array_equal(assignment.labels, own.labels):
-        raise ValueError("assignment is not the nearest-center assignment of this configuration")
-    return radii
+def per_point_switch_radii(config: PointConfig, centers: CenterSet) -> np.ndarray:
+    """Exact single-point switch radius for every index of a configuration, from one kernel pass."""
+    return _assign(config, centers, _RADII)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +196,6 @@ class StabilityReport:
     @cached_property
     def fragile_indices(self) -> tuple[int, ...]:
         return self.assignment.fragile_indices()
-
-    @property
-    def empirical_partition_radius_upper(self) -> float | None:
-        return None if self.witness is None else self.witness.radius
 
     def to_json_dict(self) -> dict:
         w = self.witness

@@ -21,10 +21,12 @@ Monte Carlo and sweep re-assign only the points that can switch. By the paper's
 necessity theorem, noise shorter than a point's switch radius r_i cannot change
 its label; ``_certified_radii`` lowers each r_i by a forward error bound of the
 float arithmetic, so a row whose noise norm stays below it keeps its base label
-bit for bit. Only the other rows, the candidates, reach the assignment kernel,
-and only trials with a changed label reach the distance kernel. A sweep row
-whose epsilon lies below every certified radius is zero in every trial and
-draws nothing. Streams, chunks and reports are those of the unpruned loop.
+bit for bit. ``_noise`` returns those norms with the noise, in one pass per chunk
+(the ball takes one more, of its normals). Only the other rows, the candidates,
+reach the assignment kernel, and only trials with a changed label reach the
+distance kernel. A sweep row whose epsilon lies below every certified radius is
+zero in every trial and draws nothing. Streams, chunks and reports are those of
+the unpruned loop.
 """
 
 from __future__ import annotations
@@ -165,30 +167,32 @@ class _TrialSeeder:
         return [Generator(PCG64(words)) for _ in range(len(state))]
 
 
-def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
-    """(trials, n, dim) independent per-index noise vectors, one trial per generator of the list ``rngs``.
-    Each generator makes the draws the trial would make alone: its normals, for the ball a redraw of each
-    zero-norm row, then its uniforms. So values do not depend on how trials are grouped. The chunk's
-    normals and uniforms are allocated once, and each generator fills its own trial's row of them; between
-    the pass of normals and the pass of uniforms, the ball's zero-norm guard is one flat test per chunk,
-    gating a slower per-row test. Scale and radius are applied in place, in the order of the formulas."""
+def _noise(model: PerturbationModel, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, n, dim) independent per-index noise vectors, one trial per generator of the list ``rngs``,
+    and their (trials, n) ``_row_norms``. Each generator makes the draws the trial would make alone: its
+    normals, for the ball a redraw of each zero-norm row, then its uniforms. So values do not depend on
+    how trials are grouped. The chunk's normals and uniforms are allocated once, and each generator fills
+    its own trial's row of them. The ball takes its normals' norms once, for the zero-norm guard and the
+    directions, re-taking only redrawn rows'. Scale and radius are applied in place, in formula order."""
     g = np.empty((len(rngs), n, model.dim))
     for rng, row in zip(rngs, g):
         rng.standard_normal(out=row)
     if model.kind == GAUSSIAN:
-        return np.multiply(g, model.scale, out=g)
-    # essentially impossible, but keeps directions defined: a row has norm 0 iff every x * x is 0
-    if not (sq := g * g).all():
-        for t in np.flatnonzero((sq == 0).all(axis=2).any(axis=1)):
-            while (redo := (g[t] * g[t] == 0).all(axis=1)).any():
-                g[t, redo] = rngs[t].standard_normal((int(redo.sum()), model.dim))
+        eta = np.multiply(g, model.scale, out=g)
+        return eta, _row_norms(eta)
+    # essentially impossible, but keeps directions defined: a row's norm is 0 iff every x * x is 0
+    norms = _row_norms(g)
+    for t in np.flatnonzero((norms == 0).any(axis=1)):
+        while (redo := norms[t] == 0).any():
+            g[t, redo] = rngs[t].standard_normal((int(redo.sum()), model.dim))
+            norms[t, redo] = _row_norms(g[t, redo])
     # uniform on the ball: random direction g / |g|, radius rho * U^(1/d)
     radii = np.empty((len(rngs), n))
     for rng, row in zip(rngs, radii):
         rng.random(out=row)
     radii **= 1.0 / model.dim
     radii *= model.scale
-    radii /= _row_norms(g)
+    radii /= norms
     eta = np.multiply(g, radii[..., None], out=g)
     # the norm bound is a hard guarantee, in the norm the candidate filter computes; nudge any float overshoot back
     # an ulp at a time; past 64 nudges each doubles, as an ulp may never move a norm whose squares are subnormal
@@ -198,7 +202,7 @@ def _noise(model: PerturbationModel, n: int, rngs) -> np.ndarray:
         nudges += 1
         shrink *= 2.0 if nudges > 64 else 1.0
         out_norms = _row_norms(eta)
-    return eta
+    return eta, out_norms
 
 
 def sample_perturbation(model: PerturbationModel, config: PointConfig, seed) -> PointConfig:
@@ -209,8 +213,7 @@ def sample_perturbation(model: PerturbationModel, config: PointConfig, seed) -> 
     """
     if model.dim != config.d:
         raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return PointConfig(config.points + _noise(model, config.n, [rng])[0])
+    return PointConfig(config.points + _noise(model, config.n, [np.random.default_rng(seed)])[0][0])
 
 
 def switch_probability_bound(gamma: float, model: PerturbationModel) -> float:
@@ -325,16 +328,17 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
     center) entries and its n * d noise coordinates, so ``_BLOCK_ENTRIES`` bounds a chunk's arrays in
     d as in n, with one trial per chunk once n * (k + d) exceeds it.
 
-    A row (t, i) whose noise norm is below ``reach[i]`` (``_certified_radii``) keeps its base label;
+    A row (t, i) whose noise norm, as ``_noise`` returns it, is below ``reach[i]`` (``_certified_radii``)
+    keeps its base label;
     the chunk's other rows, its candidates, go to the kernel in one call, and only trials with a
     changed label go to the distance kernel, in one call. The kernel works row by row, so the labels
     are those of the whole chunk's X + noise, bit for bit."""
     n = config.n
     seeder = _TrialSeeder(entropy)
     for rows in _row_blocks(trials, n * (centers.k + config.d)):
-        eta = _noise(model, n, seeder.rngs(range(trials)[rows]))
+        eta, norms = _noise(model, n, seeder.rngs(range(trials)[rows]))
         labels = np.tile(base, (len(eta), 1))
-        trial, point = np.nonzero(~(_row_norms(eta) < reach))  # a NaN or inf norm is a candidate too
+        trial, point = np.nonzero(~(norms < reach))  # a NaN or inf norm is a candidate too
         if point.size:
             labels[trial, point] = _nearest(config.points[point] + eta[trial, point], centers.centers, _LABELS)[0]
         switched = labels != base
@@ -365,10 +369,6 @@ class MonteCarloReport:
     expected_distance_bound: float
     trial_switch_counts: np.ndarray
     trial_distances: np.ndarray
-
-    @property
-    def aggregate_bounds(self) -> tuple[float, float]:
-        return (self.expected_switch_bound, self.expected_distance_bound)
 
     def to_json_dict(self) -> dict:
         return {
@@ -448,13 +448,17 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     min_margin: float
-    threshold: float
     trials: int
     seed: int
     rows: tuple[SweepRow, ...]
 
+    @property
+    def threshold(self) -> float:
+        """min_margin / 2, the size below which no label can change."""
+        return self.min_margin / 2.0
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "threshold": self.threshold}
 
 
 def sweep_table(
@@ -476,7 +480,6 @@ def sweep_table(
     grid = _sweep_grid(grid)
     _check_trials(trials)
     base, reach = _base_pass(config, centers)
-    threshold = base.min_margin / 2.0
     rows = []
     for eps in grid:
         mean = peak = 0.0
@@ -490,10 +493,4 @@ def sweep_table(
             mean, peak = float(dists.mean()), float(dists.max())
         rows.append(SweepRow(epsilon=eps, mean_distance=mean, max_distance=peak,
                              below_threshold=_no_switch(eps, base.min_margin)))
-    return SweepResult(
-        min_margin=base.min_margin,
-        threshold=threshold,
-        trials=trials,
-        seed=seed,
-        rows=tuple(rows),
-    )
+    return SweepResult(min_margin=base.min_margin, trials=trials, seed=seed, rows=tuple(rows))

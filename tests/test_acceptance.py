@@ -196,7 +196,7 @@ def test_criterion_06_exact_switch_radius():
     for _ in range(400):
         config, centers = random_instance(rng, n_max=30, d_max=5, k_max=5)
         a = assign_nearest(config, centers)
-        radii = per_point_switch_radii(config, centers, a)
+        radii = per_point_switch_radii(config, centers)
         assert (radii >= a.margins / 2.0 - band).all()
         for i in range(config.n):
             own = int(a.labels[i])

@@ -595,7 +595,13 @@ class TestFlagsBeforeInputs:
         assert main(["sweep", *files, "--grid", "abc"]) == 2
         assert capsys.readouterr() == ("", "error: --grid must be comma-separated numbers, got 'abc'\n")
 
+    def test_analyze_epsilon_before_the_files(self, capsys, tmp_path):
+        files = ["--points", str(tmp_path / "missing.csv"), "--centers", str(tmp_path / "missing_centers.csv")]
+        assert main(["analyze", *files, "--epsilon", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: epsilon must be finite and nonnegative, got -1.0\n")
+
     @pytest.mark.parametrize("argv", [
+        ["analyze", "--epsilon", "nan"],
         ["montecarlo", "--rho", "0.1", "--sigma", "0.1"],
         ["montecarlo", "--rho", "nan"],
         ["montecarlo", "--rho", "0.1", "--trials", "0"],
@@ -607,6 +613,43 @@ class TestFlagsBeforeInputs:
         monkeypatch.setattr("margin_guard.cli.make_preset", None)  # generating would raise TypeError
         assert main([*argv, "--preset", "two_gaussians", "--n", "100000"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFixtureParameters:
+    """A fixture's epsilon and delta must be finite and positive, and the error names the parameter."""
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["construct", "near_boundary", "--delta", "nan"], "delta", "nan"),
+        (["construct", "single_point", "--epsilon", "inf"], "epsilon", "inf"),
+        (["construct", "many_point", "--epsilon", "0"], "epsilon", "0.0"),
+        (["preset", "single_point", "--epsilon", "nan"], "epsilon", "nan"),
+        (["preset", "near_boundary", "--delta=-inf"], "delta", "-inf"),
+        (["analyze", "--preset", "near_boundary", "--delta", "inf"], "delta", "inf"),
+        (["montecarlo", "--preset", "many_point", "--epsilon", "nan", "--rho", "0.1"], "epsilon", "nan"),
+        (["sweep", "--preset", "single_point", "--epsilon", "-1", "--grid", "0.1,0.2"], "epsilon", "-1.0"),
+    ])
+    def test_bad_value_exits_2_naming_the_parameter(self, capsys, argv, name, value):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {name} must be finite and positive, got {value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--rho", "0.2", "--trials", "50"],
+        ["sweep", "--grid", "0.1,0.2", "--trials", "50"],
+    ])
+    def test_fixture_epsilon_reaches_the_preset(self, capsys, tmp_path, argv):
+        # --epsilon 0.5 puts the crossing point at 0.125 from the bisector, the default 1.0 at 0.25: noise of
+        # radius 0.2 switches only the first (at 0.1 neither switches, so that radius could not show the flag)
+        out = tmp_path / "single"
+        assert main(["preset", "single_point", "--epsilon", "0.5", "--format", "csv", "--out", str(out)]) == 0
+        capsys.readouterr()
+        reports = []
+        for inputs in (["--preset", "single_point", "--epsilon", "0.5"],
+                       ["--points", f"{out}.points.csv", "--centers", f"{out}.centers.csv"],
+                       ["--preset", "single_point"]):
+            assert main([*argv, *inputs]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert reports[0] != reports[2]
 
 
 def degenerate_inputs():

@@ -121,6 +121,13 @@ def test_parameter_validation():
         many_point_instability(1.0, 2.5)
     with pytest.raises(ValueError):
         near_boundary_instability(0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^epsilon must be finite and positive"):
+            single_point_instability(bad)
+        with pytest.raises(ValueError, match="^epsilon must be finite and positive"):
+            many_point_instability(bad, 2)
+        with pytest.raises(ValueError, match="^delta must be finite and positive"):
+            near_boundary_instability(bad)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

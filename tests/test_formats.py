@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats
+from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats, geometry
 from margin_guard.formats import (
     centers_to_csv,
     centers_to_json_dict,
@@ -234,7 +234,7 @@ class TestBulkCsvRecords:
         header = ",".join(["t"] * timed + [f"x{j + 1}" for j in range(d)])
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         path.write_text("\n".join([header, *map(",".join, records)]) + "\n")
-        with mock.patch.object(formats, "_CSV_CHUNK", 2):
+        with mock.patch.object(geometry, "_BLOCK_ENTRIES", 2 * (timed + d)):
             bulk = csv_outcome(formats._read_csv_records, path, timed)
         assert bulk == csv_outcome(read_csv_by_records, path, timed)
 

@@ -143,7 +143,6 @@ class TestAssignNearest:
         cfg = PointConfig([[0.0, 1.0], [3.0, 0.0]])
         a = assign_nearest(cfg, two_centers)
         assert a.fragile_indices() == (1,)
-        assert a.fragile_indices(threshold=10.0) == (1, 2)
 
 
 class TestMarginFunction:

@@ -122,7 +122,7 @@ class TestExactSwitchRadius:
         for _ in range(150):
             config, centers = random_instance(rng, n_max=20, d_max=4, k_max=5)
             a = assign_nearest(config, centers)
-            radii = per_point_switch_radii(config, centers, a)
+            radii = per_point_switch_radii(config, centers)
             assert (radii >= a.margins / 2.0 - 1e-9).all()
 
     def test_equality_on_segment_between_centers(self, two_centers):
@@ -133,16 +133,11 @@ class TestExactSwitchRadius:
         assert r_on == pytest.approx(a.margins[0] / 2.0)
         assert r_off > a.margins[1] / 2.0 + 1e-6
 
-    def test_radii_need_the_configuration_own_assignment(self, anchored_config, two_centers):
-        swapped = assign_nearest(PointConfig([[2.0, 0.0], [-2.0, 0.0], [0.1, 0.0]]), two_centers)
-        with pytest.raises(ValueError, match="not the nearest-center assignment"):
-            per_point_switch_radii(anchored_config, two_centers, swapped)
-
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         config, centers = random_instance(rng, n_max=15, d_max=3, k_max=4)
         a = assign_nearest(config, centers)
-        radii = per_point_switch_radii(config, centers, a)
+        radii = per_point_switch_radii(config, centers)
         for i in range(config.n):
             expect = exact_switch_radius(config.points[i], centers, int(a.labels[i]))
             assert radii[i] == pytest.approx(expect, rel=1e-12)
@@ -188,7 +183,7 @@ class TestPartitionRadiusSearch:
         res = analyze_stability(config, centers).witness
         assert res is not None
         a = assign_nearest(config, centers)
-        min_exact = per_point_switch_radii(config, centers, a).min()
+        min_exact = per_point_switch_radii(config, centers).min()
         assert res.radius == pytest.approx(min_exact, rel=1e-6)
 
     def test_cheapest_non_changing_move_is_skipped(self):
@@ -560,7 +555,7 @@ class TestStabilityReport:
         assert report.assignment_radius == pytest.approx(0.1)
         assert (report.per_point_switch_radius >= report.margins / 2.0 - 1e-9).all()
         assert report.assignment_radius >= report.margin_lower_bound_radius - 1e-9
-        assert report.empirical_partition_radius_upper == pytest.approx(0.1, rel=1e-6)
+        assert report.witness.radius == pytest.approx(0.1, rel=1e-6)
 
     def test_radius_sandwich_on_witnessed_reports(self):
         rng = np.random.default_rng(8)

@@ -82,7 +82,7 @@ class TestSampling:
         model = PerturbationModel.bounded_disk(0.37, dim=3)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            eta = _noise(model, 100, [rng])[0]
+            eta = _noise(model, 100, [rng])[0][0]
             assert (np.linalg.norm(eta, axis=1) <= 0.37).all()
 
     def test_subnormal_squares_end_the_norm_nudges(self, monkeypatch):
@@ -97,7 +97,7 @@ class TestSampling:
 
         monkeypatch.setattr(stochastic, "_row_norms", counted)
         model = PerturbationModel.bounded_disk(1e-160, dim=8)
-        eta = _noise(model, 6, [np.random.default_rng(191)])[0]
+        eta = _noise(model, 6, [np.random.default_rng(191)])[0][0]
         assert (norms(eta) <= 1e-160).all()
         assert np.array_equal(eta, noise_one_trial(model, 6, np.random.default_rng(191)))
 
@@ -392,7 +392,7 @@ class TestPerTrialInvariants:
         model = PerturbationModel.gaussian(0.25, dim=2)
         n = anchored_config.n
         for t in range(500):
-            eta = _noise(model, n, [trial_rng(4242, t)])[0]
+            eta = _noise(model, n, [trial_rng(4242, t)])[0][0]
             perturbed = PointConfig(anchored_config.points + eta)
             after = assign_nearest(perturbed, two_centers)
             switched = base.labels != after.labels
@@ -446,9 +446,8 @@ class TestMonteCarlo:
     def test_aggregate_bounds_attached(self, anchored_config, two_centers):
         model = PerturbationModel.bounded_disk(0.3, dim=2)
         report = monte_carlo(anchored_config, two_centers, model, trials=100, seed=3)
-        sw, dist = report.aggregate_bounds
-        assert sw == pytest.approx(8.0 / 9.0)
-        assert dist == pytest.approx(8.0 / 9.0)
+        assert report.expected_switch_bound == pytest.approx(8.0 / 9.0)
+        assert report.expected_distance_bound == pytest.approx(8.0 / 9.0)
         assert report.per_index_bound == pytest.approx([0.0, 0.0, 8.0 / 9.0])
 
 
@@ -618,7 +617,7 @@ class TestChunkedTrialsMatchPerTrialLoop:
     def test_zero_norm_rows_are_redrawn_from_their_own_stream(self, fill):
         model = PerturbationModel.bounded_disk(0.5, dim=3)
         streams = lambda: [trial_rng(1, 0), ZeroNormRowGenerator(8, fill), trial_rng(1, 2)]  # noqa: E731
-        chunk = _noise(model, 6, streams())
+        chunk = _noise(model, 6, streams())[0]
         assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
         stub = ZeroNormRowGenerator(8, fill)
         _noise(model, 6, [stub])
@@ -633,7 +632,7 @@ class TestChunkedTrialsMatchPerTrialLoop:
             trial_rng(1, 4),
         ]
         chunk_streams = streams()
-        chunk = _noise(model, 6, chunk_streams)
+        chunk = _noise(model, 6, chunk_streams)[0]
         assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
         assert [chunk_streams[t].normal_draws for t in (1, 3)] == [2, 2]
 
@@ -642,7 +641,7 @@ class TestChunkedTrialsMatchPerTrialLoop:
         model = PerturbationModel.bounded_disk(0.5, dim=3)
         streams = lambda: [trial_rng(1, 0), ZeroNormRowGenerator(8, fill, zero_draws=2)]  # noqa: E731
         chunk_streams = streams()
-        chunk = _noise(model, 6, chunk_streams)
+        chunk = _noise(model, 6, chunk_streams)[0]
         assert np.array_equal(chunk, np.array([noise_one_trial(model, 6, rng) for rng in streams()]))
         assert chunk_streams[1].normal_draws == 3  # the first draw, then two redraws of the row
 
@@ -653,7 +652,7 @@ def unpruned_chunks(config, centers, base, model, trials, entropy):
     n, d = config.points.shape
     seeder = _TrialSeeder(entropy)
     for rows in geometry._row_blocks(trials, n * (centers.k + d)):
-        noisy = config.points + _noise(model, n, seeder.rngs(range(trials)[rows]))
+        noisy = config.points + _noise(model, n, seeder.rngs(range(trials)[rows]))[0]
         labels = geometry._nearest(noisy.reshape(-1, d), centers.centers, geometry._LABELS)[0].reshape(-1, n)
         yield labels, _label_distance(base, labels)
 
@@ -683,7 +682,7 @@ def unpruned_sweep(config, centers, grid, trials, seed):
         entropy = (seed, int(np.float64(eps).view(np.uint64)))
         dists = np.concatenate([d for _, d in unpruned_chunks(config, centers, base.labels, model, trials, entropy)])
         rows.append(SweepRow(eps, float(dists.mean()), float(dists.max()), geometry._no_switch(eps, base.min_margin)))
-    return SweepResult(base.min_margin, base.min_margin / 2.0, trials, seed, tuple(rows))
+    return SweepResult(base.min_margin, trials, seed, tuple(rows))
 
 
 def assert_same_report(got, want):
@@ -923,6 +922,32 @@ class TestChunkedTrialsWork:
         assert len(streams) == 1500
         assert all(stream.calls == draws for stream in streams)
         assert np.array_equal(report.trial_distances, expected.trial_distances)
+
+    @pytest.mark.parametrize("model, passes", [(PerturbationModel.bounded_disk(0.3), 2), (PerturbationModel.gaussian(0.3), 1)])
+    def test_two_norm_passes_per_ball_chunk_and_one_per_gaussian_chunk(
+            self, monkeypatch, anchored_config, two_centers, model, passes):
+        # the ball takes the normals' norms and the noise's, the Gaussian the noise's; the candidate filter
+        # reads the noise's norms as the draw returns them
+        expected = monte_carlo(anchored_config, two_centers, model, trials=50, seed=5)
+        chunk_trials = self.record_chunks(monkeypatch)
+        norms = self.count_calls(monkeypatch, "_row_norms")
+        set_trials_per_chunk(monkeypatch, 7, anchored_config, two_centers)
+        report = monte_carlo(anchored_config, two_centers, model, trials=50, seed=5)
+        assert len(chunk_trials) == 8
+        chunk_shapes = [(len(trials), 3, 2) for trials in chunk_trials for _ in range(passes)]
+        assert [v.shape for (v,) in norms if v.ndim == 3] == chunk_shapes
+        assert [v.shape for (v,) in norms if v.ndim != 3] == [(3, 2), (2, 2)]  # the certified radii's points, centers
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert np.array_equal(report.trial_distances, expected.trial_distances)
+
+    def test_ball_noise_holds_no_chunk_sized_square(self):
+        # at d = 4: the normals (d units of trials x n floats), their norms, the radii and the two (trials, n)
+        # temporaries of a norm pass, 8 units; a chunk-sized g * g for the zero-norm test took 3 more
+        model, trials, n = PerturbationModel.bounded_disk(0.3, dim=4), 20, 500
+        rngs = lambda: [trial_rng(2, t) for t in range(trials)]  # noqa: E731
+        peak, (eta, norms) = peak_traced_mib(lambda: _noise(model, n, rngs()))
+        assert peak * 2**20 < (model.dim + 5) * trials * n * 8
+        assert norms.tobytes() == geometry._row_norms(eta).tobytes()
 
     def test_memory_stays_small_over_many_trials(self):
         config, centers = two_gaussians(n=200, seed=3)
