@@ -5,18 +5,19 @@ decision boundary is the vertical line x = 0. Anchor points far from the
 boundary pin the cluster structure while a near-boundary point (or column of
 points) crosses under an arbitrarily small perturbation. Expected partitions
 are embedded as data so regressions in assignment logic are caught against
-fixed ground truth rather than recomputed values.
+fixed ground truth rather than recomputed values; a size at which the
+nearest-center rule does not give them in float64 raises, naming the parameter.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CenterSet, PointConfig, perturbation_size
-from .partitions import Partition
+from .geometry import CenterSet, PointConfig, assign_nearest, perturbation_size
+from .partitions import Partition, induced_partition
 
 __all__ = [
     "CounterexampleFixture",
@@ -49,6 +50,9 @@ class CounterexampleFixture:
             raise ValueError(
                 f"stored perturbation size {self.perturbation_size} != measured {actual}"
             )
+        rule = [induced_partition(assign_nearest(config, self.centers)) for config in (self.config, self.perturbed)]
+        if rule != [self.expected_before, self.expected_after]:
+            raise ValueError("the nearest-center rule does not give the expected partitions in float64")
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,12 +66,6 @@ class CounterexampleFixture:
         }
 
 
-def _check_positive(name: str, value: float) -> None:
-    """A fixture's epsilon or delta must be finite and positive; the error names the parameter."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def single_point_instability(epsilon: float) -> CounterexampleFixture:
     """Three points, one of which crosses the boundary under a 2*delta move.
 
@@ -76,13 +74,16 @@ def single_point_instability(epsilon: float) -> CounterexampleFixture:
     point at (delta, 0) moves to (-delta, 0) and switches, changing the
     partition from {{1}, {2, 3}} to {{1, 3}, {2}}.
     """
-    _check_positive("epsilon", epsilon)
-    return replace(near_boundary_instability(epsilon / 4.0), kind="single_point")
+    return _crossing("single_point", "epsilon", epsilon, 0.25, np.zeros(1))
 
 
-def _crossing(kind: str, delta: float, ys: np.ndarray) -> CounterexampleFixture:
+def _crossing(kind: str, name: str, value: float, scale: float, ys: np.ndarray) -> CounterexampleFixture:
     """Anchors 1 and 2 at (-2, 0) and (2, 0); indices 3.. sit at (delta, y) for each y in ``ys`` and
-    all move to (-delta, y), which flips the partition from {{1}, {2, 3, ...}} to {{1, 3, ...}, {2}}."""
+    all move to (-delta, y), which flips the partition from {{1}, {2, 3, ...}} to {{1, 3, ...}, {2}}.
+    delta is ``scale`` times ``value``, the parameter ``name``, which every error names."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    delta = scale * value
     n = len(ys) + 2
     rows = np.empty((n, 2))
     rows[:2] = [[-2.0, 0.0], [2.0, 0.0]]
@@ -91,12 +92,15 @@ def _crossing(kind: str, delta: float, ys: np.ndarray) -> CounterexampleFixture:
     config = PointConfig(rows)
     rows[2:, 0] = -delta
     perturbed = PointConfig(rows)
-    return CounterexampleFixture(
-        kind=kind, config=config, perturbed=perturbed, centers=STANDARD_CENTERS,
-        expected_before=Partition.from_labels(np.arange(n) == 0),  # index 1 alone
-        expected_after=Partition.from_labels(np.arange(n) == 1),  # index 2 alone
-        perturbation_size=perturbation_size(config, perturbed),
-    )
+    try:
+        return CounterexampleFixture(
+            kind=kind, config=config, perturbed=perturbed, centers=STANDARD_CENTERS,
+            expected_before=Partition.from_labels(np.arange(n) == 0),  # index 1 alone
+            expected_after=Partition.from_labels(np.arange(n) == 1),  # index 2 alone
+            perturbation_size=perturbation_size(config, perturbed),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{kind} does not hold at {name} = {value!r}: {exc}") from None
 
 
 def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
@@ -106,10 +110,9 @@ def many_point_instability(epsilon: float, m: int) -> CounterexampleFixture:
     to (-delta, i). The partition flips from {{1}, {2, ..., m+2}} to
     {{1, 3, ..., m+2}, {2}}.
     """
-    _check_positive("epsilon", epsilon)
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _crossing("many_point", epsilon / 4.0, np.arange(1.0, operator.index(m) + 1.0))
+    return _crossing("many_point", "epsilon", epsilon, 0.25, np.arange(1.0, operator.index(m) + 1.0))
 
 
 def near_boundary_instability(delta: float) -> CounterexampleFixture:
@@ -119,8 +122,7 @@ def near_boundary_instability(delta: float) -> CounterexampleFixture:
     by the boundary offset, so both the margin and the partition-changing
     perturbation shrink together as delta -> 0.
     """
-    _check_positive("delta", delta)
-    return _crossing("near_boundary", delta, np.zeros(1))
+    return _crossing("near_boundary", "delta", delta, 1.0, np.zeros(1))
 
 
 def make_fixture(name: str, epsilon: float = 1.0, m: int = 1, delta: float = 0.1) -> CounterexampleFixture:

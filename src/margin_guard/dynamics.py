@@ -5,8 +5,8 @@ set with centers held fixed for all times. Certificates substitute the
 computable lower bound min_margin / 2 for the exact stability radius, so they
 are sound but conservative: certified implies the partition is unchanged,
 uncertified implies nothing. Both certificates apply ``geometry._no_switch``,
-the one no-switch rule. ``Trajectory`` has one constructor, for ``PointConfig``s
-and for the (T+1, n, d) array of ``read_trajectory_file`` alike.
+the one no-switch rule. ``Trajectory``, the one snapshot shape check, has one
+constructor, for ``PointConfig``s and ``read_trajectory_file``'s snapshots alike.
 """
 
 from __future__ import annotations

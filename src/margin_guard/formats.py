@@ -10,7 +10,10 @@ JSON reports are byte for byte what json.dumps writes with sort_keys=True and
 indent=2, written in one pass: each list of numbers, or of rows of numbers, is
 one call of CPython's compact C encoder, re-indented by string replacement.
 CSV records are read in bulk, one float map over all fields; a file the bulk
-parse could read or word differently goes through csv record by record.
+parse could read or word differently goes through csv record by record. CSV
+coordinates are ASCII decimals without "_", which float() alone would accept.
+Every error about an input file names the file, those that ``PointConfig``,
+``CenterSet`` and ``Trajectory`` (the one snapshot shape check) raise included.
 """
 
 from __future__ import annotations
@@ -178,18 +181,20 @@ def _json_doc(path: Path, key: str) -> dict:
 def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
     """The t column and the coordinates of ``records``, parsed in bulk, or None where the bulk parse
     could read or word a record otherwise than the csv loop of _read_csv_records: a record whose
-    field count is not ``width``, or a field that the digit test or float rejects. That covers every
-    quote character, which neither accepts; without quotes csv splits a line at its commas, and
-    float gives the same bits either way."""
+    field count is not ``width``, a non-ASCII character or "_", or a field that the digit test or
+    float rejects. That covers every quote character, which neither accepts; without quotes csv
+    splits a line at its commas, and float gives the same bits either way."""
     times, coords = [], np.empty((len(records), width - timed))
     for rows in _row_blocks(len(records), width):  # bounds the field strings held at once
         chunk = records[rows]
-        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+        text = ",".join(chunk)
+        # float and int also read "1_0" and non-ASCII digits, which the record loop rejects
+        if set(map(str.count, chunk, repeat(","))) != {width - 1} or not text.isascii() or "_" in text:
             return None
-        fields = ",".join(chunk).split(",")
+        fields = text.split(",")
         if timed:
             stamps = list(map(str.strip, fields[::width]))
-            if not (all(map(str.isdigit, stamps)) and "".join(stamps).isascii()):
+            if not all(map(str.isdigit, stamps)):
                 return None
             times += map(int, stamps)
             del fields[::width]
@@ -230,55 +235,60 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.nd
                 if not (rec[0].strip().isascii() and rec[0].strip().isdigit()):  # int() also takes "1_0", "+3"
                     raise ValueError(f"time must be written with the digits 0-9, got {rec[0]!r}")
                 times.append(int(rec[0]))
+            bad = next((v for v in rec[len(lead):] if not v.isascii() or "_" in v), None)
+            if bad is not None:  # float() also takes "1_0" and non-ASCII digits
+                raise ValueError(f"coordinate must be an ASCII decimal without '_', got {bad!r}")
             rows.append([float(v) for v in rec[len(lead):]])
         except ValueError as exc:
             raise ValueError(f"{path}: record {lineno}: {exc}") from None
     return times, np.array(rows)
 
 
-def _bad_json_entry(values, depth: int, what: str) -> str | None:
-    """The first flaw, in file order, of nested JSON lists meant as coordinate rows (``depth`` 2) or
-    as snapshots of them (``depth`` 3): a row that is not a list of plain numbers as long as the
-    first row, or a snapshot whose point count differs from the first one's. None if there is none."""
+def _bad_json_entry(values, what: str) -> str | None:
+    """The first flaw, in file order, of nested JSON lists meant as coordinate rows: a row that is not
+    a list of plain numbers as long as the first row. None if there is none."""
     if not isinstance(values, list):
         return f"{what} must be a rectangular array of coordinate vectors"
-    snaps, n, width = (values if depth == 3 else [values]), None, None
-    for t, snap in enumerate(snaps):
-        where = f"snapshot {t} " if depth == 3 else f"{what} "
-        if not isinstance(snap, list):
-            return f"snapshot {t} is not an array of points"
-        n = len(snap) if n is None else n
-        if len(snap) != n:
-            return f"snapshot {t} has {len(snap)} points, expected {n}; the point indexing is fixed over time"
-        for i, row in enumerate(snap, start=1):
-            if not isinstance(row, list):
-                return f"{where}row {i} is not an array of coordinates"
-            width = len(row) if width is None else width
-            if len(row) != width:
-                return f"{where}row {i} has {len(row)} coordinates, expected {width}"
-            for v in row:
-                if type(v) not in (int, float):  # bool is not a number here, though a subclass of int
-                    return f"{where}row {i} has a coordinate that is not a number: {json.dumps(v)}"
+    for i, row in enumerate(values, start=1):
+        if not isinstance(row, list):
+            return f"{what} row {i} is not an array of coordinates"
+        if len(row) != len(values[0]):  # row 1 passed the list test above
+            return f"{what} row {i} has {len(row)} coordinates, expected {len(values[0])}"
+        for v in row:
+            if type(v) not in (int, float):  # bool is not a number here, though a subclass of int
+                return f"{what} row {i} has a coordinate that is not a number: {json.dumps(v)}"
     return None
 
 
-def _json_coordinates(values, path: Path, what: str, depth: int = 2) -> np.ndarray:
-    """``values`` from a JSON document as a float array, rejecting ragged rows and non-numbers with
-    the file and the entry named. numpy alone would read true as 1.0 and "1" as a number. Converting
-    without a dtype sorts most cases out: strings give str, all-bool data bool, null object. Only an
-    exact 0 or 1, which is what a true or false mixed in with numbers becomes, triggers a scan."""
+def _plain_numbers(values) -> np.ndarray | None:
+    """``values`` from a JSON document in one numpy conversion, or None if it is ragged or not all plain
+    numbers: strings, bools and null give other dtypes, and an exact 0 or 1 may be a bool among numbers."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or ((arr == 0) | (arr == 1)).any():
-        problem = _bad_json_entry(values, depth, what)
-        if problem is not None:
-            raise ValueError(f"{path}: {problem}")
-    try:  # an object array of plain numbers holds ints too large for int64
-        return np.asarray(arr, dtype=float)
+        return None
+    return arr if arr.dtype.kind in "iuf" and not ((arr == 0) | (arr == 1)).any() else None
+
+
+def _json_coordinates(values, path: Path, what: str) -> np.ndarray:
+    """``values`` from a JSON document as a float array, rejecting ragged rows and non-numbers with
+    the file and the entry named; whatever _plain_numbers declines is scanned row by row."""
+    arr = _plain_numbers(values)
+    problem = None if arr is not None else _bad_json_entry(values, what)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
+    try:  # plain ints too large for int64 stay Python ints, and those too large for a float overflow
+        return np.asarray(values if arr is None else arr, dtype=float)
     except OverflowError:
         raise ValueError(f"{path}: {what}: a coordinate has magnitude >= 1e150") from None
+
+
+def _named(path: Path, make, *args):
+    """``make(*args)``, a value built from a file's content; a ValueError it raises names the file."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_matrix(path: str | Path, json_key: str) -> np.ndarray:
@@ -290,11 +300,11 @@ def _load_matrix(path: str | Path, json_key: str) -> np.ndarray:
 
 def read_points(path: str | Path) -> PointConfig:
     """Load a configuration from a .csv or .json file."""
-    return PointConfig(_load_matrix(path, "points"))
+    return _named(path, PointConfig, _load_matrix(path, "points"))
 
 
 def read_centers(path: str | Path) -> CenterSet:
-    return CenterSet(_load_matrix(path, "centers"))
+    return _named(path, CenterSet, _load_matrix(path, "centers"))
 
 
 def trajectory_to_json_dict(snapshots, centers: CenterSet) -> dict:
@@ -307,32 +317,28 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     JSON files are self-contained ("centers" plus a "snapshots" array). The
     CSV alternative has columns t,x1..xd with one row per (time, index), in any
     order, and requires the centers from a separate file. Either way the
-    snapshots become one (T+1, n, d) array, checked once as a whole.
+    snapshots go to ``Trajectory``, the one check of their shapes. JSON
+    snapshots are converted in one step if they are a rectangular array of plain
+    numbers, else snapshot by snapshot, with rows named "snapshot t row i".
     """
     path = Path(path)
     doc = {}
     if path.suffix.lower() == ".json":
         doc = _json_doc(path, "snapshots")
-        stack = _json_coordinates(doc["snapshots"], path, "snapshots", depth=3)
+        snapshots = _plain_numbers(doc["snapshots"])
+        if snapshots is None:
+            snapshots = [_json_coordinates(snap, path, f"snapshot {t}") for t, snap in enumerate(doc["snapshots"])]
     else:
         times, coords = _read_csv_records(path, timed=True)
-        # one stable sort groups the rows by time and keeps file order within each time
-        order = np.argsort(times, kind="stable")
-        times = np.asarray(times)[order]
-        cuts = np.flatnonzero(times[1:] != times[:-1]) + 1
-        steps = times[np.r_[0, cuts]]
+        steps, counts = np.unique(times, return_counts=True)
         if not np.array_equal(steps, np.arange(steps.size)):
             raise ValueError(f"{path}: snapshot times must be 0..T, got {steps.tolist()}")
-        sizes = np.diff(np.r_[0, cuts, times.size])
-        if (sizes != sizes[0]).any():
-            t = int(np.argmax(sizes != sizes[0]))
-            raise ValueError(f"{path}: snapshot {t} has {sizes[t]} points, expected {sizes[0]}; "
-                             "the point indexing is fixed over time")
-        stack = coords[order].reshape(steps.size, sizes[0], coords.shape[1])
+        # one stable sort groups the rows by time and keeps file order within each time
+        snapshots = np.split(coords[np.argsort(times, kind="stable")], np.cumsum(counts[:-1]))
     if centers_path is not None:
         centers = read_centers(centers_path)
     elif "centers" in doc:
-        centers = CenterSet(_json_coordinates(doc["centers"], path, "centers"))
+        centers = _named(path, CenterSet, _json_coordinates(doc["centers"], path, "centers"))
     else:
         raise ValueError(f"{path}: no centers in the file and no centers file given")
-    return Trajectory(stack, centers)
+    return _named(path, Trajectory, snapshots, centers)

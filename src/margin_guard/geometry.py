@@ -66,13 +66,12 @@ def _check_coordinates(arr: np.ndarray, row_name) -> None:
 
 
 def _coordinate_matrix(rows, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    arr = np.array(rows, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{what} must be a rectangular array of coordinate vectors")
     if arr.shape[1] < 1:
         raise ValueError(f"{what} must have dimension >= 1")
     _check_coordinates(arr, lambda r: f"{what} row {r + 1}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

@@ -234,22 +234,15 @@ def _distance_bound(n: int, switched: float) -> float:
 
 
 def iter_partitions(n: int):
-    """Yield every partition of {1, ..., n} via restricted growth strings."""
+    """Every partition of {1, ..., n}, one per restricted growth string, in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rgs = [0] * n
-    maxes = [0] * n
 
-    while True:
-        yield Partition.from_labels(rgs)
-        # advance the restricted growth string
-        pos = n - 1
-        while pos > 0 and rgs[pos] == maxes[pos - 1] + 1:
-            pos -= 1
-        if pos == 0:
+    def grow(labels: list[int], top: int):  # labels[i] <= top + 1, where top is the largest label so far
+        if len(labels) == n:
+            yield Partition.from_labels(labels)
             return
-        rgs[pos] += 1
-        maxes[pos] = max(maxes[pos - 1], rgs[pos])
-        for later in range(pos + 1, n):
-            rgs[later] = 0
-            maxes[later] = maxes[pos]
+        for label in range(top + 2):
+            yield from grow(labels + [label], max(top, label))
+
+    return grow([0], 0)

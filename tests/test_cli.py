@@ -112,7 +112,18 @@ class TestAnalyze:
         assert main(["analyze", "--points", str(points), "--centers", str(centers), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: points row 3 has a coordinate of magnitude >= 1e150")
+        assert captured.err.startswith(f"error: {points}: points row 3 has a coordinate of magnitude >= 1e150")
+
+    @pytest.mark.parametrize("field", ["1_0", "-\u0661", "\uff11.5"], ids=["underscore", "arabic_indic", "fullwidth"])
+    def test_python_only_number_spellings_exit_2(self, capsys, tmp_path, field):
+        # float() reads each of these as a number; a CSV coordinate is an ASCII decimal without "_"
+        points = tmp_path / "p.csv"
+        centers = tmp_path / "c.csv"
+        points.write_text(f"x1,x2\n-1.5,0\n{field},0\n", encoding="utf-8")
+        centers.write_text("x1,x2\n-1,0\n1,0\n")
+        assert main(["analyze", "--points", str(points), "--centers", str(centers)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {points}: record 3: coordinate must be an ASCII decimal without '_', got {field!r}\n")
 
     @pytest.mark.parametrize(
         "key, rows, message",
@@ -327,11 +338,13 @@ class TestTrajectory:
         "snapshots, message",
         [
             ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 0, 5]]]", "{path}: snapshot 1 row 2 has 3 coordinates, expected 2"),
-            ("[[[0.1, 0], [-2, 0]], [[0.2, 0]]]", "{path}: snapshot 1 has 1 points, expected 2"),
-            ("[[[0.1, 0]], [[0.2, 0]]]", "snapshot 0 has 1 point(s); a configuration needs at least 2 points"),
-            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, NaN]]]", "snapshot 1 row 2 contains a non-finite coordinate"),
-            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 1e200]]]", "snapshot 1 row 2 has a coordinate of magnitude >= 1e150"),
-            ("[]", "a trajectory needs at least one snapshot"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0]]]", "{path}: snapshot 1 has shape (1, 2), expected (2, 2)"),
+            ("[[[0.1, 0]], [[0.2, 0]]]", "{path}: snapshot 0 has 1 point(s); a configuration needs at least 2 points"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, NaN]]]",
+             "{path}: snapshot 1 row 2 contains a non-finite coordinate"),
+            ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [-2, 1e200]]]",
+             "{path}: snapshot 1 row 2 has a coordinate of magnitude >= 1e150"),
+            ("[]", "{path}: a trajectory needs at least one snapshot"),
             ("[[[0.1, 0], [-2, 0]], [[true, 0], [-2, 0]]]", "{path}: snapshot 1 row 1 has a coordinate that is not a number: true"),
             ('[[[0.1, 0], [-2, 0]], [[0.2, 0], ["1", 0]]]', '{path}: snapshot 1 row 2 has a coordinate that is not a number: "1"'),
             ("[[[0.1, 0], [-2, 0]], [[0.2, 0], [null, 0]]]", "{path}: snapshot 1 row 2 has a coordinate that is not a number: null"),
@@ -346,6 +359,32 @@ class TestTrajectory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + message.format(path=path))
+
+    @pytest.mark.parametrize("order", ["time_major", "shuffled"])
+    def test_long_walk_from_csv_prints_the_json_input_reports(self, capsys, tmp_path, order):
+        # the same walk as trajectory_long_input.json, as CSV rows in time order or with the times in a
+        # seeded shuffle (each time's rows keep their index order), gives the JSON input's reports byte for byte
+        golden = Path(__file__).parent / "golden" / "cli"
+        doc = json.loads((golden / "trajectory_long_input.json").read_text())
+        stack = np.array(doc["snapshots"], dtype=float)
+        steps, n, d = stack.shape
+        times = np.repeat(np.arange(steps), n)
+        if order == "shuffled":
+            times = np.random.default_rng(7).permutation(times)
+        index = [0] * steps  # the next row of each time
+        rows = []
+        for t in times.tolist():
+            rows.append((t, *stack[t, index[t]]))
+            index[t] += 1
+        points = tmp_path / "walk.csv"
+        points.write_text("t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
+                          + "".join(f"{t}," + ",".join(map(format_float, x)) + "\n" for t, *x in rows))
+        centers = tmp_path / "centers.csv"
+        centers.write_text(centers_to_csv(CenterSet(doc["centers"])))
+        for fmt, name in (("json", "trajectory_long.json"), ("csv", "trajectory_long.csv")):
+            argv = ["trajectory", "--points", str(points), "--centers", str(centers), "--eta", "0.2", "--seed", "0"]
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == (golden / name).read_text()
 
     def test_bool_centers_exit_2(self, capsys, tmp_path):
         path = tmp_path / "traj.json"
@@ -631,6 +670,23 @@ class TestFixtureParameters:
     def test_bad_value_exits_2_naming_the_parameter(self, capsys, argv, name, value):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {name} must be finite and positive, got {value}\n")
+
+    @pytest.mark.parametrize("argv, kind, name, value", [
+        (["construct", "many_point", "--m", "1000", "--epsilon", "1e-10"], "many_point", "epsilon", "1e-10"),
+        (["construct", "single_point", "--epsilon", "2e-16"], "single_point", "epsilon", "2e-16"),
+        (["construct", "single_point", "--epsilon", "1e-323"], "single_point", "epsilon", "1e-323"),
+        (["construct", "near_boundary", "--delta", "5e-17"], "near_boundary", "delta", "5e-17"),
+        (["preset", "many_point", "--m", "3", "--epsilon", "1e-15"], "many_point", "epsilon", "1e-15"),
+        (["analyze", "--preset", "single_point", "--epsilon", "2e-16"], "single_point", "epsilon", "2e-16"),
+        (["montecarlo", "--preset", "near_boundary", "--delta", "5e-17", "--rho", "0.1"], "near_boundary", "delta",
+         "5e-17"),
+    ])
+    def test_fixture_that_fails_in_float64_exits_2(self, capsys, argv, kind, name, value):
+        # the crossing point sits closer to the bisector than float64 resolves, so the rule would not
+        # give the fixture's partitions; no fixture is printed
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {kind} does not hold at {name} = {value}: "
+                                           "the nearest-center rule does not give the expected partitions in float64\n")
 
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--rho", "0.2", "--trials", "50"],

@@ -130,6 +130,49 @@ def test_parameter_validation():
             near_boundary_instability(bad)
 
 
+CONSTRUCTIONS = {
+    "single_point": ("epsilon", single_point_instability),
+    "many_point_m3": ("epsilon", lambda e: many_point_instability(e, 3)),
+    "many_point_m1000": ("epsilon", lambda e: many_point_instability(e, 1000)),
+    "near_boundary": ("delta", near_boundary_instability),
+}
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_fixtures_hold_in_float64_or_raise(construction):
+    # over sizes c * 10**-k from 9e20 down to the subnormals, a construction either builds a fixture whose
+    # expected partitions the nearest-center rule confirms, or raises naming its parameter: far from the
+    # centers, as near the bisector, float64 cannot tell the two distances apart
+    name, make = CONSTRUCTIONS[construction]
+    built = 0
+    for size in (float(f"{c}e{-k}") for k in range(-20, 324) for c in range(1, 10)):
+        try:
+            fx = make(size)
+        except ValueError as exc:
+            kind = construction.split("_m")[0]
+            assert str(exc) == (f"{kind} does not hold at {name} = {size!r}: "
+                                "the nearest-center rule does not give the expected partitions in float64")
+            continue
+        built += 1
+        assert reevaluate(fx) == (fx.expected_before, fx.expected_after)
+        assert 0.0 < fx.perturbation_size < (size if name == "epsilon" else 2.5 * size)
+    assert built >= 9 * 25  # every size from 9e15 down to 1e-9 at least
+
+
+@pytest.mark.parametrize("make, name, size", [
+    (lambda e: many_point_instability(e, 1000), "epsilon", 1e-10),
+    (lambda e: many_point_instability(e, 3), "epsilon", 1e-15),
+    (single_point_instability, "epsilon", 2e-16),
+    (single_point_instability, "epsilon", 1e-300),
+    (single_point_instability, "epsilon", 1e-323),
+    (near_boundary_instability, "delta", 5e-17),
+], ids=["many_point_m1000", "many_point_m3", "single_point", "single_point_tiny", "single_point_subnormal",
+        "near_boundary"])
+def test_sizes_below_float64_resolution_rejected(make, name, size):
+    with pytest.raises(ValueError, match=f" does not hold at {name} = {size!r}: the nearest-center rule"):
+        make(size)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_presets_resolve_through_fixture_dispatch(name):
     config, centers = make_preset(name, epsilon=0.5, m=2, delta=0.05)

@@ -238,6 +238,18 @@ class TestBulkCsvRecords:
             bulk = csv_outcome(formats._read_csv_records, path, timed)
         assert bulk == csv_outcome(read_csv_by_records, path, timed)
 
+    @pytest.mark.parametrize("timed", [False, True])
+    @pytest.mark.parametrize("field", ["1_0", "-\u0661", "\u00b2", "\uff11e3"])
+    def test_python_only_number_spellings_rejected(self, tmp_path, timed, field):
+        # float() reads "1_0" as 10.0 and "-\u0661" as -1.0; a coordinate is an ASCII decimal without "_"
+        path = tmp_path / "data.csv"
+        lead = "0," * timed
+        path.write_text(f"{'t,' * timed}x1,x2\n{lead}1,2\n{lead}3,{field}\n", encoding="utf-8")
+        assert formats._bulk_records([f"{lead}3,{field}"], 2 + timed, timed) is None
+        with pytest.raises(ValueError) as info:
+            formats._read_csv_records(path, timed)
+        assert str(info.value) == f"{path}: record 3: coordinate must be an ASCII decimal without '_', got {field!r}"
+
     def test_plain_files_take_the_bulk_parse(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("t,x1\n0,1.5\n1,2.5\n0,3\n1,4\n")
@@ -357,7 +369,7 @@ class TestTrajectoryFiles:
         "text, message",
         [
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n1,-2,nan\n", "snapshot 1 row 2 contains a non-finite coordinate"),
-            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n", "snapshot 1 has 1 points, expected 2"),
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n", r"snapshot 1 has shape \(1, 2\), expected \(2, 2\)"),
         ],
         ids=["nan", "fewer_points"],
     )
@@ -368,6 +380,47 @@ class TestTrajectoryFiles:
         centers_path.write_text(centers_to_csv(CenterSet([[-1.0, 0.0], [1.0, 0.0]])))
         with pytest.raises(ValueError, match=message):
             read_trajectory_file(traj_path, centers_path)
+
+
+class TestErrorsNameTheFile:
+    """A value type's error about a file's content reaches the caller with the file named in front."""
+
+    def test_unequal_snapshots_give_the_trajectory_message(self, tmp_path):
+        centers = CenterSet([[-1.0, 0.0], [1.0, 0.0]])
+        csv_path, json_path, centers_path = tmp_path / "traj.csv", tmp_path / "traj.json", tmp_path / "ctr.csv"
+        csv_path.write_text("t,x1,x2\n0,0.1,0\n0,-2,0\n1,0.15,0\n")
+        json_path.write_text('{"centers": [[-1, 0], [1, 0]], "snapshots": [[[0.1, 0], [-2, 0]], [[0.15, 0]]]}')
+        centers_path.write_text(centers_to_csv(centers))
+        with pytest.raises(ValueError) as direct:
+            Trajectory([[[0.1, 0.0], [-2.0, 0.0]], [[0.15, 0.0]]], centers)
+        assert str(direct.value) == ("snapshot 1 has shape (1, 2), expected (2, 2); "
+                                     "the point indexing is fixed over time")
+        for args in ((csv_path, centers_path), (json_path,)):
+            with pytest.raises(ValueError) as info:
+                read_trajectory_file(*args)
+            assert str(info.value) == f"{args[0]}: {direct.value}"
+
+    @pytest.mark.parametrize("name, text, make, value", [
+        ("p.csv", "x1,x2\n0.5,0\n", PointConfig, [[0.5, 0.0]]),
+        ("p.json", '{"points": [[0.5, 0], [1, 1e200]]}', PointConfig, [[0.5, 0.0], [1.0, 1e200]]),
+        ("c.json", '{"centers": [[-1, 0], [1, 0], [-1, 0]]}', CenterSet, [[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+        ("c.csv", "x1\n1\n", CenterSet, [[1.0]]),
+    ], ids=["points_csv", "points_json", "centers_json", "centers_csv"])
+    def test_points_and_centers(self, tmp_path, name, text, make, value):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as direct:
+            make(value)
+        with pytest.raises(ValueError) as info:
+            (read_points if make is PointConfig else read_centers)(path)
+        assert str(info.value) == f"{path}: {direct.value}"
+
+    def test_in_file_centers_of_a_trajectory(self, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text('{"centers": [[1, 0], [1, 0]], "snapshots": [[[0.1, 0], [-2, 0]]]}')
+        with pytest.raises(ValueError) as info:
+            read_trajectory_file(path)
+        assert str(info.value) == f"{path}: centers 1 and 2 coincide"
 
 
 class TestJsonCoordinates:

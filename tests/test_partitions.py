@@ -306,6 +306,11 @@ class TestIterPartitions:
             s[i] <= max(s[:i], default=-1) + 1 for i in range(n))]
         assert [tuple(p.block_ids().tolist()) for p in iter_partitions(n)] == strings
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_ground_set_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            list(iter_partitions(n))
+
 
 class TestAssignmentChangeWithoutPartitionChange:
     def test_singleton_relabels_to_empty_center(self):
