@@ -9,9 +9,10 @@ top-level field in JSON and as a leading "# schema_version=1" comment in CSV.
 JSON reports are byte for byte what json.dumps writes with sort_keys=True and
 indent=2, written in one pass: each list of numbers, or of rows of numbers, is
 one call of CPython's compact C encoder, re-indented by string replacement.
-CSV records are read in bulk, one float map over all fields; a file the bulk
-parse could read or word differently goes through csv record by record. CSV
-coordinates are ASCII decimals without "_", which float() alone would accept.
+CSV records are read by numpy's C reader, np.loadtxt, which converts each
+field with the routine float() ends in; a file it could read or word
+differently goes through csv record by record. CSV coordinates are ASCII
+decimals without "_", which float() alone would accept.
 Every error about an input file names the file, those that ``PointConfig``,
 ``CenterSet`` and ``Trajectory`` (the one snapshot shape check) raise included.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+import re
 from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trajectory
-from .geometry import CenterSet, PointConfig, _row_blocks
+from .geometry import CenterSet, PointConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -178,32 +181,28 @@ def _json_doc(path: Path, key: str) -> dict:
     return doc
 
 
+# a trajectory record's leading time field: ASCII digits, padded only by spaces or tabs
+_TIME_FIELD = re.compile(r"[ \t]*[0-9]+[ \t]*(?:,|$)")
+
+
 def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
-    """The t column and the coordinates of ``records``, parsed in bulk, or None where the bulk parse
-    could read or word a record otherwise than the csv loop of _read_csv_records: a record whose
-    field count is not ``width``, a non-ASCII character or "_", or a field that the digit test or
-    float rejects. That covers every quote character, which neither accepts; without quotes csv
-    splits a line at its commas, and float gives the same bits either way."""
-    times, coords = [], np.empty((len(records), width - timed))
-    for rows in _row_blocks(len(records), width):  # bounds the field strings held at once
-        chunk = records[rows]
-        text = ",".join(chunk)
-        # float and int also read "1_0" and non-ASCII digits, which the record loop rejects
-        if set(map(str.count, chunk, repeat(","))) != {width - 1} or not text.isascii() or "_" in text:
-            return None
-        fields = text.split(",")
-        if timed:
-            stamps = list(map(str.strip, fields[::width]))
-            if not all(map(str.isdigit, stamps)):
-                return None
-            times += map(int, stamps)
-            del fields[::width]
-        try:
-            values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
-        except ValueError:
-            return None
-        coords[rows] = values.reshape(len(chunk), width - timed)
-    return times, coords
+    """The t column and the coordinates of ``records``, parsed by numpy's C reader, or None where it
+    could read or word a record otherwise than the csv loop of _read_csv_records: a non-ASCII
+    character or "\x1f" (both of which np.loadtxt may strip as space), a time field that is not
+    digits or reaches 2**53, or a column count that is not ``width``. np.loadtxt converts each field
+    with PyOS_string_to_double, as float() does, and rejects every quote character and "_", as the
+    record loop does; without quotes csv splits a line at its commas."""
+    if not all(map(str.isascii, records)) or any(map(operator.contains, records, repeat("\x1f"))):
+        return None
+    if timed and not all(map(_TIME_FIELD.match, records)):
+        return None
+    try:
+        table = np.loadtxt(records, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width or timed and table[:, 0].max() >= 2**53:  # a float holds each time below 2**53
+        return None
+    return (table[:, 0].astype(np.int64).tolist() if timed else []), table[:, timed:]
 
 
 def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.ndarray]:

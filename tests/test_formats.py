@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats, geometry
+from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats
 from margin_guard.formats import (
     centers_to_csv,
     centers_to_json_dict,
@@ -193,7 +193,8 @@ def csv_outcome(read, path, timed):
 
 
 CSV_FIELDS = ["1", "-2.5", " 3 ", "4\t", "1_0", "nan", "-inf", "Infinity", "", "x", "+1", '"5"', '"6,7"', "\u00b2",
-              "\u0661", "1e400", "99999999999999999999"]
+              "\u0661", "1e400", "99999999999999999999", ".5", "5.", "+.5e+1", "1E5", "1e-400", "2.5e-324", "-0",
+              "iNfInItY", "-nan", "0x10", "1d5", "\x1f1", "1\x1f", "1\xa0", "\u30001", "\x7f", "9007199254740993", "\t3"]
 
 
 class TestBulkCsvRecords:
@@ -220,23 +221,27 @@ class TestBulkCsvRecords:
         (True, "t,x1\n0,1\n,2\n"),
         (True, 't,x1\n0,1\n"1",2\n'),
         (True, "t,x1\n0,1\n99999999999999999999,2\n"),
+        # np.loadtxt strips "\x1f" and non-ASCII spaces as whitespace, which the record loop rejects
+        (False, "x1,x2\n1,\x1f2\n"),
+        (False, "x1,x2\n1,2\xa0\n"),
+        # 2**53 + 1, which a float time would round to 2**53
+        (True, "t,x1\n9007199254740993,2\n"),
+        # one field too many in every record, which np.loadtxt would drop if given usecols
+        (True, "t,x1\n0,1,5\n1,2,6\n"),
     ])
     def test_matches_the_record_loop(self, tmp_path, timed, text):
         path = tmp_path / "data.csv"
-        path.write_text(text, newline="")
+        path.write_text(text, encoding="utf-8", newline="")
         assert csv_outcome(formats._read_csv_records, path, timed) == csv_outcome(read_csv_by_records, path, timed)
 
     @given(st.booleans(), st.integers(1, 3), st.lists(st.lists(st.sampled_from(CSV_FIELDS), min_size=1, max_size=4),
                                                       min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_random_records_match_the_record_loop(self, tmp_path_factory, timed, d, records):
-        # chunks of 2 records, so that the bulk parse declines in a later chunk too
         header = ",".join(["t"] * timed + [f"x{j + 1}" for j in range(d)])
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_text("\n".join([header, *map(",".join, records)]) + "\n")
-        with mock.patch.object(geometry, "_BLOCK_ENTRIES", 2 * (timed + d)):
-            bulk = csv_outcome(formats._read_csv_records, path, timed)
-        assert bulk == csv_outcome(read_csv_by_records, path, timed)
+        path.write_text("\n".join([header, *map(",".join, records)]) + "\n", encoding="utf-8")
+        assert csv_outcome(formats._read_csv_records, path, timed) == csv_outcome(read_csv_by_records, path, timed)
 
     @pytest.mark.parametrize("timed", [False, True])
     @pytest.mark.parametrize("field", ["1_0", "-\u0661", "\u00b2", "\uff11e3"])
@@ -251,8 +256,9 @@ class TestBulkCsvRecords:
         assert str(info.value) == f"{path}: record 3: coordinate must be an ASCII decimal without '_', got {field!r}"
 
     def test_plain_files_take_the_bulk_parse(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        path.write_text("t,x1\n0,1.5\n1,2.5\n0,3\n1,4\n")
+        traj_path, points_path = tmp_path / "traj.csv", tmp_path / "pts.csv"
+        traj_path.write_text("t,x1\n0,1.5\n1,2.5\n0,3\n1,4\n")
+        points_path.write_text("# schema_version=1\nx1,x2\n1.5,-2\n 3 ,4e-1\n")
         parsed, bulk = [], formats._bulk_records
 
         def spy(*args):
@@ -260,9 +266,11 @@ class TestBulkCsvRecords:
             return parsed[-1]
 
         with mock.patch.object(formats, "_bulk_records", spy):
-            times, coords = formats._read_csv_records(path, timed=True)
-        assert len(parsed) == 1 and parsed[0] is not None
+            times, coords = formats._read_csv_records(traj_path, timed=True)
+            points = read_points(points_path).points
+        assert len(parsed) == 2 and None not in parsed
         assert times == [0, 1, 0, 1] and coords.tolist() == [[1.5], [2.5], [3.0], [4.0]]
+        assert points.tolist() == [[1.5, -2.0], [3.0, 0.4]]
 
 
 class TestTrajectoryFiles:
