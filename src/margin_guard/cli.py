@@ -221,9 +221,15 @@ def cmd_trajectory(args):
     budgets = run.deltas.cumsum()
     certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]
     stepwise = run.stepwise()
+    fields = {}  # the --eta fields: all in the JSON report, and those that are not null as CSV notes
+    if args.eta is not None:
+        tau = run.instability_time(args.eta)
+        fields = {"eta": args.eta, "instability_time": tau}
+        if tau is None:
+            fields["instability_time_note"] = "not observed within horizon"
 
     def payload() -> dict:
-        doc = {
+        return {
             "snapshots": traj.horizon + 1,
             "n": traj.n,
             "d": traj.d,
@@ -236,17 +242,12 @@ def cmd_trajectory(args):
                             for c in certs],
             "stepwise_pass": stepwise,
             "distance_from_initial": run.distances,
+            **fields,
         }
-        if args.eta is not None:
-            tau = run.instability_time(args.eta)
-            doc.update(eta=args.eta, instability_time=tau)
-            if tau is None:
-                doc["instability_time_note"] = "not observed within horizon"
-        return doc
 
     columns = ["step", "delta", "cumulative_budget", "persistence_certified", "stepwise_pass", "distance_from_initial"]
     rows = zip(range(traj.horizon), run.deltas, budgets, (c.certified for c in certs), stepwise, run.distances[1:])
-    return payload, (columns, rows, {})
+    return payload, (columns, rows, {key: value for key, value in fields.items() if value is not None})
 
 
 def cmd_montecarlo(args):

@@ -128,12 +128,14 @@ def dump_json(payload: dict) -> str:
 
 
 def _csv_field(value) -> str:
+    if isinstance(value, str):
+        return value
     return str(int(value)) if isinstance(value, (bool, int, np.bool_, np.integer)) else format_float(value)
 
 
 def csv_table(columns, rows, **notes) -> str:
     """CSV text: the schema line, a "# key=value" line per note, the header, then the rows.
-    Floats are written by format_float, ints and bools as integers (flags as 0/1)."""
+    Floats are written by format_float, ints and bools as integers (flags as 0/1), strings as they are."""
     lines = [f"# schema_version={SCHEMA_VERSION}", *(f"# {k}={_csv_field(v)}" for k, v in notes.items())]
     lines.append(",".join(columns))
     lines.extend(",".join(map(_csv_field, row)) for row in rows)

@@ -301,6 +301,19 @@ class TestTrajectory:
         doc = run_json(capsys, ["trajectory", "--points", path, "--eta", "0.9"])
         assert doc["instability_time"] is None
 
+    @pytest.mark.parametrize("eta, note", [("0.5", "# instability_time=2"),
+                                           ("0.9", "# instability_time_note=not observed within horizon")])
+    def test_csv_carries_the_eta_result(self, capsys, tmp_path, two_centers, eta, note):
+        from margin_guard import single_point_instability
+
+        fx = single_point_instability(1.0)
+        path = self.write_trajectory(tmp_path, (fx.config, fx.config, fx.perturbed), two_centers)
+        assert main(["trajectory", "--points", path, "--eta", eta, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["# schema_version=1", f"# eta={format_float(float(eta))}", note,
+                             "step,delta,cumulative_budget,persistence_certified,stepwise_pass,distance_from_initial"]
+        assert len(lines) == 6
+
     def test_eta_out_of_range(self, capsys, tmp_path, anchored_config, two_centers):
         path = self.write_trajectory(tmp_path, (anchored_config,) * 2, two_centers)
         assert main(["trajectory", "--points", path, "--eta", "1.5"]) == 2
