@@ -163,10 +163,13 @@ def centers_to_json_dict(centers: CenterSet) -> dict:
 
 
 def _read_text(path: Path) -> str:
+    """The text of ``path`` as UTF-8, whatever the locale, after a byte order mark if there is one."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ValueError(f"{path}: file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _json_doc(path: Path, key: str) -> dict:

@@ -85,6 +85,29 @@ class TestCsvRoundTrip:
             read_points(tmp_path / "absent.csv")
 
 
+class TestInputText:
+    """Input files are UTF-8 whatever the locale, with or without a byte order mark."""
+
+    @pytest.mark.parametrize("name, text", [
+        ("p.csv", "x1,x2\n0.5,-1\n2,3e-1\n"),
+        ("p.csv", "# schema_version=1\nx1,x2\n0.5,-1\n2,3e-1\n"),
+        ("p.json", '{"points": [[0.5, -1], [2, 0.3]]}'),
+    ])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_points(marked).points.tobytes() == read_points(plain).points.tobytes()
+
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"x1,x2\n0.5,-1\n2,\xff\n")
+        with pytest.raises(ValueError) as info:
+            read_points(path)
+        assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+        assert "0xff" in str(info.value)
+
+
 class TestJsonRoundTrip:
     def test_points_bit_identical(self, tmp_path):
         rng = np.random.default_rng(4)
