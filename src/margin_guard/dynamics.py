@@ -61,8 +61,9 @@ class Trajectory:
             t = next((t for t, shape in enumerate(shapes) if shape != shapes[0]), None)
             if t is None:
                 raise
-            raise ValueError(f"snapshot {t} has shape {shapes[t]}, expected {shapes[0]}; "
-                             "the point indexing is fixed over time") from None
+            rule = ("the point indexing is fixed over time" if shapes[t][:1] != shapes[0][:1]
+                    else "every snapshot has the dimension of snapshot 0")
+            raise ValueError(f"snapshot {t} has shape {shapes[t]}, expected {shapes[0]}; {rule}") from None
         if stack.shape[:1] == (0,):
             raise ValueError("a trajectory needs at least one snapshot")
         if stack.ndim != 3:

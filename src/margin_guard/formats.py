@@ -12,9 +12,10 @@ one call of CPython's compact C encoder, re-indented by string replacement.
 CSV records are read by numpy's C reader, np.loadtxt, which converts each
 field with the routine float() ends in; a file it could read or word
 differently goes through csv record by record. CSV coordinates are ASCII
-decimals without "_", which float() alone would accept.
-Every error about an input file names the file, those that ``PointConfig``,
-``CenterSet`` and ``Trajectory`` (the one snapshot shape check) raise included.
+decimals without "_", which float() alone would accept. Input text is UTF-8,
+with or without a byte order mark, whatever the locale. Every error about an
+input file names the file, those that ``PointConfig``, ``CenterSet`` and
+``Trajectory`` (the one snapshot shape check) raise included.
 """
 
 from __future__ import annotations

@@ -431,6 +431,14 @@ class TestErrorsNameTheFile:
                 read_trajectory_file(*args)
             assert str(info.value) == f"{args[0]}: {direct.value}"
 
+    def test_snapshot_of_another_dimension_is_worded_so(self, tmp_path):
+        path = tmp_path / "traj.json"
+        path.write_text('{"centers": [[-1, 0], [1, 0]], "snapshots": [[[0.1, 0], [-2, 0]], [[0.1, 0, 0], [-2, 0, 0]]]}')
+        with pytest.raises(ValueError) as info:
+            read_trajectory_file(path)
+        assert str(info.value) == (f"{path}: snapshot 1 has shape (2, 3), expected (2, 2); "
+                                   "every snapshot has the dimension of snapshot 0")
+
     @pytest.mark.parametrize("name, text, make, value", [
         ("p.csv", "x1,x2\n0.5,0\n", PointConfig, [[0.5, 0.0]]),
         ("p.json", '{"points": [[0.5, 0], [1, 1e200]]}', PointConfig, [[0.5, 0.0], [1.0, 1e200]]),
