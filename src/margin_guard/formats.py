@@ -196,8 +196,9 @@ def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int
     could read or word a record otherwise than the csv loop of _read_csv_records: a non-ASCII
     character or "\x1f" (both of which np.loadtxt may strip as space), a time field that is not
     digits or reaches 2**53, or a column count that is not ``width``. np.loadtxt converts each field
-    with PyOS_string_to_double, as float() does, and rejects every quote character and "_", as the
-    record loop does; without quotes csv splits a line at its commas."""
+    with PyOS_string_to_double, as float() does, and rejects "_", as the record loop does. It also
+    rejects every quote character, which only csv reads as quoting; without quotes csv splits a
+    line at its commas, as np.loadtxt does."""
     if not all(map(str.isascii, records)) or any(map(operator.contains, records, repeat("\x1f"))):
         return None
     if timed and not all(map(_TIME_FIELD.match, records)):
