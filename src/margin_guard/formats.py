@@ -194,7 +194,7 @@ _TIME_FIELD = re.compile(r"[ \t]*[0-9]+[ \t]*(?:,|$)")
 def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
     """The t column and the coordinates of ``records``, parsed by numpy's C reader, or None where it
     could read or word a record otherwise than the csv loop of _read_csv_records: a non-ASCII
-    character or "\x1f" (both of which np.loadtxt may strip as space), a time field that is not
+    character or U+001F (both of which np.loadtxt may strip as space), a time field that is not
     digits or reaches 2**53, or a column count that is not ``width``. np.loadtxt converts each field
     with PyOS_string_to_double, as float() does, and rejects "_", as the record loop does. It also
     rejects every quote character, which only csv reads as quoting; without quotes csv splits a
@@ -207,7 +207,7 @@ def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int
         table = np.loadtxt(records, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != width or timed and table[:, 0].max() >= 2**53:  # a float holds each time below 2**53
+    if table.shape[1] != width or timed and table[:, 0].max() >= 2**53:  # floats hold smaller integers exactly
         return None
     return (table[:, 0].astype(np.int64).tolist() if timed else []), table[:, timed:]
 

@@ -217,7 +217,8 @@ def csv_outcome(read, path, timed):
 
 CSV_FIELDS = ["1", "-2.5", " 3 ", "4\t", "1_0", "nan", "-inf", "Infinity", "", "x", "+1", '"5"', '"6,7"', "\u00b2",
               "\u0661", "1e400", "99999999999999999999", ".5", "5.", "+.5e+1", "1E5", "1e-400", "2.5e-324", "-0",
-              "iNfInItY", "-nan", "0x10", "1d5", "\x1f1", "1\x1f", "1\xa0", "\u30001", "\x7f", "9007199254740993", "\t3"]
+              "iNfInItY", "-nan", "0x10", "1d5", "\x1f1", "1\x1f", "1\xa0", "\u30001", "\x7f", "9007199254740993",
+              "\t3"]
 
 
 class TestBulkCsvRecords:
