@@ -61,17 +61,48 @@ def copy_trajectory_input(directory: Path, n: int) -> None:
     shutil.copy(ROOT / GOLDEN / "trajectory_long_input.json", directory)
 
 
+def clustered(rng, k: int, n: int):
+    """(n points, k centers): centers uniform in [-10, 10]^2, each point a center picked at random plus
+    N(0, 0.8^2) noise per coordinate."""
+    centers = rng.uniform(-10.0, 10.0, (k, 2))
+    return centers[rng.integers(0, k, n)] + rng.normal(0.0, 0.8, (n, 2)), centers
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 def write_k64(directory: Path, n: int) -> None:
-    """n points around 64 centers uniform in [-10, 10]^2, each a center picked at random plus N(0, 0.8^2)
-    noise per coordinate, from ``default_rng(0)``, as k64.points.csv and k64.centers.csv."""
+    """n clustered points around 64 centers from ``default_rng(0)``, as k64.points.csv and k64.centers.csv."""
     import numpy as np
 
-    rng = np.random.default_rng(0)
-    centers = rng.uniform(-10.0, 10.0, (64, 2))
-    points = centers[rng.integers(0, 64, n)] + rng.normal(0.0, 0.8, (n, 2))
-    for name, rows in (("k64.points.csv", points), ("k64.centers.csv", centers)):
-        body = "\n".join(f"{x!r},{y!r}" for x, y in rows.tolist())
-        (directory / name).write_text(f"x1,x2\n{body}\n")
+    points, centers = clustered(np.random.default_rng(0), 64, n)
+    write_csv(directory / "k64.points.csv", "x1,x2", points.tolist())
+    write_csv(directory / "k64.centers.csv", "x1,x2", centers.tolist())
+
+
+WALK_HORIZONS = (10, 100)
+
+
+def write_walks(directory: Path, n: int) -> None:
+    """A random walk of n // 10 clustered points around 8 centers, each step adding N(0, 0.05^2) noise per
+    coordinate, from ``default_rng(1)``. Its first T + 1 snapshots, for each T of WALK_HORIZONS, go to
+    walk_T<T>.csv as time-major t,x1,x2 rows, and its centers to walk.centers.csv."""
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    points, centers = clustered(rng, 8, n // 10)
+    steps = rng.normal(0.0, 0.05, (max(WALK_HORIZONS), *points.shape))
+    stack = np.concatenate([points[None], points + steps.cumsum(axis=0)])
+    for horizon in WALK_HORIZONS:
+        rows = ((t, *p) for t, snapshot in enumerate(stack[: horizon + 1].tolist()) for p in snapshot)
+        write_csv(directory / f"walk_T{horizon}.csv", "t,x1,x2", rows)
+    write_csv(directory / "walk.centers.csv", "x1,x2", centers.tolist())
+
+
+def write_scale(directory: Path, n: int) -> None:
+    write_k64(directory, n)
+    write_walks(directory, n)
 
 
 GAUSS = ["--preset", "two_gaussians", "--n", "N", "--seed", "0"]
@@ -89,7 +120,7 @@ SUITES = {
         "montecarlo_sigma": (["montecarlo", *GAUSS, "--sigma", "0.2", "--trials", "100"],
                              "montecarlo_sigma_two_gaussians_n300.json"),
     }),
-    "scale": (write_k64, 10**5, {
+    "scale": (write_scale, 10**5, {
         "montecarlo_k64_sigma0.05": (["montecarlo", *K64, "--sigma", "0.05", "--trials", "200", "--seed", "0"], None),
         "montecarlo_k64_sigma0.3": (["montecarlo", *K64, "--sigma", "0.3", "--trials", "20", "--seed", "0"], None),
         "montecarlo_two_g_sigma0.3": (["montecarlo", "--preset", "two_gaussians", "--n", "N", "--sigma", "0.3",
@@ -98,6 +129,8 @@ SUITES = {
                          "--seed", "0"], None),
         "montecarlo_near_boundary_trials": (["montecarlo", "--preset", "near_boundary", "--delta", "0.05",
                                              "--rho", "0.2", "--trials", "100000", "--seed", "0"], None),
+        **{f"trajectory_k8_T{t}": (["trajectory", "--points", f"walk_T{t}.csv", "--centers", "walk.centers.csv",
+                                    "--eta", "0.05", "--seed", "0"], None) for t in WALK_HORIZONS},
     }),
 }
 

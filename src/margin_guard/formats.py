@@ -191,7 +191,7 @@ def _json_doc(path: Path, key: str) -> dict:
 _TIME_FIELD = re.compile(r"[ \t]*[0-9]+[ \t]*(?:,|$)")
 
 
-def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int], np.ndarray] | None:
+def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The t column and the coordinates of ``records``, parsed by numpy's C reader, or None where it
     could read or word a record otherwise than the csv loop of _read_csv_records: a non-ASCII
     character or U+001F (both of which np.loadtxt may strip as space), a time field that is not
@@ -209,14 +209,14 @@ def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[list[int
         return None
     if table.shape[1] != width or timed and table[:, 0].max() >= 2**53:  # floats hold smaller integers exactly
         return None
-    return (table[:, 0].astype(np.int64).tolist() if timed else []), table[:, timed:]
+    return (table[:, 0].astype(np.int64) if timed else np.array([])), table[:, timed:]
 
 
-def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.ndarray]:
-    """The integer t column (empty unless ``timed``) and the coordinates of a CSV file with
-    columns [t,]x1..xd. Records are parsed in bulk (_bulk_records); a file the bulk parse declines
-    goes through csv record by record, and its errors number records among the lines that are not
-    blank or "#"."""
+def _read_csv_records(path: Path, timed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The integer t column as one array (empty unless ``timed``; int64 unless a time exceeds it)
+    and the coordinates of a CSV file with columns [t,]x1..xd. Records are parsed in bulk
+    (_bulk_records); a file the bulk parse declines goes through csv record by record, and its errors
+    number records among the lines that are not blank or "#"."""
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:  # a header and at least one record
         raise ValueError(f"{path}: no data rows")
@@ -247,7 +247,7 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[list[int], np.nd
             rows.append([float(v) for v in rec[len(lead):]])
         except ValueError as exc:
             raise ValueError(f"{path}: record {lineno}: {exc}") from None
-    return times, np.array(rows)
+    return np.array(times), np.array(rows)
 
 
 def _bad_json_entry(values, what: str) -> str | None:

@@ -23,10 +23,11 @@ its label; ``_certified_radii`` lowers each r_i by a forward error bound of the
 float arithmetic, so a row whose noise norm stays below it keeps its base label
 bit for bit. ``_noise`` returns those norms with the noise, in one pass per chunk
 (the ball takes one more, of its normals). Only the other rows, the candidates,
-reach the assignment kernel, and only trials with a changed label reach the
-distance kernel. A sweep row whose epsilon lies below every certified radius is
-zero in every trial and draws nothing. Streams, chunks and reports are those of
-the unpruned loop.
+reach the assignment kernel. The distance kernel gets every trial of a chunk and
+counts from its changed labels alone, so a trial with none scores 0 at the cost
+of one comparison per point. A sweep row whose epsilon lies below every
+certified radius is zero in every trial and draws nothing. Streams, chunks and
+reports are those of the unpruned loop.
 """
 
 from __future__ import annotations
@@ -329,10 +330,9 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
     d as in n, with one trial per chunk once n * (k + d) exceeds it.
 
     A row (t, i) whose noise norm, as ``_noise`` returns it, is below ``reach[i]`` (``_certified_radii``)
-    keeps its base label;
-    the chunk's other rows, its candidates, go to the kernel in one call, and only trials with a
-    changed label go to the distance kernel, in one call. The kernel works row by row, so the labels
-    are those of the whole chunk's X + noise, bit for bit."""
+    keeps its base label; the chunk's other rows, its candidates, go to the kernel in one call. The
+    kernel works row by row, so the labels are those of the whole chunk's X + noise, bit for bit. The
+    chunk's labels go to the distance kernel in one call, which counts from the changed labels alone."""
     n = config.n
     seeder = _TrialSeeder(entropy)
     for rows in _row_blocks(trials, n * (centers.k + config.d)):
@@ -341,11 +341,7 @@ def _trial_chunks(config: PointConfig, centers: CenterSet, base: np.ndarray, rea
         trial, point = np.nonzero(~(norms < reach))  # a NaN or inf norm is a candidate too
         if point.size:
             labels[trial, point] = _nearest(config.points[point] + eta[trial, point], centers.centers, _LABELS)[0]
-        switched = labels != base
-        dists = np.zeros(len(labels))
-        if (moved := switched.any(axis=1)).any():
-            dists[moved] = _label_distance(base, labels[moved])
-        yield switched, dists
+        yield labels != base, _label_distance(base, labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "coldstart": {"analyze", "trajectory", "sweep", "montecarlo_rho", "montecarlo_sigma"},
     "scale": {"montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3", "montecarlo_two_g_sigma0.3", "sweep_two_g",
-              "montecarlo_near_boundary_trials"},
+              "montecarlo_near_boundary_trials", "trajectory_k8_T10", "trajectory_k8_T100"},
 }
 ENTRY = {"command", "median_s", "peak_rss_mb", "wall_s", "ratios", "ratio_to_reference", "report_sha256"}
 

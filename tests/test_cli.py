@@ -335,9 +335,12 @@ class TestTrajectory:
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n+1,0.15,0\n+1,-2,0\n", "record 4"),
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n\u0661,0.15,0\n\u0661,-2,0\n", "record 4"),
             ("t,x1,x2\n0,0.1,0\n0,-2,0\n\uff11,0.15,0\n\uff11,-2,0\n", "record 4"),
+            # a time beyond 64 bits: the bulk parse declines it and the record loop keeps it exact
+            ("t,x1,x2\n0,0.1,0\n0,-2,0\n99999999999999999999,0.15,0\n99999999999999999999,-2,0\n",
+             "traj.csv: snapshot times must be 0..T, got [0, 99999999999999999999]"),
         ],
         ids=["missing_t", "fractional_t", "non_numeric_t", "time_gap", "underscore_t", "signed_t",
-             "arabic_indic_digit_t", "fullwidth_digit_t"],
+             "arabic_indic_digit_t", "fullwidth_digit_t", "time_past_int64"],
     )
     def test_bad_csv_times_exit_2(self, capsys, tmp_path, two_centers, rows, message):
         path = tmp_path / "traj.csv"

@@ -207,12 +207,13 @@ def read_csv_by_records(path, timed):
 
 
 def csv_outcome(read, path, timed):
-    """What reading ``path`` gives: the times and the coordinates' shape and bits, or the error text."""
+    """What reading ``path`` gives: the times' values and dtype and the coordinates' shape and bits, or the
+    error text."""
     try:
         times, coords = read(path, timed)
     except ValueError as exc:
         return str(exc)
-    return times, coords.dtype, coords.shape, coords.tobytes()
+    return times.tolist(), times.dtype, coords.dtype, coords.shape, coords.tobytes()
 
 
 CSV_FIELDS = ["1", "-2.5", " 3 ", "4\t", "1_0", "nan", "-inf", "Infinity", "", "x", "+1", '"5"', '"6,7"', "\u00b2",
@@ -293,7 +294,8 @@ class TestBulkCsvRecords:
             times, coords = formats._read_csv_records(traj_path, timed=True)
             points = read_points(points_path).points
         assert len(parsed) == 2 and None not in parsed
-        assert times == [0, 1, 0, 1] and coords.tolist() == [[1.5], [2.5], [3.0], [4.0]]
+        assert times.dtype == np.int64 and np.array_equal(times, [0, 1, 0, 1])
+        assert coords.tolist() == [[1.5], [2.5], [3.0], [4.0]]
         assert points.tolist() == [[1.5, -2.0], [3.0, 0.4]]
 
 

@@ -155,6 +155,26 @@ def label_array_pair(draw):
     return np.array(draw(labels)), np.array(draw(labels))
 
 
+@st.composite
+def rows_with_few_changes(draw):
+    """Labels ``a`` and rows that copy it with up to 4 entries changed each, so some rows keep every
+    label; labels up to 12 against an ``a`` of labels up to 8 include labels above a.max()."""
+    n = draw(st.integers(2, 40))
+    a = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+    rows = np.tile(a, (draw(st.integers(1, 5)), 1))
+    for row in rows:
+        for i, label in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 12)), max_size=4)):
+            row[i] = label
+    return a, rows
+
+
+def square_count_disagreements(a, b):
+    """The contingency count (sum c^2 over the groups of a, of b, less twice over (a, b)) / 2, by sorting
+    every entry (test oracle at sizes where pair enumeration would need n x n matrices)."""
+    squares = lambda keys: int((np.unique(keys, return_counts=True)[1] ** 2).sum())  # noqa: E731
+    return (squares(a) + squares(b) - 2 * squares(a * (b.max() + 1) + b)) // 2
+
+
 class TestContingencyKernel:
     @given(label_array_pair())
     @example((7 * np.arange(9), 3 * np.arange(9)[::-1]))  # gaps, all singletons
@@ -182,6 +202,29 @@ class TestContingencyKernel:
         total = a.size * (a.size - 1) // 2
         assert _label_distance(a, rows).tolist() == [c / total for c in counts.tolist()]
         assert _label_distance(a, rows).tolist() == [partition_distance(pa, Partition.from_labels(r)) for r in rows]
+
+    @given(rows_with_few_changes())
+    @example((np.array([0, 0, 1]), np.array([[0, 0, 1], [0, 9, 1], [2, 0, 1]])))  # none, one above a.max(), one
+    @example((np.array([3, 3]), np.array([[0, 1]])))  # every entry changed, both groups new
+    @settings(max_examples=300, deadline=None)
+    def test_rows_with_few_changes_match_pair_enumeration(self, pair):
+        a, rows = pair
+        pa = Partition.from_labels(a)
+        counts = _pair_disagreement_count(a, rows)
+        assert counts.tolist() == [pair_enumeration_disagreements(pa, Partition.from_labels(r)) for r in rows]
+        assert [_pair_disagreement_count(a, r) for r in rows] == counts.tolist()
+
+    def test_rows_with_few_changes_in_memory_of_the_changes(self):
+        # 200 rows of 10^4 labels with 3% changed: a byte per entry and arrays of the changed entries, no
+        # integer array as large as the rows (traced 4.8 MiB; 49.6 MiB when every row was keyed and sorted)
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 64, 10**4)
+        rows = np.tile(a, (200, 1))
+        change = rng.random(rows.shape) < 0.03
+        rows[change] = rng.integers(0, 70, change.sum())
+        peak, counts = peak_traced_mib(lambda: _pair_disagreement_count(a, rows))
+        assert counts.tolist() == [square_count_disagreements(a, r) for r in rows]
+        assert peak < rows.nbytes / 2 / 2**20
 
     @pytest.mark.parametrize("rows, error", [([[0, 1, 1], [2, -1, -1]], ValueError), ([[0.5, 1.0, 1.0]], TypeError)])
     def test_label_rows_must_be_nonnegative_integers(self, rows, error):

@@ -849,7 +849,7 @@ class TestChunkedTrialsWork:
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
         # the labels-only kernel gets exactly the chunk's candidate rows, in one call or none, and the
-        # distance kernel exactly its trials with a changed label, in one call or none
+        # distance kernel the whole chunk's labels against the base, in one call per chunk
         chunk_trials = self.record_chunks(monkeypatch)
         rngs = self.count_calls(monkeypatch, "trial_rng")
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
@@ -878,7 +878,11 @@ class TestChunkedTrialsWork:
         assert all(want == geometry._LABELS for _, _, want in tables)
         moved = report.trial_switch_counts > 0
         assert 0 < moved.sum() < candidate.sum()
-        assert [labels.shape[0] for _, labels in distances] == [moved[c].sum() for c in chunk_ranges if moved[c].any()]
+        base = assign_nearest(anchored_config, two_centers).labels
+        assert all(np.array_equal(labels, base) for labels, _ in distances)
+        assert [rows.shape for _, rows in distances] == [(len(c), 3) for c in chunk_ranges]
+        changed = np.concatenate([rows for _, rows in distances]) != base
+        assert changed.sum(axis=1).tolist() == report.trial_switch_counts.tolist()
         assert (report.trial_distances[~moved] == 0.0).all() and (report.trial_distances[moved] > 0.0).all()
 
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
