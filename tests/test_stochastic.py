@@ -176,6 +176,146 @@ class TestTrialRngs:
             assert rng.bit_generator.state == trial_rng(3, trial).bit_generator.state
 
 
+U64, U128 = 2**64, 2**128
+PCG_MULT = stochastic._PCG_MULT
+
+
+def words_starting_with(first, second):
+    """PCG64 seed words (s_hi, s_lo, q_hi, q_lo), as ``_TrialSeeder.words`` gives them, whose stream's first two
+    raw outputs are ``first`` and ``second``, of unequal parity. A state with high word 0 and low word r outputs r,
+    so inc takes state r1 to r2, and the seed state s steps back from r1 through pcg64_set_seed's
+    (s + inc) * multiplier + inc."""
+    inc = (second - first * PCG_MULT) % U128
+    assert inc & 1, "the two raws need unequal parity"
+    back = pow(PCG_MULT, -1, U128)
+    s = (((first - inc) * back - inc) * back - inc) % U128
+    return [s // U64, s % U64, (inc >> 1) // U64, (inc >> 1) % U64]
+
+
+def next_raw_is(bit_generator, raw, inc=1):
+    """Set a PCG64 so that its next raw output is ``raw``: its next step lands on state (0, raw)."""
+    state = (raw - inc) * pow(PCG_MULT, -1, U128) % U128
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0,
+                           "uinteger": 0}
+
+
+def fallback_trials(make_rng, trials, normals):
+    """The trials whose first ``normals`` standard normals do not each take one raw, or include a 0: those the
+    replay hands to their Generators (test oracle, from numpy's streams alone)."""
+    out = []
+    for t in trials:
+        rng, ahead = make_rng(t), make_rng(t).bit_generator
+        ahead.advance(normals)
+        x = rng.standard_normal(normals)
+        if rng.bit_generator.state != ahead.state or (x == 0).any():
+            out.append(t)
+    return out
+
+
+def replayed_noise(model, n, words):
+    return _noise(model, n, *stochastic._replay(model, n, words))
+
+
+def assert_same_arrays(got, want):
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(b.dtype, b.shape, b.tobytes()) for b in want]
+
+
+class TestReplay:
+    """The bulk PCG64 replay and its ziggurat against numpy's own streams, bit for bit."""
+
+    @given(
+        entropy=st.one_of(st.integers(2**32, 2**256 - 1), st.tuples(st.integers(0, 2**96), float_bits)),
+        extra=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+        count=st.integers(1, 30),
+    )
+    @example(entropy=2**32, extra=[], count=1)
+    @example(entropy=(0, int(np.float64(0.2).view(np.uint64))), extra=[], count=9)
+    @settings(max_examples=100, deadline=None)
+    def test_state_inc_and_raws_are_numpys(self, entropy, extra, count):
+        trials = EDGE_TRIALS + extra
+        words = _TrialSeeder(entropy).words(trials)
+        hi, lo, inc_hi, inc_lo = stochastic._pcg64_seed(words)
+        raws = stochastic._pcg64_raws(words, count)
+        for t, trial in enumerate(trials):
+            bit_generator = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(trial,)))
+            state = bit_generator.state["state"]
+            assert state["state"] == int(hi[t]) * U64 + int(lo[t])
+            assert state["inc"] == int(inc_hi[t]) * U64 + int(inc_lo[t])
+            assert raws[t].tolist() == bit_generator.random_raw(count).tolist()
+
+    def test_tables_are_numpys(self):
+        # numpy's standard normal of one chosen raw: rabs = 1 gives +-wi[idx] exactly, and rabs = ki - 1 against ki
+        # brackets the first-raw acceptance, seen by whether the stream moved exactly one raw
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+
+        def normal(raw, inc=1):
+            next_raw_is(bit_generator, raw, inc)
+            return rng.standard_normal(), bit_generator.state["state"]["state"]
+
+        ki, wi = stochastic._KI.tolist(), stochastic._WI
+        assert ki.count(0) == 1 and ki[1] == 0  # layer 1 never takes its first raw
+        for idx in range(256):
+            for sign in (0, 1):
+                raw, signed = idx | sign << 8, -wi[idx] if sign else wi[idx]
+                if ki[idx] > 1:
+                    assert normal(raw | 1 << 9) == (signed, raw | 1 << 9)
+                    assert normal(raw | (ki[idx] - 1) << 9) == ((ki[idx] - 1) * signed, raw | (ki[idx] - 1) << 9)
+                assert normal(raw | ki[idx] << 9)[1] != raw | ki[idx] << 9
+                assert stochastic._SIGNED_WI[raw] == signed
+        # layer 1's wedge test accepts when the next raw is 0, so rabs = 1 then gives wi[1] after two raws
+        raw = 1 | 1 << 9
+        assert normal(raw, inc=-raw * PCG_MULT % U128) == (wi[1], 0)
+
+    @given(kind=st.sampled_from(["gaussian", "bounded_disk"]), n=st.integers(1, 12), d=st.integers(1, 9),
+           entropy=st.integers(0, 2**64), chunks=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    @example(kind="bounded_disk", n=8, d=2, entropy=0, chunks=[30])  # 24 draws a trial: replayed
+    @example(kind="bounded_disk", n=5, d=4, entropy=0, chunks=[30])  # 25: every trial builds its Generator
+    @example(kind="gaussian", n=8, d=3, entropy=0, chunks=[30])
+    @example(kind="gaussian", n=5, d=5, entropy=0, chunks=[30])
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_match_the_generators(self, kind, n, d, entropy, chunks):
+        model = PerturbationModel(kind=kind, scale=0.3, dim=d)
+        seeder = _TrialSeeder(entropy)
+        starts = np.cumsum([0, *chunks]).tolist()
+        want = _noise(model, n, seeder.rngs(range(starts[-1])))
+        got = [replayed_noise(model, n, seeder.words(range(a, b))) for a, b in zip(starts, starts[1:])]
+        assert_same_arrays([np.concatenate([chunk[i] for chunk in got]) for i in (0, 1)], want)
+        draws = n * d + (n if kind == "bounded_disk" else 0)
+        assert (stochastic._replay(model, n, seeder.words(range(3)))[1] is None) == (draws > stochastic._REPLAY_RAWS)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "bounded_disk"])
+    def test_forced_fallbacks_match_the_generators(self, kind):
+        ki = stochastic._KI.tolist()
+        raws = [
+            [1 | 5 << 9, 4 | 7 << 9],  # layer 1
+            [7 | ki[7] << 9, 8 | 3 << 9],  # rejected on the first raw: numpy draws more
+            [2, 3 | 1 << 8],  # rabs 0 twice: the ball's row 0 has norm 0 and is redrawn
+            [2, 3 | 5 << 9],  # one normal of rabs 0, which numpy accepts as 0
+        ]
+        forced = np.array([words_starting_with(*pair) for pair in raws], dtype=np.uint64)
+        assert stochastic._pcg64_raws(forced, 2).tolist() == raws
+        assert [rng.bit_generator.random_raw(2).tolist() for rng in stochastic._generators(forced)] == raws
+        ordinary = _TrialSeeder(5).words(range(40))
+        words = np.concatenate([ordinary[:3], forced, ordinary[3:]])
+        model, n = PerturbationModel(kind=kind, scale=0.3, dim=2), 3
+        rngs, replayed = stochastic._replay(model, n, words)
+        oracle = [3, 4, 5, 6] + [t + 4 for t in fallback_trials(lambda t: trial_rng(5, t), range(3, 40), 6)]
+        assert replayed[2].tolist() == sorted(oracle) and len(rngs) == len(oracle)
+        assert_same_arrays(_noise(model, n, rngs, replayed), _noise(model, n, stochastic._generators(words)))
+
+    def test_one_replayed_chunk_stays_within_a_few_budgets(self):
+        # n = 3, k = 2, d = 2: the default chunk of 2^16 // 12 = 5,461 trials replays 9 raws each, 49,149 uint64
+        # within the block budget; its raws, their ziggurat temporaries, normals and noise take about 2.5 budgets
+        model, n = PerturbationModel.bounded_disk(0.3), 3
+        trials = len(range(10**5)[next(geometry._row_blocks(10**5, n * (2 + 2)))])
+        assert trials * n * (model.dim + 1) <= geometry._BLOCK_ENTRIES
+        words = _TrialSeeder(0).words(range(trials))
+        peak, (eta, norms) = peak_traced_mib(lambda: replayed_noise(model, n, words))
+        assert eta.shape == (trials, n, 2)
+        assert peak * 2**20 < 4 * geometry._BLOCK_ENTRIES * 8
+
+
 class TestSwitchProbabilityBound:
     def test_zero_margin_gives_one(self):
         assert switch_probability_bound(0.0, PerturbationModel.bounded_disk(1.0)) == 1.0
@@ -837,20 +977,35 @@ class TestChunkedTrialsWork:
     def record_chunks(monkeypatch):
         """The trial range of every chunk a seeder is asked for."""
         chunks = []
-        rngs = stochastic._TrialSeeder.rngs
+        words = stochastic._TrialSeeder.words
 
         def recording(self, trials):
             chunks.append(trials)
-            return rngs(self, trials)
+            return words(self, trials)
 
-        monkeypatch.setattr(stochastic._TrialSeeder, "rngs", recording)
+        monkeypatch.setattr(stochastic._TrialSeeder, "words", recording)
         return chunks
+
+    @staticmethod
+    def record_fallbacks(monkeypatch):
+        """Per chunk, the indices of the trials that ``_replay`` hands to their Generators."""
+        fallbacks = []
+        replay = stochastic._replay
+
+        def recording(*args):
+            rngs, replayed = replay(*args)
+            fallbacks.append(replayed[2].tolist())
+            return rngs, replayed
+
+        monkeypatch.setattr(stochastic, "_replay", recording)
+        return fallbacks
 
     @pytest.mark.parametrize("per_chunk, chunks", [(None, 1), (7, 8), (1, 50)])
     def test_one_distance_table_per_chunk(self, monkeypatch, anchored_config, two_centers, per_chunk, chunks):
         # the labels-only kernel gets exactly the chunk's candidate rows, in one call or none, and the
         # distance kernel the whole chunk's labels against the base, in one call per chunk
         chunk_trials = self.record_chunks(monkeypatch)
+        fallbacks = self.record_fallbacks(monkeypatch)
         rngs = self.count_calls(monkeypatch, "trial_rng")
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
@@ -866,7 +1021,10 @@ class TestChunkedTrialsWork:
         chunk_ranges = [range(start, min(start + size, 50)) for start in range(0, 50, size)]
         assert chunk_trials == chunk_ranges and len(chunk_ranges) == chunks
         assert len(seed_sequences) == 1  # one shared pool per run, whatever the chunk count
-        assert len(streams) == 50
+        # 9 draws a trial: every chunk replays, and only the trials whose normals leave the replay build a Generator
+        fallback = fallback_trials(lambda t: trial_rng(1, t), range(50), 6)
+        assert [chunk[i] for chunk, indices in zip(chunk_trials, fallbacks) for i in indices] == fallback == [46]
+        assert len(streams) == len(fallback)
 
         # radii (1, 1, 0.1) against noise norms up to 0.3: only the third point's longer draws can switch
         points = anchored_config.points
@@ -888,6 +1046,7 @@ class TestChunkedTrialsWork:
     def test_sweep_draws_each_trial_once(self, monkeypatch, anchored_config, two_centers):
         # the 0.05 row lies below every certified radius (about 0.1, 1, 1): it makes no seeder, stream or draw
         chunk_trials = self.record_chunks(monkeypatch)
+        fallbacks = self.record_fallbacks(monkeypatch)
         seeders = self.count_calls(monkeypatch, "_TrialSeeder")
         seed_sequences = self.count_calls(monkeypatch, "SeedSequence")
         streams = self.count_calls(monkeypatch, "Generator")
@@ -899,7 +1058,10 @@ class TestChunkedTrialsWork:
         assert seeders == [((2, int(np.float64(e).view(np.uint64))),) for e in (0.2, 0.5)]
         assert chunk_trials == 2 * chunks
         assert len(seed_sequences) == 2  # one shared pool per drawn epsilon row, whatever the chunk count
-        assert len(streams) == 2 * 40
+        # every chunk replays; a Generator only for each trial whose normals leave the replay
+        fallback = [fallback_trials(lambda t: _sweep_rng(2, e, t), range(40), 6) for e in (0.2, 0.5)]
+        assert [chunk[i] for chunk, indices in zip(chunk_trials, fallbacks) for i in indices] == sum(fallback, [])
+        assert len(streams) == len(sum(fallback, [])) == 8
         assert len(draws) == 2 * len(chunks)
         assert 0 < len(tables) <= 2 * len(chunks)
         assert all(want == geometry._LABELS for _, _, want in tables)
@@ -912,8 +1074,10 @@ class TestChunkedTrialsWork:
     ])
     def test_two_draws_per_ball_trial_and_one_per_gaussian_trial(
             self, monkeypatch, anchored_config, two_centers, model, draws):
+        # each trial that falls back to its Generator makes the draws it would make alone
         expected = monte_carlo(anchored_config, two_centers, model, trials=1500, seed=5)
         chunk_trials = self.record_chunks(monkeypatch)
+        fallbacks = self.record_fallbacks(monkeypatch)
         streams = []
 
         def counting(bit_generator):
@@ -923,7 +1087,9 @@ class TestChunkedTrialsWork:
         monkeypatch.setattr(stochastic, "Generator", counting)
         report = monte_carlo(anchored_config, two_centers, model, trials=1500, seed=5)
         assert chunk_trials == [range(1500)[rows] for rows in geometry._row_blocks(1500, 3 * (2 + 2))]  # n, k, d
-        assert len(streams) == 1500
+        fallback = fallback_trials(lambda t: trial_rng(5, t), range(1500), 6)
+        assert [chunk[i] for chunk, indices in zip(chunk_trials, fallbacks) for i in indices] == fallback
+        assert len(streams) == len(fallback) == 144  # 1,356 trials replayed
         assert all(stream.calls == draws for stream in streams)
         assert np.array_equal(report.trial_distances, expected.trial_distances)
 
@@ -931,13 +1097,16 @@ class TestChunkedTrialsWork:
     def test_two_norm_passes_per_ball_chunk_and_one_per_gaussian_chunk(
             self, monkeypatch, anchored_config, two_centers, model, passes):
         # the ball takes the normals' norms and the noise's, the Gaussian the noise's; the candidate filter
-        # reads the noise's norms as the draw returns them
+        # reads the noise's norms as the draw returns them. Trials that fall back to their Generators draw
+        # into the chunk's normals before its norm pass, so they take none of their own
         expected = monte_carlo(anchored_config, two_centers, model, trials=50, seed=5)
         chunk_trials = self.record_chunks(monkeypatch)
+        fallbacks = self.record_fallbacks(monkeypatch)
         norms = self.count_calls(monkeypatch, "_row_norms")
         set_trials_per_chunk(monkeypatch, 7, anchored_config, two_centers)
         report = monte_carlo(anchored_config, two_centers, model, trials=50, seed=5)
         assert len(chunk_trials) == 8
+        assert [chunk[i] for chunk, indices in zip(chunk_trials, fallbacks) for i in indices] == [10, 13, 47]
         chunk_shapes = [(len(trials), 3, 2) for trials in chunk_trials for _ in range(passes)]
         assert [v.shape for (v,) in norms if v.ndim == 3] == chunk_shapes
         assert [v.shape for (v,) in norms if v.ndim != 3] == [(3, 2), (2, 2)]  # the certified radii's points, centers
