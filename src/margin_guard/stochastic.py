@@ -148,11 +148,11 @@ def _xorshift(v: np.ndarray) -> np.ndarray:
 class _TrialSeeder:
     """``trial_rng``'s streams for one entropy, in bulk: ``words(trials)`` gives, for each t in ``trials``
     (ints in [0, 2^32)), the four seed words that ``default_rng(SeedSequence(entropy, spawn_key=(t,)))``
-    hands its PCG64, and ``rngs(trials)`` those Generators, state for state. ``entropy`` is an int or a
-    tuple of ints. seed_seq hashes the entropy words first and the spawn word last, so every trial shares
-    numpy's own ``SeedSequence(entropy).pool``, built once here with the spawn word's hash constants;
-    ``words`` computes only the spawn word's mixing into that pool and generate_state's 8 output words,
-    one uint32 broadcast each. Monte Carlo and sweep build no Generator for most trials: ``_replay`` steps
+    hands its PCG64; ``_generators`` builds those Generators from them, state for state. ``entropy`` is
+    an int or a tuple of ints. seed_seq hashes the entropy words first and the spawn word last, so every
+    trial shares numpy's own ``SeedSequence(entropy).pool``, built once here with the spawn word's hash
+    constants; ``words`` computes only the spawn word's mixing into that pool and generate_state's 8
+    output words, one uint32 broadcast each. Monte Carlo and sweep build no Generator for most trials: ``_replay`` steps
     the words' streams itself."""
 
     def __init__(self, entropy):
@@ -169,9 +169,6 @@ class _TrialSeeder:
         state = _xorshift((pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL)
         # little-endian pairs of output words are PCG64's 4 uint64 seed words
         return state.reshape(-1, 8).view("<u8").astype(np.uint64)
-
-    def rngs(self, trials):
-        return _generators(self.words(trials))
 
 
 def _generators(words: np.ndarray) -> list:

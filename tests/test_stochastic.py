@@ -145,7 +145,7 @@ class TestTrialRngs:
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_per_trial(self, entropy, extra):
         trials = EDGE_TRIALS + extra
-        for trial, rng in zip(trials, _TrialSeeder(entropy).rngs(trials), strict=True):
+        for trial, rng in zip(trials, stochastic._generators(_TrialSeeder(entropy).words(trials)), strict=True):
             assert_numpy_stream(rng, entropy, trial)
 
     # every count of 32-bit entropy words from 1 to 9, where the spawn word's hash constant moves
@@ -156,7 +156,7 @@ class TestTrialRngs:
     )
     def test_every_entropy_word_count(self, entropy):
         for trials in (EDGE_TRIALS, range(2**32 - 3, 2**32)):
-            for trial, rng in zip(trials, _TrialSeeder(entropy).rngs(trials), strict=True):
+            for trial, rng in zip(trials, stochastic._generators(_TrialSeeder(entropy).words(trials)), strict=True):
                 assert_numpy_stream(rng, entropy, trial)
 
     @pytest.mark.parametrize("a, b", [(0, 1), (0, 7), (5, 682), (2**32 - 40, 2**32)])
@@ -170,7 +170,7 @@ class TestTrialRngs:
             return generate_state(self, *args, **kwargs)
 
         monkeypatch.setattr(stochastic._Words, "generate_state", counting)
-        rngs = _TrialSeeder(3).rngs(range(a, b))
+        rngs = stochastic._generators(_TrialSeeder(3).words(range(a, b)))
         assert len(calls) == len(rngs) == b - a
         for trial, rng in ((a, rngs[0]), (b - 1, rngs[-1])):
             assert rng.bit_generator.state == trial_rng(3, trial).bit_generator.state
@@ -278,7 +278,7 @@ class TestReplay:
         model = PerturbationModel(kind=kind, scale=0.3, dim=d)
         seeder = _TrialSeeder(entropy)
         starts = np.cumsum([0, *chunks]).tolist()
-        want = _noise(model, n, seeder.rngs(range(starts[-1])))
+        want = _noise(model, n, stochastic._generators(seeder.words(range(starts[-1]))))
         got = [replayed_noise(model, n, seeder.words(range(a, b))) for a, b in zip(starts, starts[1:])]
         assert_same_arrays([np.concatenate([chunk[i] for chunk in got]) for i in (0, 1)], want)
         draws = n * d + (n if kind == "bounded_disk" else 0)
@@ -792,7 +792,7 @@ def unpruned_chunks(config, centers, base, model, trials, entropy):
     n, d = config.points.shape
     seeder = _TrialSeeder(entropy)
     for rows in geometry._row_blocks(trials, n * (centers.k + d)):
-        noisy = config.points + _noise(model, n, seeder.rngs(range(trials)[rows]))[0]
+        noisy = config.points + _noise(model, n, stochastic._generators(seeder.words(range(trials)[rows])))[0]
         labels = geometry._nearest(noisy.reshape(-1, d), centers.centers, geometry._LABELS)[0].reshape(-1, n)
         yield labels, _label_distance(base, labels)
 
