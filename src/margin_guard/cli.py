@@ -11,6 +11,16 @@ when written. main alone resolves the seed before the subcommand runs, then
 formats the report by --format and writes it to --out or stdout; only preset
 writes its own two CSV files.
 
+A flag that several subcommands take is declared once, in a parent parser
+they share, so it has one help text and one default. Four are declared per
+subcommand: trajectory's --points and --centers name a trajectory file and its
+centers; --trials defaults to 100 in sweep and 1,000 in montecarlo; and
+analyze's --epsilon sizes only the no-switch certificate, while in sweep,
+preset, montecarlo and construct --epsilon sizes the single_point and
+many_point fixtures. analyze builds a fixture --preset at its default size;
+another size is analyzed by writing it with preset --epsilon and reading the
+file back through --points and --centers.
+
 Exit codes: 0 success, 2 input or usage error, 3 internal invariant violation.
 The default seed is 0, overridden by the MARGIN_GUARD_SEED environment
 variable, which is in turn overridden by --seed. construct declares no --seed
@@ -47,83 +57,70 @@ from .stochastic import PerturbationModel, _check_trials, _sweep_grid, monte_car
 __all__ = ["main", "entry"]
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The input and output flags of analyze, sweep and montecarlo, built once and shared as a parent."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
-    p.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
-    p.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
-    p.add_argument("--n", type=int, default=200, help="point count for the two_gaussians preset")
-    p.add_argument("--sigma0", type=float, default=0.2, help="spread for the two_gaussians preset")
-    p.add_argument("--m", type=int, default=1, help="switching-point count for the many_point preset")
-    p.add_argument("--delta", type=float, default=0.1, help="boundary offset for the near_boundary preset")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: MARGIN_GUARD_SEED or 0)")
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    return p
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and then shared: parsing leaves it unchanged, and its help
-    text is formatted, with the terminal's width, when it is printed."""
+    text is formatted, with the terminal's width, when it is printed. Each flag that several subcommands
+    take is declared once, in a help-less parent parser, so they share one Action, help text and default."""
     parser = argparse.ArgumentParser(
         prog="margin-guard",
         description="Stability analysis for nearest-center clustering partitions under perturbation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    # one help-less parent per flag group; each subcommand composes those it takes, in the order its help lists them
+    parents = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    inputs, gaussian, fixture_epsilon, fixture, seed, output = parents
+    inputs.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
+    inputs.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
+    inputs.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
+    gaussian.add_argument("--n", type=int, default=200, help="point count for the two_gaussians preset")
+    gaussian.add_argument("--sigma0", type=float, default=0.2, help="spread for the two_gaussians preset")
+    fixture_epsilon.add_argument("--epsilon", type=float, default=1.0,
+                                 help="size of the single_point and many_point presets, not a noise radius")
+    fixture.add_argument("--m", type=int, default=1, help="switching-point count for the many_point preset")
+    fixture.add_argument("--delta", type=float, default=0.1, help="boundary offset for the near_boundary preset")
+    seed.add_argument("--seed", type=int, default=None, help="master RNG seed (default: MARGIN_GUARD_SEED or 0)")
+    output.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+    output.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
-    p = sub.add_parser("analyze", parents=[common],
+    # analyze takes no fixture --epsilon, so a fixture preset keeps its default size; its own sizes the certificate
+    p = sub.add_parser("analyze", parents=[inputs, gaussian, fixture, seed, output],
                        help="margins, certified lower bound, and empirical radius upper bound")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", dest="certificate_epsilon", metavar="EPSILON", type=float, default=None,
                    help="also report the no-switch certificate and switch candidates at this size")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, output],
                        help="partition distance vs. bounded-noise radius over an epsilon grid")
-    p.add_argument("--epsilon", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--grid", required=True, metavar="F,F,...", help="comma-separated epsilon grid (>= 2 values)")
     p.add_argument("--trials", type=int, default=100, help="perturbation trials per grid point")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("preset", help="emit a generated (points, centers) input")
-    p.add_argument("preset", choices=PRESET_NAMES)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--sigma0", type=float, default=0.2)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", metavar="PATH",
-                   help="json: one combined file; csv: writes PATH.points.csv and PATH.centers.csv")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = sub.add_parser("preset", parents=[gaussian, fixture_epsilon, fixture, seed, output],
+                       help="emit a generated (points, centers) input",
+                       description="json: one combined file; csv: --out PATH writes PATH.points.csv and "
+                                   "PATH.centers.csv")
+    p.add_argument("preset", choices=PRESET_NAMES, help="preset to generate")
     p.set_defaults(func=cmd_preset)
 
-    p = sub.add_parser("trajectory", help="step sizes, persistence certificates, and instability time")
+    p = sub.add_parser("trajectory", parents=[seed, output],
+                       help="step sizes, persistence certificates, and instability time")
     p.add_argument("--points", required=True, metavar="PATH",
                    help="trajectory file (.json self-contained, or .csv with a t column)")
     p.add_argument("--centers", metavar="PATH", help="centers file (required for CSV trajectories)")
     p.add_argument("--eta", type=float, default=None, help="partition-distance threshold in (0, 1]")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("montecarlo", parents=[common], help="empirical switching estimates next to analytic bounds")
-    p.add_argument("--epsilon", type=float, default=None, help=argparse.SUPPRESS)
+    p = sub.add_parser("montecarlo", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, output],
+                       help="empirical switching estimates next to analytic bounds")
     p.add_argument("--rho", type=float, default=None, help="bounded-noise radius")
     p.add_argument("--sigma", type=float, default=None, help="gaussian noise scale")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help="perturbation trials")
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("construct", help="emit an instability fixture with frozen expected partitions")
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p = sub.add_parser("construct", parents=[fixture_epsilon, fixture, output],
+                       help="emit an instability fixture with frozen expected partitions")
+    p.add_argument("name", choices=FIXTURE_NAMES, help="fixture to construct")
     p.set_defaults(func=cmd_construct)
 
     return parser
@@ -144,34 +141,36 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _preset(args):
+    """The preset named by args.preset, at the preset sizes the subcommand takes: a size it does not take
+    (analyze's fixture epsilon) keeps make_preset's default."""
+    sizes = {key: getattr(args, key) for key in ("n", "sigma0", "epsilon", "m", "delta") if key in args}
+    return make_preset(args.preset, seed=args.seed, **sizes)
+
+
 def _resolve_inputs(args):
-    points, centers = getattr(args, "points", None), getattr(args, "centers", None)  # preset declares neither
-    if args.preset is not None and (points is not None or centers is not None):
-        raise ValueError("give either --points/--centers or --preset, not both")
     if args.preset is not None:
-        epsilon = getattr(args, "epsilon", None)
-        return make_preset(
-            args.preset, n=args.n, sigma0=args.sigma0, seed=args.seed,
-            epsilon=1.0 if epsilon is None else epsilon, m=args.m, delta=args.delta,
-        )
-    if points is None or centers is None:
+        if args.points is not None or args.centers is not None:
+            raise ValueError("give either --points/--centers or --preset, not both")
+        return _preset(args)
+    if args.points is None or args.centers is None:
         raise ValueError("need both --points and --centers, or a --preset")
-    return read_points(points), read_centers(centers)
+    return read_points(args.points), read_centers(args.centers)
 
 
 def cmd_analyze(args):
-    if args.epsilon is not None:  # flags first: a bad one exits 2 before any input is read or generated
-        _check_epsilon(args.epsilon)
+    epsilon = args.certificate_epsilon
+    if epsilon is not None:  # flags first: a bad one exits 2 before any input is read or generated
+        _check_epsilon(epsilon)
     config, centers = _resolve_inputs(args)
     report = analyze_stability(config, centers)
     notes = {key: getattr(report, key) for key in ("min_margin", "margin_lower_bound_radius", "assignment_radius")}
     columns = ["index", "label", "margin", "switch_radius"]
     rows = zip(range(1, report.labels.size + 1), report.labels, report.margins, report.per_point_switch_radius)
     fields = {}  # the JSON report's --epsilon fields
-    if args.epsilon is not None:
-        certificate = {"epsilon": args.epsilon,
-                       "certified_no_switch": no_switch_certificate(report.assignment, args.epsilon)}
-        candidates = switch_candidates(report.assignment, args.epsilon)
+    if epsilon is not None:
+        certificate = {"epsilon": epsilon, "certified_no_switch": no_switch_certificate(report.assignment, epsilon)}
+        candidates = switch_candidates(report.assignment, epsilon)
         notes.update(certificate)
         fields = {**certificate, "switch_candidates": sorted(candidates)}
         columns.append("switch_candidate")
@@ -198,7 +197,7 @@ def cmd_sweep(args):
 
 
 def cmd_preset(args):
-    config, centers = _resolve_inputs(args)
+    config, centers = _preset(args)
     if args.format == "json":
         return lambda: {**points_to_json_dict(config), **centers_to_json_dict(centers), "preset": args.preset}, None
     if args.out is None:

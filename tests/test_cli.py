@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from margin_guard import (
     sweep_table,
     two_gaussians,
 )
-from margin_guard.cli import main
+from margin_guard.cli import build_parser, main
 from margin_guard.formats import centers_to_csv, dump_json, format_float, points_to_csv, trajectory_to_json_dict
 
 
@@ -693,7 +694,8 @@ class TestFixtureParameters:
         (["construct", "single_point", "--epsilon", "1e-323"], "single_point", "epsilon", "1e-323"),
         (["construct", "near_boundary", "--delta", "5e-17"], "near_boundary", "delta", "5e-17"),
         (["preset", "many_point", "--m", "3", "--epsilon", "1e-15"], "many_point", "epsilon", "1e-15"),
-        (["analyze", "--preset", "single_point", "--epsilon", "2e-16"], "single_point", "epsilon", "2e-16"),
+        (["sweep", "--preset", "single_point", "--epsilon", "2e-16", "--grid", "0.1,0.2"], "single_point", "epsilon",
+         "2e-16"),
         (["montecarlo", "--preset", "near_boundary", "--delta", "5e-17", "--rho", "0.1"], "near_boundary", "delta",
          "5e-17"),
     ])
@@ -722,6 +724,71 @@ class TestFixtureParameters:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         assert reports[0] != reports[2]
+
+
+class TestAnalyzeEpsilon:
+    """analyze's --epsilon sizes only the certificate; a fixture --preset is built at its default size (1.0)."""
+
+    SINGLE = ["analyze", "--preset", "single_point"]
+
+    def test_zero_is_a_certificate_size(self, capsys):
+        doc = run_json(capsys, [*self.SINGLE, "--epsilon", "0"])
+        assert doc["epsilon"] == 0.0 and doc["certified_no_switch"] is True
+
+    def test_the_certificate_size_leaves_the_fixture_alone(self, capsys):
+        # at the default size the crossing point sits 0.25 from the bisector, so no move below 0.25 switches it
+        small, large = (run_json(capsys, [*self.SINGLE, "--epsilon", e]) for e in ("0.05", "0.1"))
+        assert small["margins"] == large["margins"]
+        assert small["min_margin"] == large["min_margin"] == 0.5
+        assert small["certified_no_switch"] is True and large["certified_no_switch"] is True
+
+    def test_another_fixture_size_goes_through_a_preset_file(self, capsys, tmp_path):
+        reports = []
+        for size in ([], ["--epsilon", "0.5"]):
+            out = tmp_path / f"single{len(size)}.json"
+            assert main(["preset", "single_point", *size, "--out", str(out)]) == 0
+            assert main(["analyze", "--points", str(out), "--centers", str(out), "--epsilon", "0.05"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert main([*self.SINGLE, "--epsilon", "0.05"]) == 0
+        assert capsys.readouterr().out == reports[0] != reports[1]
+        assert json.loads(reports[1])["min_margin"] == 0.25
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+class TestFlagDeclarations:
+    """A flag that several subcommands take is one Action, with one help text and one default."""
+
+    # the flags declared per subcommand, as groups of the subcommands that share an Action
+    PER_SUBCOMMAND = {
+        "--epsilon": [["analyze"], ["construct", "montecarlo", "preset", "sweep"]],  # certificate vs fixture size
+        "--points": [["analyze", "montecarlo", "sweep"], ["trajectory"]],  # points file vs trajectory file
+        "--centers": [["analyze", "montecarlo", "sweep"], ["trajectory"]],
+        "--trials": [["montecarlo"], ["sweep"]],  # default 1,000 vs 100
+    }
+
+    def test_subcommands_that_take_a_flag_share_its_action(self):
+        takers = {}  # option string -> {id(action): [subcommand, ...]}
+        for command, parser in sorted(subcommands().items()):
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    for option in action.option_strings:
+                        takers.setdefault(option, {}).setdefault(id(action), []).append(command)
+        assert {"--out", "--format", "--seed", "--preset", "--m", "--delta"} <= takers.keys()
+        for option, groups in takers.items():
+            if option in self.PER_SUBCOMMAND:
+                assert sorted(groups.values()) == self.PER_SUBCOMMAND[option]
+            else:
+                assert len(groups) == 1, (option, sorted(groups.values()))
+
+    def test_every_argument_has_help(self):
+        for command, parser in subcommands().items():
+            for action in parser._actions:
+                assert action.help and action.help != argparse.SUPPRESS, (command, action.dest)
 
 
 def degenerate_inputs():
