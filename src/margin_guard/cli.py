@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stability analysis for nearest-center clustering partitions under perturbation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # one help-less parent per flag group; each subcommand composes those it takes, in the order its help lists them
+    # each subcommand composes the parents it takes in the order its help lists them
     parents = (argparse.ArgumentParser(add_help=False) for _ in range(6))
     inputs, gaussian, fixture_epsilon, fixture, seed, output = parents
     inputs.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
