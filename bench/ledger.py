@@ -112,8 +112,7 @@ K64 = ["--points", "k64.points.csv", "--centers", "k64.centers.csv"]
 SUITES = {
     "coldstart": (copy_trajectory_input, 300, {
         "analyze": (["analyze", *GAUSS, "--epsilon", "0.1"], "analyze_two_gaussians_n300.json"),
-        "trajectory": (["trajectory", "--points", "trajectory_long_input.json", "--eta", "0.2", "--seed", "0"],
-                       "trajectory_long.json"),
+        "trajectory": (["trajectory", "--points", "trajectory_long_input.json", "--eta", "0.2"], "trajectory_long.json"),
         "sweep": (["sweep", *GAUSS, "--grid", "0.01,0.1,0.4,1.0", "--trials", "40"], "sweep_two_gaussians_n300.json"),
         "montecarlo_rho": (["montecarlo", *GAUSS, "--rho", "0.3", "--trials", "100"],
                            "montecarlo_rho_two_gaussians_n300.json"),
@@ -130,7 +129,7 @@ SUITES = {
         "montecarlo_near_boundary_trials": (["montecarlo", "--preset", "near_boundary", "--delta", "0.05",
                                              "--rho", "0.2", "--trials", "100000", "--seed", "0"], None),
         **{f"trajectory_k8_T{t}": (["trajectory", "--points", f"walk_T{t}.csv", "--centers", "walk.centers.csv",
-                                    "--eta", "0.05", "--seed", "0"], None) for t in WALK_HORIZONS},
+                                    "--eta", "0.05"], None) for t in WALK_HORIZONS},
     }),
 }
 

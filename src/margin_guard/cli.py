@@ -9,7 +9,8 @@ Each subcommand returns its report as (payload, table): a function that builds
 the JSON dict, and (columns, rows, notes) for csv_table or None, each built only
 when written. main alone resolves the seed before the subcommand runs, then
 formats the report by --format and writes it to --out or stdout; only preset
-writes its own two CSV files.
+writes its own two CSV files. Every subcommand takes --out, and all but
+construct, whose fixtures are JSON only, take --format.
 
 A flag that several subcommands take is declared once, in a parent parser
 they share, so it has one help text and one default. Four are declared per
@@ -23,8 +24,9 @@ file back through --points and --centers.
 
 Exit codes: 0 success, 2 input or usage error, 3 internal invariant violation.
 The default seed is 0, overridden by the MARGIN_GUARD_SEED environment
-variable, which is in turn overridden by --seed. construct declares no --seed
-and ignores the variable.
+variable, which is in turn overridden by --seed. Only the subcommands that draw
+(analyze, sweep, preset and montecarlo) declare --seed; trajectory and construct
+declare none and ignore the variable.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .counterexamples import FIXTURE_NAMES, make_fixture
-from .dynamics import _trajectory_pass
+from .dynamics import _check_eta, _check_steps, _trajectory_pass
 from .errors import InvariantViolation
 from .formats import (
     centers_to_csv,
@@ -68,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand composes the parents it takes in the order its help lists them
-    parents = (argparse.ArgumentParser(add_help=False) for _ in range(6))
-    inputs, gaussian, fixture_epsilon, fixture, seed, output = parents
+    parents = (argparse.ArgumentParser(add_help=False) for _ in range(7))
+    inputs, gaussian, fixture_epsilon, fixture, seed, out, fmt = parents
     inputs.add_argument("--points", metavar="PATH", help="points file (.csv or .json)")
     inputs.add_argument("--centers", metavar="PATH", help="centers file (.csv or .json)")
     inputs.add_argument("--preset", choices=PRESET_NAMES, help="generate input instead of reading files")
@@ -80,30 +82,30 @@ def build_parser() -> argparse.ArgumentParser:
     fixture.add_argument("--m", type=int, default=1, help="switching-point count for the many_point preset")
     fixture.add_argument("--delta", type=float, default=0.1, help="boundary offset for the near_boundary preset")
     seed.add_argument("--seed", type=int, default=None, help="master RNG seed (default: MARGIN_GUARD_SEED or 0)")
-    output.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    output.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    out.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+    fmt.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     # analyze takes no fixture --epsilon, so a fixture preset keeps its default size; its own sizes the certificate
-    p = sub.add_parser("analyze", parents=[inputs, gaussian, fixture, seed, output],
+    p = sub.add_parser("analyze", parents=[inputs, gaussian, fixture, seed, out, fmt],
                        help="margins, certified lower bound, and empirical radius upper bound")
     p.add_argument("--epsilon", dest="certificate_epsilon", metavar="EPSILON", type=float, default=None,
                    help="also report the no-switch certificate and switch candidates at this size")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, output],
+    p = sub.add_parser("sweep", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, out, fmt],
                        help="partition distance vs. bounded-noise radius over an epsilon grid")
     p.add_argument("--grid", required=True, metavar="F,F,...", help="comma-separated epsilon grid (>= 2 values)")
     p.add_argument("--trials", type=int, default=100, help="perturbation trials per grid point")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("preset", parents=[gaussian, fixture_epsilon, fixture, seed, output],
+    p = sub.add_parser("preset", parents=[gaussian, fixture_epsilon, fixture, seed, out, fmt],
                        help="emit a generated (points, centers) input",
                        description="json: one combined file; csv: --out PATH writes PATH.points.csv and "
                                    "PATH.centers.csv")
     p.add_argument("preset", choices=PRESET_NAMES, help="preset to generate")
     p.set_defaults(func=cmd_preset)
 
-    p = sub.add_parser("trajectory", parents=[seed, output],
+    p = sub.add_parser("trajectory", parents=[out, fmt],
                        help="step sizes, persistence certificates, and instability time")
     p.add_argument("--points", required=True, metavar="PATH",
                    help="trajectory file (.json self-contained, or .csv with a t column)")
@@ -111,17 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None, help="partition-distance threshold in (0, 1]")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("montecarlo", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, output],
+    p = sub.add_parser("montecarlo", parents=[inputs, gaussian, fixture_epsilon, fixture, seed, out, fmt],
                        help="empirical switching estimates next to analytic bounds")
     p.add_argument("--rho", type=float, default=None, help="bounded-noise radius")
     p.add_argument("--sigma", type=float, default=None, help="gaussian noise scale")
     p.add_argument("--trials", type=int, default=1000, help="perturbation trials")
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("construct", parents=[fixture_epsilon, fixture, output],
+    p = sub.add_parser("construct", parents=[fixture_epsilon, fixture, out],
                        help="emit an instability fixture with frozen expected partitions")
     p.add_argument("name", choices=FIXTURE_NAMES, help="fixture to construct")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, format="json")
 
     return parser
 
@@ -211,11 +213,10 @@ def cmd_preset(args):
 
 
 def cmd_trajectory(args):
-    if args.eta is not None and not 0.0 < args.eta <= 1.0:  # before the file is read
-        raise ValueError("--eta must lie in (0, 1]")
+    if args.eta is not None:  # before the file is read
+        _check_eta(args.eta)
     traj = read_trajectory_file(args.points, args.centers)
-    if traj.horizon < 1:
-        raise ValueError("trajectory needs at least two snapshots")
+    _check_steps(traj)
     run = _trajectory_pass(traj)
     budgets = run.deltas.cumsum()
     certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]
@@ -275,15 +276,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "seed" in args:  # every subcommand but construct declares --seed
+        if "seed" in args:  # trajectory and construct declare no --seed
             args.seed = _resolve_seed(args)
         report = args.func(args)
         if report is not None:
             payload, table = report
             if args.format == "json":
                 text = dump_json(payload())
-            elif table is None:
-                raise ValueError(f"{args.command} emits JSON only")
             else:
                 columns, rows, notes = table
                 text = csv_table(columns, rows, **notes)

@@ -141,10 +141,21 @@ def _trajectory_pass(traj: Trajectory, assigned: int | None = None) -> _Pass:
     return _Pass(deltas, labels, margins.min(axis=1).tolist(), distances)
 
 
-def step_sizes(traj: Trajectory) -> np.ndarray:
-    """One-step sizes delta_t = max per-point displacement between t and t+1."""
+def _check_steps(traj: Trajectory) -> None:
+    """The one rule of every step-size report: at least one step, so two snapshots."""
     if traj.horizon < 1:
         raise ValueError("step sizes need at least two snapshots")
+
+
+def _check_eta(eta: float) -> None:
+    """The one range check of a partition-distance threshold."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+
+
+def step_sizes(traj: Trajectory) -> np.ndarray:
+    """One-step sizes delta_t = max per-point displacement between t and t+1."""
+    _check_steps(traj)
     return _trajectory_pass(traj, assigned=0).deltas
 
 
@@ -182,8 +193,7 @@ def stepwise_stability_check(traj: Trajectory) -> list[bool]:
     initial margins would reject. If steps 0..t-1 all pass, the partitions at
     times 0..t are equal.
     """
-    if traj.horizon < 1:
-        raise ValueError("step sizes need at least two snapshots")
+    _check_steps(traj)
     return _trajectory_pass(traj, assigned=traj.horizon).stepwise()
 
 
@@ -193,8 +203,7 @@ def instability_time(traj: Trajectory, eta: float) -> int | None:
     Returns None when the threshold is not reached within the trajectory
     horizon; a finite trajectory cannot distinguish "never" from "not yet".
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    _check_eta(eta)
     return _trajectory_pass(traj).instability_time(eta)
 
 

@@ -182,8 +182,8 @@ def _json_doc(path: Path, key: str) -> dict:
     if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise ValueError(f"{path}: expected a JSON object with a {key!r} array")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema_version {version}")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1 in Python
+        raise ValueError(f"{path}: unsupported schema_version {json.dumps(version)}")
     return doc
 
 
@@ -317,8 +317,8 @@ def trajectory_to_json_dict(snapshots, centers: CenterSet) -> dict:
     return {**centers_to_json_dict(centers), "snapshots": [snap.points.tolist() for snap in snapshots]}
 
 
-def read_trajectory_file(path: str | Path, centers_path: str | Path | None = None):
-    """Load (snapshots, centers) from a trajectory file.
+def read_trajectory_file(path: str | Path, centers_path: str | Path | None = None) -> Trajectory:
+    """Load a ``Trajectory`` from a trajectory file.
 
     JSON files are self-contained ("centers" plus a "snapshots" array). The
     CSV alternative has columns t,x1..xd with one row per (time, index), in any

@@ -222,9 +222,7 @@ def partition_distance(p: Partition, q: Partition) -> float:
     """
     if p.n < 2:
         raise ValueError("partition distance needs n >= 2")
-    if p.n != q.n:
-        raise ValueError(f"ground-set sizes differ: {p.n} vs {q.n}")
-    return _label_distance(p.block_ids(), q.block_ids())
+    return pair_disagreements(p, q) / (p.n * (p.n - 1) // 2)
 
 
 def switched_index_distance_bound(m: int, n: int) -> float:

@@ -392,14 +392,19 @@ def _noise(model: PerturbationModel, n: int, rngs, replayed=None) -> tuple[np.nd
     return eta, out_norms
 
 
+def _check_dim(model: PerturbationModel, config: PointConfig) -> None:
+    """The one check that noise and configuration share a dimension."""
+    if model.dim != config.d:
+        raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
+
+
 def sample_perturbation(model: PerturbationModel, config: PointConfig, seed) -> PointConfig:
     """One perturbed configuration X' = X + noise with independent per-index noise.
 
     ``seed`` may be an integer or a numpy Generator. For the bounded-disk
     model every per-point displacement is <= rho without exception.
     """
-    if model.dim != config.d:
-        raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
+    _check_dim(model, config)
     return PointConfig(config.points + _noise(model, config.n, [np.random.default_rng(seed)])[0][0])
 
 
@@ -582,8 +587,7 @@ def monte_carlo(
     bit-reproducible given (seed, trials, model, config, centers).
     """
     _check_trials(trials)
-    if model.dim != config.d:
-        raise ValueError(f"model dimension {model.dim} does not match configuration dimension {config.d}")
+    _check_dim(model, config)
     base, reach = _base_pass(config, centers)
     switch_counts, trial_switches, trial_dists = np.zeros(config.n, dtype=np.int64), [], []
     for switched, dists in _trial_chunks(config, centers, base.labels, reach, model, trials, seed):

@@ -12,10 +12,18 @@ from margin_guard import (
     CenterSet,
     InvariantViolation,
     PerturbationModel,
+    Partition,
     PointConfig,
+    Trajectory,
     analyze_stability,
+    instability_time,
     many_point_instability,
     monte_carlo,
+    pair_disagreements,
+    partition_distance,
+    sample_perturbation,
+    step_sizes,
+    stepwise_stability_check,
     sweep_table,
     two_gaussians,
 )
@@ -213,10 +221,13 @@ class TestConstruct:
         assert "Unable to allocate" in capsys.readouterr().err
 
     def test_csv_not_supported(self, capsys, tmp_path):
-        out = tmp_path / "fixture.csv"
-        assert main(["construct", "single_point", "--format", "csv", "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "error: construct emits JSON only\n")
-        assert not out.exists()
+        # construct declares no --format: its fixtures are JSON only, so even --format json is a usage error
+        out = tmp_path / "fixture"
+        for fmt in ("csv", "json"):
+            assert main(["construct", "single_point", "--format", fmt, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"error: unrecognized arguments: --format {fmt}\n" in captured.err
+            assert not out.exists()
 
     def test_bad_epsilon_exits_2(self, capsys):
         assert main(["construct", "single_point", "--epsilon", "-1"]) == 2
@@ -399,7 +410,7 @@ class TestTrajectory:
         centers = tmp_path / "centers.csv"
         centers.write_text(centers_to_csv(CenterSet(doc["centers"])))
         for fmt, name in (("json", "trajectory_long.json"), ("csv", "trajectory_long.csv")):
-            argv = ["trajectory", "--points", str(points), "--centers", str(centers), "--eta", "0.2", "--seed", "0"]
+            argv = ["trajectory", "--points", str(points), "--centers", str(centers), "--eta", "0.2"]
             assert main([*argv, "--format", fmt]) == 0
             assert capsys.readouterr().out == (golden / name).read_text()
 
@@ -476,19 +487,12 @@ class TestTrialStreamLimits:
 
     @pytest.mark.parametrize("command, flags", [  # every subcommand that declares --seed
         ("montecarlo", ["--rho", "0.1"]), ("sweep", ["--grid", "0.1,0.2"]), ("analyze", []),
-        ("preset", ["two_gaussians"]), ("trajectory", []),
+        ("preset", ["two_gaussians"]),
     ])
-    def test_negative_env_seed_exits_2(self, capsys, monkeypatch, tmp_path, anchored_files, anchored_config,
-                                       two_centers, command, flags):
+    def test_negative_env_seed_exits_2(self, capsys, monkeypatch, anchored_files, command, flags):
         monkeypatch.setenv("MARGIN_GUARD_SEED", "-3")
         points, centers = anchored_files
-        inputs = ["--points", points, "--centers", centers]
-        if command == "preset":
-            inputs = []
-        elif command == "trajectory":
-            path = tmp_path / "traj.json"
-            path.write_text(dump_json(trajectory_to_json_dict((anchored_config,) * 2, two_centers)))
-            inputs = ["--points", str(path)]
+        inputs = [] if command == "preset" else ["--points", points, "--centers", centers]
         assert main([command, *inputs, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -500,6 +504,14 @@ class TestTrialStreamLimits:
         assert main(["construct", "single_point", "--epsilon", "0.5"]) == 0
         golden = Path(__file__).parent / "golden" / "cli" / "construct_single_point.json"
         assert capsys.readouterr().out == golden.read_text()
+
+    @pytest.mark.parametrize("env", ["-3", "abc"], ids=["negative_env", "non_integer_env"])
+    def test_trajectory_ignores_the_env_seed(self, capsys, monkeypatch, env):
+        # trajectory declares no --seed and draws nothing, so MARGIN_GUARD_SEED is not its input
+        monkeypatch.setenv("MARGIN_GUARD_SEED", env)
+        assert main(["trajectory", "--points", LONG_TRAJECTORY_INPUT, "--eta", "0.2"]) == 0
+        golden = Path(__file__).parent / "golden" / "cli" / "trajectory_long.json"
+        assert capsys.readouterr() == (golden.read_text(), "")
 
     @STOCHASTIC_COMMANDS
     def test_negative_seed_with_a_seeded_preset_exits_2(self, capsys, command, flags):
@@ -575,21 +587,11 @@ class TestSeedResolution:
         monkeypatch.setenv("MARGIN_GUARD_SEED", "not-a-number")
         assert main(["preset", "two_gaussians", "--n", "5"]) == 2
 
-    @pytest.mark.parametrize("flag, env, message", [
-        pytest.param(["--seed", "-1"], None, "--seed must be a non-negative integer, got -1", id="negative_flag"),
-        pytest.param([], "-3", "MARGIN_GUARD_SEED must be a non-negative integer, got -3", id="negative_env"),
-        pytest.param([], "abc", "MARGIN_GUARD_SEED must be an integer, got 'abc'", id="non_integer_env"),
-    ])
-    def test_trajectory_checks_the_seed(self, capsys, monkeypatch, tmp_path, anchored_config, two_centers,
-                                        flag, env, message):
-        # trajectory draws nothing, but takes --seed like every other seeded subcommand
-        path = tmp_path / "traj.json"
-        path.write_text(dump_json(trajectory_to_json_dict((anchored_config,) * 2, two_centers)))
-        if env is not None:
-            monkeypatch.setenv("MARGIN_GUARD_SEED", env)
-        assert main(["trajectory", "--points", str(path), *flag]) == 2
+    def test_trajectory_takes_no_seed(self, capsys):
+        # the trajectory pass draws nothing, so --seed is not one of its flags
+        assert main(["trajectory", "--points", TRAJECTORY_INPUT, "--seed", "0"]) == 2
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert captured.out == "" and "error: unrecognized arguments: --seed 0\n" in captured.err
 
 
 class TestExitCodes:
@@ -638,7 +640,7 @@ class TestFlagsBeforeInputs:
 
     def test_trajectory_eta_before_the_file(self, capsys, tmp_path):
         assert main(["trajectory", "--points", str(tmp_path / "missing.json"), "--eta", "2"]) == 2
-        assert capsys.readouterr() == ("", "error: --eta must lie in (0, 1]\n")
+        assert capsys.readouterr() == ("", "error: eta must lie in (0, 1]\n")
 
     def test_montecarlo_noise_model_before_the_files(self, capsys, tmp_path):
         files = ["--points", str(tmp_path / "missing.csv"), "--centers", str(tmp_path / "missing_centers.csv")]
@@ -669,6 +671,54 @@ class TestFlagsBeforeInputs:
         monkeypatch.setattr("margin_guard.cli.make_preset", None)  # generating would raise TypeError
         assert main([*argv, "--preset", "two_gaussians", "--n", "100000"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOneHomePerRule:
+    """Each input rule raises from one place, so every caller that reaches it, the CLI included where it
+    can, gives the same message, and the message appears once in the source."""
+
+    @staticmethod
+    def raised(call, *args) -> str:
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        return str(info.value)
+
+    def cli_error(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        return captured.err[len("error: "):].rstrip("\n")
+
+    def test_eta_range(self, capsys, anchored_config, two_centers):
+        traj = Trajectory((anchored_config,) * 2, two_centers)
+        messages = {self.raised(instability_time, traj, 1.5),
+                    self.cli_error(capsys, ["trajectory", "--points", TRAJECTORY_INPUT, "--eta", "1.5"])}
+        assert messages == {"eta must lie in (0, 1]"}
+
+    def test_two_snapshots(self, capsys, tmp_path, anchored_config, two_centers):
+        traj = Trajectory((anchored_config,), two_centers)
+        path = tmp_path / "one_snapshot.json"
+        path.write_text(dump_json(trajectory_to_json_dict(traj.snapshots, two_centers)))
+        messages = {self.raised(step_sizes, traj), self.raised(stepwise_stability_check, traj),
+                    self.cli_error(capsys, ["trajectory", "--points", str(path)])}
+        assert messages == {"step sizes need at least two snapshots"}
+
+    def test_model_dimension(self, anchored_config, two_centers):
+        model = PerturbationModel.bounded_disk(0.1, dim=3)
+        messages = {self.raised(sample_perturbation, model, anchored_config, 0),
+                    self.raised(monte_carlo, anchored_config, two_centers, model, 10, 0)}
+        assert messages == {"model dimension 3 does not match configuration dimension 2"}
+
+    def test_ground_set_size(self):
+        p, q = Partition.from_labels([1, 1, 2]), Partition.from_labels([1, 2])
+        assert {self.raised(pair_disagreements, p, q), self.raised(partition_distance, p, q)} == {
+            "ground-set sizes differ: 3 vs 2"}
+
+    @pytest.mark.parametrize("message", ["eta must lie in (0, 1]", "step sizes need at least two snapshots",
+                                         "does not match configuration dimension", "ground-set sizes differ"])
+    def test_each_message_appears_once_in_the_source(self, message):
+        src = Path(__file__).resolve().parents[1] / "src" / "margin_guard"
+        assert sum(path.read_text().count(message) for path in src.glob("*.py")) == 1
 
 
 class TestFixtureParameters:
@@ -785,6 +835,13 @@ class TestFlagDeclarations:
             else:
                 assert len(groups) == 1, (option, sorted(groups.values()))
 
+    def test_only_the_subcommands_that_use_a_flag_take_it(self):
+        # --seed where a draw can use it, --format where CSV is emitted
+        takers = {option: sorted(command for command, parser in subcommands().items()
+                                 if option in parser._option_string_actions) for option in ("--seed", "--format")}
+        assert takers == {"--seed": ["analyze", "montecarlo", "preset", "sweep"],
+                          "--format": ["analyze", "montecarlo", "preset", "sweep", "trajectory"]}
+
     def test_every_argument_has_help(self):
         for command, parser in subcommands().items():
             for action in parser._actions:
@@ -851,6 +908,7 @@ def test_output_file_writing(tmp_path, anchored_files):
 
 
 TRAJECTORY_INPUT = str(Path(__file__).parent / "golden" / "cli" / "trajectory_input.json")
+LONG_TRAJECTORY_INPUT = str(Path(__file__).parent / "golden" / "cli" / "trajectory_long_input.json")
 NEAR = ["--preset", "near_boundary", "--seed", "2"]
 
 

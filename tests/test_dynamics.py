@@ -375,7 +375,7 @@ class TestTrajectoryPass:
             for attr, value in list(vars(module).items()):
                 if value is assign:
                     monkeypatch.setattr(module, attr, lambda *a: assigns.append(a) or assign(*a))
-        argv = ["trajectory", "--points", str(golden / "trajectory_long_input.json"), "--eta", "0.2", "--seed", "0"]
+        argv = ["trajectory", "--points", str(golden / "trajectory_long_input.json"), "--eta", "0.2"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (golden / "trajectory_long.json").read_text()
         assert assigns == []

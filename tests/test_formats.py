@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats
+from margin_guard.cli import main
 from margin_guard.formats import (
     centers_to_csv,
     centers_to_json_dict,
@@ -127,6 +128,17 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps({"schema_version": 99, "points": [[0, 0], [1, 1]]}))
         with pytest.raises(ValueError, match="schema_version"):
             read_points(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "trajectory"])
+    def test_bool_schema_version_exits_2_naming_the_file(self, capsys, tmp_path, command):
+        # true == 1 in Python, but a JSON version is a number
+        path = tmp_path / "input.json"
+        rows = [[0.5, 0.0], [-2.0, 0.0]]
+        path.write_text(json.dumps({"schema_version": True, "points": rows, "centers": [[-1, 0], [1, 0]],
+                                    "snapshots": [rows, rows]}))
+        argv = [command, "--points", str(path), *(["--centers", str(path)] if command == "analyze" else [])]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: unsupported schema_version true\n")
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "pts.json"
