@@ -19,15 +19,11 @@ measures the cost of each trial rather than of each point.
 
 Every run of a command, in every tree, must print the same report, whose
 SHA-256 the ledger records; a command that names a golden file must print it
-byte for byte. A reference child, ``python -c "import numpy"``, runs before
-each tree's commands in every round. Host load moves it with the children, so
-each command's wall time over the wall time of the reference run just before
-it cancels a drift in host speed from round to round, which a ratio of two
-medians would not; the ledger gives those per-round ratios with their median
-and quartiles. Trees run in alternating order from round to round, so a drift in
-host speed falls on every tree alike. The ledger, with per-run wall times, is
-written as JSON to --out, which has no default, so that no smoke run overwrites
-a checked-in BENCH_<SUITE>.json.
+byte for byte. Each command's entry gives its wall time in every round, their
+median and quartiles, and its peak RSS over all rounds. Trees run in
+alternating order from round to round, so a drift in host speed falls on every
+tree alike. The ledger is written as JSON to --out, which has no default, so
+that no smoke run overwrites a checked-in BENCH_<SUITE>.json.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path("tests", "golden", "cli")
-REFERENCE = ["-c", "import numpy"]
 
 
 def copy_trajectory_input(directory: Path, n: int) -> None:
@@ -134,11 +129,10 @@ SUITES = {
 }
 
 
-def run_child(args: list[str], src: str | None, cwd: str) -> tuple[float, float, bytes]:
-    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child run in ``cwd``, which must succeed."""
-    env = dict(os.environ)
-    if src is not None:
-        env["PYTHONPATH"] = src
+def run_child(args: list[str], src: str, cwd: str) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child run in ``cwd`` with ``src`` on
+    PYTHONPATH, which must succeed."""
+    env = {**os.environ, "PYTHONPATH": src}
     with tempfile.TemporaryFile() as out:
         start = perf_counter()
         proc = subprocess.Popen([sys.executable, *args], stdout=out, cwd=cwd, env=env)
@@ -150,17 +144,17 @@ def run_child(args: list[str], src: str | None, cwd: str) -> tuple[float, float,
         return wall, usage.ru_maxrss / 1024.0, out.read()
 
 
-def summary(args: list[str], runs: list[tuple[float, float]]) -> dict:
-    walls = [wall for wall, _ in runs]
-    return {"command": " ".join(["python", *args]), "median_s": statistics.median(walls),
-            "peak_rss_mb": max(rss for _, rss in runs), "wall_s": walls}
-
-
 def quartiles(values: list[float]) -> dict:
     """First quartile, median and third quartile of ``values``, by the inclusive method."""
     # before Python 3.13, quantiles needs at least two values
     q1, median, q3 = values * 3 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def summary(args: list[str], runs: list[tuple[float, float]], digest: str) -> dict:
+    walls = [wall for wall, _ in runs]
+    return {"command": " ".join(["python", *args]), "wall_s": walls, "wall_quartiles": quartiles(walls),
+            "peak_rss_mb": max(rss for _, rss in runs), "report_sha256": digest}
 
 
 def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
@@ -170,8 +164,6 @@ def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
     digests = {cmd: hashlib.sha256((ROOT / GOLDEN / golden).read_bytes()).hexdigest()
                for cmd, (_, golden) in table.items() if golden}
     runs = {name: {cmd: [] for cmd in table} for name in trees}
-    ratios = {name: {cmd: [] for cmd in table} for name in trees}
-    reference = []
     with tempfile.TemporaryDirectory() as tmp:
         # a child's peak RSS from os.wait4 is at least this process's, so a fresh interpreter writes the inputs
         writer = multiprocessing.get_context("spawn").Process(target=write_inputs, args=(Path(tmp), n))
@@ -181,28 +173,20 @@ def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
             raise SystemExit(f"ledger: writing the {suite} inputs exited with {writer.exitcode}")
         for round_ in range(repeats):
             for name in (list(trees) if round_ % 2 == 0 else list(reversed(trees))):
-                reference.append(run_child(REFERENCE, None, tmp)[:2])
                 for cmd, argv in argvs.items():
                     wall, rss, report = run_child(argv, trees[name], tmp)
                     digest = hashlib.sha256(report).hexdigest()
                     if digests.setdefault(cmd, digest) != digest:
                         raise SystemExit(f"ledger: {name} {cmd} does not reproduce {table[cmd][1] or 'its first run'}")
                     runs[name][cmd].append((wall, rss))
-                    ratios[name][cmd].append(wall / reference[-1][0])
-    ref = summary(REFERENCE, reference)
-    result = {name: {cmd: summary(argvs[cmd], samples) for cmd, samples in cmds.items()} for name, cmds in runs.items()}
-    for name, cmds in result.items():
-        for cmd, entry in cmds.items():
-            entry.update(ratios=ratios[name][cmd], ratio_to_reference=quartiles(ratios[name][cmd]),
-                         report_sha256=digests[cmd])
     return {
         "environment": {"python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy"),
                         "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
         "suite": suite,
         "n": n,
         "repeats": repeats,
-        "reference": ref,
-        "trees": result,
+        "trees": {name: {cmd: summary(argvs[cmd], samples, digests[cmd]) for cmd, samples in cmds.items()}
+                  for name, cmds in runs.items()},
     }
 
 
@@ -231,10 +215,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(ledger, indent=2) + "\n")
     for name, cmds in ledger["trees"].items():
         for cmd, entry in cmds.items():
-            ratio = entry["ratio_to_reference"]
-            print(f"{name:>10} {cmd:<26} {entry['median_s']:.3f} s  x{ratio['median']:.2f}"
-                  f" ({ratio['q1']:.2f}-{ratio['q3']:.2f})  {entry['peak_rss_mb']:.1f} MiB")
-    print(f"{'reference':>10} {'import numpy':<26} {ledger['reference']['median_s']:.3f} s")
+            wall = entry["wall_quartiles"]
+            print(f"{name:>10} {cmd:<32} {wall['median']:.3f} s ({wall['q1']:.3f}-{wall['q3']:.3f})"
+                  f"  {entry['peak_rss_mb']:.1f} MiB")
     return 0
 
 

@@ -15,27 +15,25 @@ COMMANDS = {
     "scale": {"montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3", "montecarlo_two_g_sigma0.3", "sweep_two_g",
               "montecarlo_near_boundary_trials", "trajectory_k8_T10", "trajectory_k8_T100"},
 }
-ENTRY = {"command", "median_s", "peak_rss_mb", "wall_s", "ratios", "ratio_to_reference", "report_sha256"}
+ENTRY = {"command", "wall_s", "wall_quartiles", "peak_rss_mb", "report_sha256"}
 
 
 def check_shape(ledger: dict, suite: str, trees: set, repeats: int, n: int) -> None:
-    assert set(ledger) == {"environment", "suite", "n", "repeats", "reference", "trees"}
+    assert set(ledger) == {"environment", "suite", "n", "repeats", "trees"}
     assert set(ledger["environment"]) == {"python", "numpy", "scipy", "nproc", "machine"}
     assert (ledger["suite"], ledger["n"], ledger["repeats"]) == (suite, n, repeats)
-    assert set(ledger["reference"]) == ENTRY - {"ratios", "ratio_to_reference", "report_sha256"}
-    assert len(ledger["reference"]["wall_s"]) == repeats * len(trees)
     assert set(ledger["trees"]) == trees
     for cmds in ledger["trees"].values():
         assert set(cmds) == COMMANDS[suite]
         for entry in cmds.values():
-            assert set(entry) == ENTRY and len(entry["wall_s"]) == len(entry["ratios"]) == repeats
+            assert set(entry) == ENTRY and len(entry["wall_s"]) == repeats
             assert entry["command"].startswith("python -m margin_guard ") and "/" not in entry["command"]
-            assert entry["median_s"] > 0 and entry["peak_rss_mb"] > 0 and min(entry["ratios"]) > 0
-            # the per-round ratios' quartiles, each ratio a wall time over its round's reference wall time
-            ratio = entry["ratio_to_reference"]
-            assert set(ratio) == {"q1", "median", "q3"}
-            assert min(entry["ratios"]) <= ratio["q1"] <= ratio["median"] <= ratio["q3"] <= max(entry["ratios"])
-            assert ratio["median"] == pytest.approx(statistics.median(entry["ratios"]))
+            assert min(entry["wall_s"]) > 0 and entry["peak_rss_mb"] > 0
+            # the inclusive quartiles of the command's own wall times
+            wall = entry["wall_quartiles"]
+            assert set(wall) == {"q1", "median", "q3"}
+            assert min(entry["wall_s"]) <= wall["q1"] <= wall["median"] <= wall["q3"] <= max(entry["wall_s"])
+            assert wall["median"] == statistics.median(entry["wall_s"])
             assert len(entry["report_sha256"]) == 64
     # every tree printed the same reports
     assert len({tuple(entry["report_sha256"] for entry in cmds.values()) for cmds in ledger["trees"].values()}) == 1
