@@ -41,17 +41,8 @@ from pathlib import Path
 from .counterexamples import FIXTURE_NAMES, make_fixture
 from .dynamics import _check_eta, _check_steps, _trajectory_pass
 from .errors import InvariantViolation
-from .formats import (
-    centers_to_csv,
-    centers_to_json_dict,
-    csv_table,
-    dump_json,
-    points_to_csv,
-    points_to_json_dict,
-    read_centers,
-    read_points,
-    read_trajectory_file,
-)
+from .formats import (_named, centers_to_csv, centers_to_json_dict, csv_table, dump_json, points_to_csv,
+                      points_to_json_dict, read_centers, read_points, read_trajectory_file)
 from .presets import PRESET_NAMES, make_preset
 from .stability import _check_epsilon, analyze_stability, no_switch_certificate, switch_candidates
 from .stochastic import PerturbationModel, _check_trials, _sweep_grid, monte_carlo, sweep_table
@@ -216,7 +207,7 @@ def cmd_trajectory(args):
     if args.eta is not None:  # before the file is read
         _check_eta(args.eta)
     traj = read_trajectory_file(args.points, args.centers)
-    _check_steps(traj)
+    _named(Path(args.points), _check_steps, traj)
     run = _trajectory_pass(traj)
     budgets = run.deltas.cumsum()
     certs = [run.certificate(t) for t in range(1, traj.horizon + 1)]

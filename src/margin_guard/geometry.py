@@ -10,10 +10,10 @@ Every label comes from one kernel, ``_nearest``. In one row-blocked pass it
 gives labels alone (Monte Carlo switch candidates and the radius search),
 labels with margins (``assign_nearest``, ``nearest_label``, ``margin`` and the
 trajectory pass), both with the bisector matrix (the stability report with its
-radius search, and ``exact_switch_radius``), or both with that matrix's row
-minima alone (the switch radii, also Monte Carlo's base pass). Its row blocks
-hold at most ``_BLOCK_ENTRIES`` (point, center, coordinate) entries, so its
-memory beyond its outputs does not grow with n. Each ``Assignment`` of a
+radius search), or both with that matrix's row minima alone (the switch radii,
+one point's in ``exact_switch_radius``, also Monte Carlo's base pass). Its row
+blocks hold at most ``_BLOCK_ENTRIES`` (point, center, coordinate) entries, so
+its memory beyond its outputs does not grow with n. Each ``Assignment`` of a
 configuration comes through ``_assign``. ``_no_switch`` is the one no-switch
 rule (size 0, or size < min_margin / 2), ``_row_norms`` the one row-norm
 formula (displacements, noise and the radius search's directions) and
@@ -314,8 +314,8 @@ def assign_nearest(config: PointConfig, centers: CenterSet) -> Assignment:
 
 
 def _point_nearest(point, centers: CenterSet, want: int = _MARGINS, label: int | None = None) -> tuple:
-    """The first ``want`` of the kernel's outputs for one point: its label, margin and (k,) bisector row.
-    A given ``label`` must be that label."""
+    """The first ``want`` of the kernel's outputs for one point: its label, margin and switch radius
+    (``_RADII``). A given ``label`` must be that label."""
     outs = tuple(out[0] for out in _nearest(_d_vector(point, centers.d)[None, :], centers.centers, want))
     if label is not None and label != outs[0]:
         raise ValueError(f"label {label} is not the nearest-center label (expected {outs[0]})")

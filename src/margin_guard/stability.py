@@ -79,7 +79,7 @@ def exact_switch_radius(point, centers: CenterSet, label: int) -> float:
     is the minimum over j. Always >= margin/2, with equality when the point
     lies on the segment between the two centers.
     """
-    return float(_point_nearest(point, centers, _BISECTORS, label)[2].min())
+    return float(_point_nearest(point, centers, _RADII, label)[2])
 
 
 def per_point_switch_radii(config: PointConfig, centers: CenterSet) -> np.ndarray:

@@ -697,11 +697,17 @@ class TestOneHomePerRule:
 
     def test_two_snapshots(self, capsys, tmp_path, anchored_config, two_centers):
         traj = Trajectory((anchored_config,), two_centers)
+        message = "step sizes need at least two snapshots"
+        assert {self.raised(step_sizes, traj), self.raised(stepwise_stability_check, traj)} == {message}
+        # the CLI gives the library's message after the file's name, from JSON and from CSV input
         path = tmp_path / "one_snapshot.json"
         path.write_text(dump_json(trajectory_to_json_dict(traj.snapshots, two_centers)))
-        messages = {self.raised(step_sizes, traj), self.raised(stepwise_stability_check, traj),
-                    self.cli_error(capsys, ["trajectory", "--points", str(path)])}
-        assert messages == {"step sizes need at least two snapshots"}
+        assert self.cli_error(capsys, ["trajectory", "--points", str(path)]) == f"{path}: {message}"
+        csv_path, centers_path = tmp_path / "one_snapshot.csv", tmp_path / "centers.csv"
+        csv_path.write_text("t,x1,x2\n" + "".join(f"0,{x},{y}\n" for x, y in anchored_config.points.tolist()))
+        centers_path.write_text(centers_to_csv(two_centers))
+        argv = ["trajectory", "--points", str(csv_path), "--centers", str(centers_path)]
+        assert self.cli_error(capsys, argv) == f"{csv_path}: {message}"
 
     def test_model_dimension(self, anchored_config, two_centers):
         model = PerturbationModel.bounded_disk(0.1, dim=3)

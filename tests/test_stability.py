@@ -154,6 +154,9 @@ class TestExactSwitchRadius:
         assert bisector_distances(config.points, centers.centers, assignment.labels).min(axis=1).tobytes() == want
         assert per_point_switch_radii(config, centers).tobytes() == want
         assert analyze_stability(config, centers).per_point_switch_radius.tobytes() == want
+        one_by_one = [exact_switch_radius(point, centers, int(label))
+                      for point, label in zip(config.points[:20], assignment.labels[:20])]
+        assert np.array(one_by_one).tobytes() == bisectors[:20].min(axis=1).tobytes()
 
     def test_radii_memory_at_k64_is_block_sized(self):
         # estimate, not a measurement: labels, margins and radii are three n-vectors of 0.8 MiB each,
