@@ -144,17 +144,17 @@ def run_child(args: list[str], src: str, cwd: str) -> tuple[float, float, bytes]
         return wall, usage.ru_maxrss / 1024.0, out.read()
 
 
+def summary(args: list[str], runs: list[tuple[float, float]], digest: str) -> dict:
+    walls = [wall for wall, _ in runs]
+    return {"command": " ".join(["python", *args]), "wall_s": walls, "wall_quartiles": quartiles(walls),
+            "peak_rss_mb": max(rss for _, rss in runs), "report_sha256": digest}
+
+
 def quartiles(values: list[float]) -> dict:
     """First quartile, median and third quartile of ``values``, by the inclusive method."""
     # before Python 3.13, quantiles needs at least two values
     q1, median, q3 = values * 3 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
-
-
-def summary(args: list[str], runs: list[tuple[float, float]], digest: str) -> dict:
-    walls = [wall for wall, _ in runs]
-    return {"command": " ".join(["python", *args]), "wall_s": walls, "wall_quartiles": quartiles(walls),
-            "peak_rss_mb": max(rss for _, rss in runs), "report_sha256": digest}
 
 
 def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
