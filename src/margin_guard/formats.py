@@ -11,11 +11,14 @@ indent=2, written in one pass: each list of numbers, or of rows of numbers, is
 one call of CPython's compact C encoder, re-indented by string replacement.
 CSV records are read by numpy's C reader, np.loadtxt, which converts each
 field with the routine float() ends in; a file it could read or word
-differently goes through csv record by record. CSV coordinates are ASCII
-decimals without "_", which float() alone would accept. Input text is UTF-8,
-with or without a byte order mark, whatever the locale. Every error about an
-input file names the file, those that ``PointConfig``, ``CenterSet`` and
-``Trajectory`` (the one snapshot shape check) raise included.
+differently goes through csv record by record. Whether a file holds a
+non-ASCII character or U+001F, which np.loadtxt may strip as space, is one
+test of its whole text; only the records of a text that does are tested one by
+one. CSV coordinates are ASCII decimals without "_", which float() alone would
+accept. Input text is UTF-8, with or without a byte order mark, whatever the
+locale. Every error about an input file names the file, those that
+``PointConfig``, ``CenterSet`` and ``Trajectory`` (the one snapshot shape
+check) raise included.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
-import re
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -187,21 +188,20 @@ def _json_doc(path: Path, key: str) -> dict:
     return doc
 
 
-# a trajectory record's leading time field: ASCII digits, padded only by spaces or tabs
-_TIME_FIELD = re.compile(r"[ \t]*[0-9]+[ \t]*(?:,|$)")
-
-
-def _bulk_records(records: list[str], width: int, timed: bool) -> tuple[np.ndarray, np.ndarray] | None:
+def _bulk_records(records: list[str], width: int, timed: bool, plain: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The t column and the coordinates of ``records``, parsed by numpy's C reader, or None where it
     could read or word a record otherwise than the csv loop of _read_csv_records: a non-ASCII
     character or U+001F (both of which np.loadtxt may strip as space), a time field that is not
-    digits or reaches 2**53, or a column count that is not ``width``. np.loadtxt converts each field
-    with PyOS_string_to_double, as float() does, and rejects "_", as the record loop does. It also
+    digits or reaches 2**53, or a column count that is not ``width``. Only the records of a file
+    whose text is not ``plain``, ASCII and free of U+001F as a whole, are tested for the first two.
+    A time field may hold only ASCII digits, spaces and tabs; as np.loadtxt parsed each of them,
+    none is empty or digits split by padding. np.loadtxt converts each field with
+    PyOS_string_to_double, as float() does, and rejects "_", as the record loop does. It also
     rejects every quote character, which only csv reads as quoting; without quotes csv splits a
     line at its commas, as np.loadtxt does."""
-    if not all(map(str.isascii, records)) or any(map(operator.contains, records, repeat("\x1f"))):
-        return None
-    if timed and not all(map(_TIME_FIELD.match, records)):
+    # a time field is ASCII digits and padding up to its comma or the end of its record
+    if (not plain and any(not rec.isascii() or "\x1f" in rec for rec in records)
+            or timed and not all(rec.lstrip("0123456789 \t")[:1] in "," for rec in records)):
         return None
     try:
         table = np.loadtxt(records, delimiter=",", comments=None, ndmin=2)
@@ -217,7 +217,10 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[np.ndarray, np.n
     and the coordinates of a CSV file with columns [t,]x1..xd. Records are parsed in bulk
     (_bulk_records); a file the bulk parse declines goes through csv record by record, and its errors
     number records among the lines that are not blank or "#"."""
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    text = _read_text(path)
+    # the bulk parse's one test of the whole text, which is let go before its lines are filtered
+    plain, lines, text = text.isascii() and "\x1f" not in text, text.splitlines(), None
+    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:  # a header and at least one record
         raise ValueError(f"{path}: no data rows")
     reader = csv.reader(lines)
@@ -229,8 +232,7 @@ def _read_csv_records(path: Path, timed: bool = False) -> tuple[np.ndarray, np.n
     if header != expected:
         raise ValueError(f"{path}: header must be {','.join(expected)}, got {','.join(header)}")
     # a header quoted over several lines leaves its closing quote to the bulk parse, which declines
-    bulk = _bulk_records(lines[1:], len(header), timed)
-    if bulk is not None:
+    if (bulk := _bulk_records(lines[1:], len(header), timed, plain)) is not None:
         return bulk
     times, rows = [], []
     for lineno, rec in enumerate(reader, start=2):
@@ -268,20 +270,23 @@ def _bad_json_entry(values, what: str) -> str | None:
 
 def _plain_numbers(values) -> np.ndarray | None:
     """``values`` from a JSON document in one numpy conversion, or None if it is ragged or not all plain
-    numbers: strings, bools and null give other dtypes, and an exact 0 or 1 may be a bool among numbers."""
+    numbers: strings, bools and null give other dtypes, and a bool among numbers becomes 0 or 1, so the
+    Python objects at the entries equal to 0 or 1, and there only, are looked up for a bool."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged
         return None
-    return arr if arr.dtype.kind in "iuf" and not ((arr == 0) | (arr == 1)).any() else None
+    zero_one = (arr == 0) | (arr == 1) if arr.dtype.kind in "iuf" else None
+    if zero_one is None or zero_one.any() and bool in set(map(type, np.asarray(values, dtype=object)[zero_one])):
+        return None
+    return arr
 
 
 def _json_coordinates(values, path: Path, what: str) -> np.ndarray:
     """``values`` from a JSON document as a float array, rejecting ragged rows and non-numbers with
     the file and the entry named; whatever _plain_numbers declines is scanned row by row."""
     arr = _plain_numbers(values)
-    problem = None if arr is not None else _bad_json_entry(values, what)
-    if problem is not None:
+    if arr is None and (problem := _bad_json_entry(values, what)) is not None:
         raise ValueError(f"{path}: {problem}")
     try:  # plain ints too large for int64 stay Python ints, and those too large for a float overflow
         return np.asarray(values if arr is None else arr, dtype=float)

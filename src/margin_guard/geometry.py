@@ -226,16 +226,19 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Bit-identical to summing the broadcast (n, k, d) difference over d. numpy sums fewer than 8
     terms left to right but 8 or more pairwise, so below d = 8 the squares are added coordinate by
     coordinate with (n, k) temporaries only; from d = 8 on the broadcast form runs in row blocks of
-    at most _BLOCK_ENTRIES (point, center, coordinate) entries."""
+    at most _BLOCK_ENTRIES (point, center, coordinate) entries. numpy runs the innermost axis in one
+    loop and the others one short row at a time, so at k <= 8 centers the squares are taken as (k, n)
+    arrays, whose transpose is returned: c - x and x - c square to the same bits."""
     n, d = points.shape
     if d < 8:
-        out = np.subtract.outer(points[:, 0], centers[:, 0])
+        left, right = (points, centers) if len(centers) > 8 else (centers, points)
+        out = np.subtract.outer(left[:, 0], right[:, 0])
         out *= out
         for j in range(1, d):
-            diff = np.subtract.outer(points[:, j], centers[:, j])
+            diff = np.subtract.outer(left[:, j], right[:, j])
             diff *= diff
             out += diff
-        return out
+        return out if left is points else out.T
     out = np.empty((n, len(centers)))
     for rows in _row_blocks(n, len(centers) * d):
         diff = points[rows, None, :] - centers[None, :, :]
@@ -246,7 +249,8 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _row_min(a: np.ndarray) -> np.ndarray:
     """a.min(axis=1) of a 2-d array, taken over a transposed copy: numpy reduces a short last axis one
     row at a time: at k <= 8 columns 9 to 30 times slower than the copy and an elementwise pass, at
-    k = 64 about 10% faster than the copy."""
+    k = 64 about 10% faster than the copy. The kernel's arrays at k <= 8 are transposes already, and
+    need no copy."""
     return np.ascontiguousarray(a.T).min(axis=0)
 
 
@@ -264,7 +268,9 @@ def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> t
 
     The one assignment kernel: one _squared_distances call per row block of at most _BLOCK_ENTRIES
     (point, center, coordinate) entries, so memory beyond the outputs stays O(block). Labels are the
-    argmin over the square-rooted distances; one over the squares could break ties differently."""
+    argmin over the square-rooted distances; one over the squares could break ties differently. At
+    k = 2 that argmin is one strict comparison of the two columns, the same since no checked
+    coordinate gives a NaN distance."""
     n, d = points.shape
     k = len(centers)
     labels = np.empty(n, dtype=int)
@@ -275,7 +281,9 @@ def _nearest(points: np.ndarray, centers: np.ndarray, want: int = _MARGINS) -> t
     for rows in _row_blocks(n, k * d):
         sq = _squared_distances(points[rows], centers)
         dist = np.sqrt(sq) if want >= _BISECTORS else np.sqrt(sq, out=sq)
-        nearest = dist.argmin(axis=1)  # first occurrence = lowest center index
+        # first occurrence = lowest center index; with two centers one column comparison, as argmin runs
+        # one short row at a time
+        nearest = (dist[:, 1] < dist[:, 0]).astype(np.intp) if k == 2 else dist.argmin(axis=1)
         labels[rows] = nearest + 1
         if want == _LABELS:
             continue

@@ -231,7 +231,7 @@ def csv_outcome(read, path, timed):
 CSV_FIELDS = ["1", "-2.5", " 3 ", "4\t", "1_0", "nan", "-inf", "Infinity", "", "x", "+1", '"5"', '"6,7"', "\u00b2",
               "\u0661", "1e400", "99999999999999999999", ".5", "5.", "+.5e+1", "1E5", "1e-400", "2.5e-324", "-0",
               "iNfInItY", "-nan", "0x10", "1d5", "\x1f1", "1\x1f", "1\xa0", "\u30001", "\x7f", "9007199254740993",
-              "\t3"]
+              "\t3", "\v3", "3\f"]
 
 
 class TestBulkCsvRecords:
@@ -272,12 +272,14 @@ class TestBulkCsvRecords:
         assert csv_outcome(formats._read_csv_records, path, timed) == csv_outcome(read_csv_by_records, path, timed)
 
     @given(st.booleans(), st.integers(1, 3), st.lists(st.lists(st.sampled_from(CSV_FIELDS), min_size=1, max_size=4),
-                                                      min_size=1, max_size=12))
+                                                      min_size=1, max_size=12),
+           st.sampled_from(["", "# note", "# caf\u00e9", "#\x1f"]))
     @settings(max_examples=300, deadline=None)
-    def test_random_records_match_the_record_loop(self, tmp_path_factory, timed, d, records):
+    def test_random_records_match_the_record_loop(self, tmp_path_factory, timed, d, records, comment):
+        # the bulk parse tests the text once for ASCII and U+001F, so a comment may hold either
         header = ",".join(["t"] * timed + [f"x{j + 1}" for j in range(d)])
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        path.write_text("\n".join([header, *map(",".join, records)]) + "\n", encoding="utf-8")
+        path.write_text("\n".join([comment, header, *map(",".join, records)]) + "\n", encoding="utf-8")
         assert csv_outcome(formats._read_csv_records, path, timed) == csv_outcome(read_csv_by_records, path, timed)
 
     @pytest.mark.parametrize("timed", [False, True])
@@ -287,15 +289,17 @@ class TestBulkCsvRecords:
         path = tmp_path / "data.csv"
         lead = "0," * timed
         path.write_text(f"{'t,' * timed}x1,x2\n{lead}1,2\n{lead}3,{field}\n", encoding="utf-8")
-        assert formats._bulk_records([f"{lead}3,{field}"], 2 + timed, timed) is None
+        assert formats._bulk_records([f"{lead}3,{field}"], 2 + timed, timed, False) is None
         with pytest.raises(ValueError) as info:
             formats._read_csv_records(path, timed)
         assert str(info.value) == f"{path}: record 3: coordinate must be an ASCII decimal without '_', got {field!r}"
 
     def test_plain_files_take_the_bulk_parse(self, tmp_path):
-        traj_path, points_path = tmp_path / "traj.csv", tmp_path / "pts.csv"
+        traj_path, points_path, noted_path = tmp_path / "traj.csv", tmp_path / "pts.csv", tmp_path / "noted.csv"
         traj_path.write_text("t,x1\n0,1.5\n1,2.5\n0,3\n1,4\n")
         points_path.write_text("# schema_version=1\nx1,x2\n1.5,-2\n 3 ,4e-1\n")
+        # a non-ASCII comment and tab-padded times
+        noted_path.write_text("# caf\u00e9\nt,x1\n\t0 ,1.5\n 1\t,2.5\n", encoding="utf-8")
         parsed, bulk = [], formats._bulk_records
 
         def spy(*args):
@@ -305,7 +309,9 @@ class TestBulkCsvRecords:
         with mock.patch.object(formats, "_bulk_records", spy):
             times, coords = formats._read_csv_records(traj_path, timed=True)
             points = read_points(points_path).points
-        assert len(parsed) == 2 and None not in parsed
+            noted_times, noted_coords = formats._read_csv_records(noted_path, timed=True)
+        assert len(parsed) == 3 and None not in parsed
+        assert noted_times.tolist() == [0, 1] and noted_coords.tolist() == [[1.5], [2.5]]
         assert times.dtype == np.int64 and np.array_equal(times, [0, 1, 0, 1])
         assert coords.tolist() == [[1.5], [2.5], [3.0], [4.0]]
         assert points.tolist() == [[1.5, -2.0], [3.0, 0.4]]
@@ -503,6 +509,27 @@ class TestJsonCoordinates:
         path = tmp_path / "m.json"
         path.write_text('{"points": [[1, 0], [0, 1.0], [-0.0, 1e-300]]}')
         assert read_points(path).points.tolist() == [[1.0, 0.0], [0.0, 1.0], [-0.0, 1e-300]]
+
+    def test_exact_zeros_and_ones_take_one_conversion(self, tmp_path):
+        # a bool among numbers converts to 0 or 1, so only the entries equal to 0 or 1 are looked up for one
+        rows = [[0, 1], [0.0, 1.0], [-0.0, 0.5], [1, 2.5]]
+        snapshots = [rows, [[1, 0.0], [0, 1.0], [1.0, 1], [0.0, -1]]]
+        points_path, traj_path = tmp_path / "p.json", tmp_path / "t.json"
+        points_path.write_text(json.dumps({"points": rows}))
+        traj_path.write_text(json.dumps({"centers": [[0, 1], [1.0, 0.0]], "snapshots": snapshots}))
+        with mock.patch.object(formats, "_bad_json_entry", side_effect=AssertionError("row scan")):
+            points = read_points(points_path).points
+            traj = read_trajectory_file(traj_path)
+        assert points.tobytes() == np.array(rows, dtype=float).tobytes()
+        assert np.stack([s.points for s in traj.snapshots]).tobytes() == np.array(snapshots, dtype=float).tobytes()
+        assert traj.centers.centers.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_a_bool_in_a_later_snapshot_names_its_row(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"centers": [[0, 1], [1, 0]], "snapshots": [[[0, 1], [1, 0.5]], [[0, 1], [true, 0.5]]]}')
+        with pytest.raises(ValueError) as info:
+            read_trajectory_file(path)
+        assert str(info.value) == f"{path}: snapshot 1 row 2 has a coordinate that is not a number: true"
 
 
 def test_partition_from_lists():

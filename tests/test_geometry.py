@@ -308,6 +308,21 @@ class TestDistanceKernel:
         assert np.array_equal(full[0], expected_labels) and same_bits(full[1], expected_margins)
         assert same_bits(full[2], bisector_distances(points, centers, expected_labels))
 
+    @pytest.mark.parametrize("centers", [[[-1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], [[0.5, 3.0], [0.5, 3.0]]])
+    def test_two_centers_label_as_argmin_on_the_bisector(self, centers):
+        # at k = 2 the label is one strict column comparison; a tie must still go to center 1, as with argmin
+        rng = np.random.default_rng(4)
+        ys = rng.normal(size=40_000) * 10.0 ** rng.integers(-20, 20, 40_000)
+        xs = np.concatenate([np.zeros(20_000), rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.integers(-320, 1, 20_000)])
+        points, centers = np.column_stack([xs, ys]), np.array(centers)
+        expected_labels, expected_margins = broadcast_nearest(points, centers)
+        assert (expected_labels[:20_000] == 1).all()  # the points on the bisector are ties
+        for want in (geometry._LABELS, geometry._MARGINS, geometry._RADII):
+            labels, *rest = geometry._nearest(points, centers, want)
+            assert np.array_equal(labels, expected_labels)
+            if rest:
+                assert same_bits(rest[0], expected_margins)
+
     @given(d=st.integers(1, 12), lead=st.sampled_from([(), (1,), (7,), (3, 5), (682, 3)]),
            exponent=st.integers(-300, 149), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
