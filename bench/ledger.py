@@ -82,7 +82,8 @@ WALK_HORIZONS = (10, 100)
 def write_walks(directory: Path, n: int) -> None:
     """A random walk of n // 10 clustered points around 8 centers, each step adding N(0, 0.05^2) noise per
     coordinate, from ``default_rng(1)``. Its first T + 1 snapshots, for each T of WALK_HORIZONS, go to
-    walk_T<T>.csv as time-major t,x1,x2 rows, and its centers to walk.centers.csv."""
+    walk_T<T>.csv as time-major t,x1,x2 rows, and its centers to walk.centers.csv. The whole walk, for the
+    largest T, also goes with its centers to walk_T<T>.json, one self-contained JSON trajectory."""
     import numpy as np
 
     rng = np.random.default_rng(1)
@@ -93,6 +94,8 @@ def write_walks(directory: Path, n: int) -> None:
         rows = ((t, *p) for t, snapshot in enumerate(stack[: horizon + 1].tolist()) for p in snapshot)
         write_csv(directory / f"walk_T{horizon}.csv", "t,x1,x2", rows)
     write_csv(directory / "walk.centers.csv", "x1,x2", centers.tolist())
+    doc = {"schema_version": 1, "centers": centers.tolist(), "snapshots": stack.tolist()}
+    (directory / f"walk_T{max(WALK_HORIZONS)}.json").write_text(json.dumps(doc))
 
 
 def write_scale(directory: Path, n: int) -> None:
@@ -125,6 +128,8 @@ SUITES = {
                                              "--rho", "0.2", "--trials", "100000", "--seed", "0"], None),
         **{f"trajectory_k8_T{t}": (["trajectory", "--points", f"walk_T{t}.csv", "--centers", "walk.centers.csv",
                                     "--eta", "0.05"], None) for t in WALK_HORIZONS},
+        # the same report from the T = 100 walk as one JSON file
+        "trajectory_k8_T100_json": (["trajectory", "--points", "walk_T100.json", "--eta", "0.05"], None),
     }),
 }
 

@@ -16,9 +16,14 @@ non-ASCII character or U+001F, which np.loadtxt may strip as space, is one
 test of its whole text; only the records of a text that does are tested one by
 one. CSV coordinates are ASCII decimals without "_", which float() alone would
 accept. Input text is UTF-8, with or without a byte order mark, whatever the
-locale. Every error about an input file names the file, those that
-``PointConfig``, ``CenterSet`` and ``Trajectory`` (the one snapshot shape
-check) raise included.
+locale. A JSON trajectory is read one snapshot at a time: json's own scanner
+walks its top-level object, and each snapshot's lists are converted to a float
+array as soon as they are decoded. A file the walk declines, one json.loads
+would not read as the same object or whose snapshots are not all arrays of
+plain numbers, is decoded whole, as a JSON points or centers file is, and its
+errors come from that path alone. Every error about an input file names the
+file, those that ``PointConfig``, ``CenterSet`` and ``Trajectory`` (the one
+snapshot shape check) raise included.
 """
 
 from __future__ import annotations
@@ -174,10 +179,11 @@ def _read_text(path: Path) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _json_doc(path: Path, key: str) -> dict:
-    """The JSON object in ``path``; it must hold ``key`` and a supported schema_version."""
+def _json_doc(path: Path, key: str, loads=json.loads) -> dict:
+    """The JSON object that ``loads`` reads from the text of ``path``; it must hold ``key`` and a supported
+    schema_version."""
     try:
-        doc = json.loads(_read_text(path))
+        doc = loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
@@ -271,14 +277,19 @@ def _bad_json_entry(values, what: str) -> str | None:
 def _plain_numbers(values) -> np.ndarray | None:
     """``values`` from a JSON document in one numpy conversion, or None if it is ragged or not all plain
     numbers: strings, bools and null give other dtypes, and a bool among numbers becomes 0 or 1, so the
-    Python objects at the entries equal to 0 or 1, and there only, are looked up for a bool."""
+    Python objects at the entries equal to 0 or 1, and there only, are looked up for a bool, in an object
+    array of just the rows that hold such an entry."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged
         return None
-    zero_one = (arr == 0) | (arr == 1) if arr.dtype.kind in "iuf" else None
-    if zero_one is None or zero_one.any() and bool in set(map(type, np.asarray(values, dtype=object)[zero_one])):
+    if arr.dtype.kind not in "iuf":
         return None
+    zero_one = (arr == 0) | (arr == 1)
+    if arr.ndim and zero_one.any():  # a lone bool stays a numpy bool, so only arrays are looked up
+        rows = np.flatnonzero(zero_one.reshape(len(arr), -1).any(axis=1))
+        if bool in set(map(type, np.asarray([values[i] for i in rows], dtype=object)[zero_one[rows]])):
+            return None
     return arr
 
 
@@ -292,6 +303,60 @@ def _json_coordinates(values, path: Path, what: str) -> np.ndarray:
         return np.asarray(values if arr is None else arr, dtype=float)
     except OverflowError:
         raise ValueError(f"{path}: {what}: a coordinate has magnitude >= 1e150") from None
+
+
+_DECODE = json.JSONDecoder().raw_decode  # strict, as json.loads is
+
+
+def _token(text: str, end: int) -> tuple[int, str]:
+    """The index of the first character at or after ``end`` that is not JSON whitespace, and that character."""
+    end = json.decoder.WHITESPACE.match(text, end).end()
+    return end, text[end:end + 1]
+
+
+def _snapshot_arrays(text: str, start: int) -> tuple[list[np.ndarray] | None, int]:
+    """The JSON array at ``text[start]`` as one float array per element, each converted by _plain_numbers as
+    soon as the scanner has decoded it, and the index after the array; None in place of the arrays unless the
+    array is non-empty and _plain_numbers takes every element. Their shapes are Trajectory's to check."""
+    arrays, (end, char) = [], _token(text, start + 1)
+    while text[start:start + 1] == "[" and char != "]":
+        snap, end = _DECODE(text, end)
+        if (arr := _plain_numbers(snap)) is None:
+            break
+        arrays.append(np.asarray(arr, dtype=float))
+        end, char = _token(text, end)
+        if char == "]":
+            return arrays, end + 1
+        if char != ",":
+            break
+        end = _token(text, end + 1)[0]
+    return None, _DECODE(text, start)[1]  # decoded whole, to reach its end or raise its syntax error
+
+
+def _walked_doc(text: str) -> dict | None:
+    """The JSON object of a trajectory file's ``text``, walked key by key with json's own scanner and its
+    "snapshots" read by _snapshot_arrays, so that no snapshot's lists outlive their conversion; None unless
+    json.loads would read the same object (the last of duplicate keys wins) with "snapshots" so read."""
+    doc, (end, char) = {}, _token(text, 0)
+    if char != "{":
+        return None
+    try:
+        end, char = _token(text, end + 1)
+        while char == '"':
+            key, end = json.decoder.scanstring(text, end + 1, True)
+            end, char = _token(text, end)
+            if char != ":":
+                return None
+            doc[key], end = (_snapshot_arrays if key == "snapshots" else _DECODE)(text, _token(text, end + 1)[0])
+            end, char = _token(text, end)
+            if char == "}":
+                return doc if _token(text, end + 1)[1] == "" and doc.get("snapshots") is not None else None
+            if char != ",":
+                return None
+            end, char = _token(text, end + 1)
+    except json.JSONDecodeError:
+        pass
+    return None
 
 
 def _named(path: Path, make, *args):
@@ -328,17 +393,21 @@ def read_trajectory_file(path: str | Path, centers_path: str | Path | None = Non
     JSON files are self-contained ("centers" plus a "snapshots" array). The
     CSV alternative has columns t,x1..xd with one row per (time, index), in any
     order, and requires the centers from a separate file. Either way the
-    snapshots go to ``Trajectory``, the one check of their shapes. JSON
-    snapshots are converted in one step if they are a rectangular array of plain
-    numbers, else snapshot by snapshot, with rows named "snapshot t row i".
+    snapshots go to ``Trajectory``, the one check of their shapes. A JSON file's
+    top-level object is walked with json's own scanner and its snapshots decoded
+    one at a time, each converted to a float array at once, so the file's whole
+    JSON tree is never held. A file that json.loads would not read as the same
+    object, or whose snapshots are not all arrays of plain numbers, is decoded
+    whole and converted snapshot by snapshot, with rows named "snapshot t row
+    i"; that path alone words the errors.
     """
     path = Path(path)
     doc = {}
     if path.suffix.lower() == ".json":
-        doc = _json_doc(path, "snapshots")
-        snapshots = _plain_numbers(doc["snapshots"])
-        if snapshots is None:
-            snapshots = [_json_coordinates(snap, path, f"snapshot {t}") for t, snap in enumerate(doc["snapshots"])]
+        # snapshots the walk read are float arrays; a file it declines is decoded whole, the one source of error text
+        doc = _json_doc(path, "snapshots", lambda text: _walked_doc(text) or json.loads(text))
+        snapshots = [snap if isinstance(snap, np.ndarray) else _json_coordinates(snap, path, f"snapshot {t}")
+                     for t, snap in enumerate(doc["snapshots"])]
     else:
         times, coords = _read_csv_records(path, timed=True)
         steps, counts = np.unique(times, return_counts=True)

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "coldstart": {"analyze", "trajectory", "sweep", "montecarlo_rho", "montecarlo_sigma"},
     "scale": {"montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3", "montecarlo_two_g_sigma0.3", "sweep_two_g",
-              "montecarlo_near_boundary_trials", "trajectory_k8_T10", "trajectory_k8_T100"},
+              "montecarlo_near_boundary_trials", "trajectory_k8_T10", "trajectory_k8_T100", "trajectory_k8_T100_json"},
 }
 ENTRY = {"command", "wall_s", "wall_quartiles", "peak_rss_mb", "report_sha256"}
 
@@ -35,6 +35,9 @@ def check_shape(ledger: dict, suite: str, trees: set, repeats: int, n: int) -> N
             assert min(entry["wall_s"]) <= wall["q1"] <= wall["median"] <= wall["q3"] <= max(entry["wall_s"])
             assert wall["median"] == statistics.median(entry["wall_s"])
             assert len(entry["report_sha256"]) == 64
+    if suite == "scale":  # the walk read from its JSON file gives the report it gives from CSV
+        for cmds in ledger["trees"].values():
+            assert cmds["trajectory_k8_T100_json"]["report_sha256"] == cmds["trajectory_k8_T100"]["report_sha256"]
     # every tree printed the same reports
     assert len({tuple(entry["report_sha256"] for entry in cmds.values()) for cmds in ledger["trees"].values()}) == 1
 

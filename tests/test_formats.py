@@ -1,4 +1,6 @@
 import json
+import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from margin_guard import CenterSet, Partition, PointConfig, Trajectory, formats
+from conftest import peak_traced_mib
 from margin_guard.cli import main
 from margin_guard.formats import (
     centers_to_csv,
@@ -530,6 +533,167 @@ class TestJsonCoordinates:
         with pytest.raises(ValueError) as info:
             read_trajectory_file(path)
         assert str(info.value) == f"{path}: snapshot 1 row 2 has a coordinate that is not a number: true"
+
+    @pytest.mark.parametrize("values", [[[0.5, 1], [2, 3.5], [4.5, 0.0], [5, 6]], [[0.5, 2], [3, 4.5]], [0.0, 1, 2.5],
+                                        [], 0, 1, 0.5])
+    def test_only_rows_holding_a_zero_or_one_are_looked_up(self, values):
+        # a bool is looked for in an object array of the rows that hold an exact 0 or 1, and a lone number
+        # is never one
+        made, asarray = [], np.asarray
+
+        def spy(rows, dtype=None):
+            if dtype is object:
+                made.append(len(rows))
+            return asarray(rows, dtype=dtype)
+
+        with mock.patch.object(formats.np, "asarray", spy):
+            arr = formats._plain_numbers(values)
+        assert arr.tobytes() == np.asarray(values).tobytes()
+        flagged = [row for row in values if np.any(np.isin(row, [0, 1]))] if isinstance(values, list) else []
+        assert made == ([len(flagged)] if flagged else [])
+
+    @pytest.mark.parametrize("values", [[[0.5, 1], [True, 2.5]], [[0.5, 2], [3, False]], [1, True], [[1.5], [False]]])
+    def test_a_bool_in_any_row_declines(self, values):
+        assert formats._plain_numbers(values) is None
+
+
+def read_json_whole(path):
+    """read_trajectory_file with the snapshot walk turned off: the whole-document path alone (test oracle)."""
+    with mock.patch.object(formats, "_walked_doc", lambda text: None):
+        return read_trajectory_file(path)
+
+
+def trajectory_outcome(read, path):
+    """The snapshot stack's shape and bits and the centers' bits that reading ``path`` gives, or the error text."""
+    try:
+        traj = read(path)
+    except ValueError as exc:
+        return str(exc)
+    stack = np.stack([snap.points for snap in traj.snapshots])
+    return stack.shape, stack.tobytes(), traj.centers.centers.tobytes()
+
+
+# entries other than a plain float: exact 0 and 1, non-finite and huge values, ints past 2**53, 2**63 and 2**64,
+# and what is not a number
+JSON_ENTRIES = ["0", "1", "0.0", "1.0", "-0.0", "-0", "1e308", "-1e308", "1e309", "NaN", "Infinity", "-Infinity",
+                "9007199254740993", "9223372036854775809", "18446744073709551617", "1" + "0" * 400, "true", "false",
+                "null", '"1"', '"a"', "[]", "{}"]
+JSON_SPACES = ["", "", "", " ", "\t", "\r", "\n", "\r\n", " \n  "]
+
+
+class RandomTrajectoryText:
+    """Texts of JSON trajectory files, most of them readable, with the cases the walk must decline or read as
+    json.loads does drawn in: key order, duplicate keys, whitespace between tokens, a byte order mark, trailing
+    data, odd entries, ragged rows and snapshots, and every kind of schema_version."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def space(self):
+        return self.rng.choice(JSON_SPACES)
+
+    def join(self, items, open_="[", close="]"):
+        body = (self.space() + "," + self.space()).join(items)
+        return open_ + self.space() + body + self.space() + close
+
+    def entry(self):
+        rng = self.rng
+        return rng.choice(JSON_ENTRIES) if rng.random() < 0.06 else rng.choice(["0", "1", repr(rng.gauss(0, 2))])
+
+    def snapshot(self, n, d):
+        rng = self.rng
+        if rng.random() < 0.03:
+            return rng.choice(["[]", "[[]]", "[1, 2]", "[[[1]]]", "5", '"s"', "null", "{}"])
+        n += rng.random() < 0.03  # a snapshot of another shape
+        d += rng.random() < 0.03
+        return self.join([self.join([self.entry() for _ in range(d + (rng.random() < 0.02))]) for _ in range(n)])
+
+    def snapshots(self, n, d):
+        rng = self.rng
+        if rng.random() < 0.04:
+            return rng.choice(["[]", "5", "null", '"x"', '{"a": 1}'])
+        return self.join([self.snapshot(n, d) for _ in range(rng.randint(1, 3))])
+
+    def text(self):
+        rng = self.rng
+        n, d = rng.randint(2, 3), rng.randint(1, 2)
+        centers = self.join([self.join([str(c)] + ["0"] * (d - 1 + (rng.random() < 0.03))) for c in (-1, 1)])
+        fields = [("snapshots", self.snapshots(n, d))]
+        fields += [("centers", centers)] * (rng.random() < 0.97)
+        version = rng.choices(["1", "1.0", "true", "2", '"1"', None], [40, 5, 3, 3, 3, 46])[0]
+        fields += [("schema_version", version)] * (version is not None)
+        fields += [("note", '"x"')] * (rng.random() < 0.2)
+        rng.shuffle(fields)
+        if rng.random() < 0.12:  # a leading duplicate, which the last one overrides
+            fields.insert(0, ("snapshots", rng.choice(["[]", "5", "null", self.snapshots(n, d)])))
+        if rng.random() < 0.06:  # a bad later one, which overrides the good one
+            fields.append(("snapshots", rng.choice(["[]", "7", '"s"', self.join(["[[true, 0.5]]"] * 2)])))
+        if rng.random() < 0.04:
+            fields.append(("schema_version", rng.choice(["1", "2", "true"])))
+        # a key spelled with an escape decodes to the same key, and one with a control character is not JSON
+        key = lambda name: rng.choices([name, name.replace("s", "\\u0073", 1), name + "\t", "\x01" + name],
+                                       [97, 2, 0.7, 0.3])[0]
+        mark = lambda good, bad: good if rng.random() < 0.98 else rng.choice(bad)
+        body = "".join(mark(",", ["", ";", ",,"]) * (i > 0) + self.space() + f'"{key(k)}"' + self.space()
+                       + mark(":", ["", "=", "::", ","]) + self.space() + v + self.space()
+                       for i, (k, v) in enumerate(fields))
+        body = mark("{", ["", "[", "x{"]) + body + mark("}", ["", ",}", "]", "}}"])
+        text = self.space() + body + (self.space() if rng.random() < 0.9 else rng.choice(["[]", "x", " {}", ",", "]"]))
+        if rng.random() < 0.03:  # a character lost or one too many, anywhere
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(["", ",", ":", "[", "]", "{", "}", '"']) + text[i + 1:]
+        return rng.choices(["", "\ufeff", "\ufeff\ufeff"], [90, 8, 2])[0] + text
+
+
+class TestJsonTrajectoryWalk:
+    def test_random_files_read_as_the_whole_document_path(self, tmp_path):
+        path, texts = tmp_path / "t.json", RandomTrajectoryText(0)
+        walked, declined, walk = [], [], formats._walked_doc
+
+        def spy(text):
+            doc = walk(text)
+            (declined if doc is None else walked).append(doc)
+            return doc
+
+        read, outcomes = 0, set()
+        for _ in range(3000):
+            path.write_text(texts.text(), encoding="utf-8")
+            with mock.patch.object(formats, "_walked_doc", spy):
+                outcome = trajectory_outcome(read_trajectory_file, path)
+            assert outcome == trajectory_outcome(read_json_whole, path), path.read_text(encoding="utf-8")
+            read += not isinstance(outcome, str)
+            outcomes.add(outcome.split(": ", 1)[1].split(" ")[0] if isinstance(outcome, str) else "read")
+        # both paths are taken often, and the files fail in many ways
+        assert len(walked) > 1000 and len(declined) > 500 and read > 750 and len(outcomes) > 8
+
+    def test_peak_is_the_read_not_the_json_tree(self, tmp_path):
+        # n = 2,000 points, T = 50: the whole document's tree alone is about twice the file
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(2000, 2))
+        stack = np.concatenate([points[None], points + rng.normal(0, 0.05, (50, 2000, 2)).cumsum(axis=0)])
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps({"schema_version": 1, "centers": [[-1, 0], [1, 0]], "snapshots": stack.tolist()}))
+        peak, traj = peak_traced_mib(lambda: read_trajectory_file(path))
+        assert traj._stack.tobytes() == stack.tobytes()
+        assert peak * 2**20 < 2 * path.stat().st_size + 2 * stack.nbytes
+
+    def test_only_a_file_the_walk_declines_is_decoded_whole(self, tmp_path):
+        plain, overridden, flawed = tmp_path / "plain.json", tmp_path / "overridden.json", tmp_path / "flawed.json"
+        plain.write_text('{"centers": [[0, 1], [1, 0]], "snapshots": [[[0, 1], [1, 0.5]], [[0, 1], [1, 0.5]]]}')
+        # a leading empty "snapshots", which the later one overrides
+        overridden.write_text('{"snapshots": [], "centers": [[0, 1], [1, 0]], "snapshots": [[[0, 1], [1, 0]]]}')
+        flawed.write_text('{"centers": [[0, 1], [1, 0]], "snapshots": [[[0, 1], [1, 0.5]], [[0, 1], [true, 0.5]]]}')
+        whole = mock.Mock(side_effect=json.loads)
+        with mock.patch.object(formats.json, "loads", whole):
+            for golden in ("trajectory_input.json", "trajectory_long_input.json"):
+                read_trajectory_file(Path(__file__).parent / "golden" / "cli" / golden)
+            read_trajectory_file(plain)
+            assert read_trajectory_file(overridden).horizon == 0
+            assert whole.call_count == 0
+            with pytest.raises(ValueError) as info:
+                read_trajectory_file(flawed)
+        assert whole.call_count == 1
+        assert str(info.value) == f"{flawed}: snapshot 1 row 2 has a coordinate that is not a number: true"
 
 
 def test_partition_from_lists():
