@@ -118,6 +118,8 @@ SUITES = {
                              "montecarlo_sigma_two_gaussians_n300.json"),
     }),
     "scale": (write_scale, 10**5, {
+        "analyze_two_g": (["analyze", *GAUSS, "--epsilon", "0.05"], None),
+        "analyze_k64": (["analyze", *K64, "--epsilon", "0.01"], None),
         "montecarlo_k64_sigma0.05": (["montecarlo", *K64, "--sigma", "0.05", "--trials", "200", "--seed", "0"], None),
         "montecarlo_k64_sigma0.3": (["montecarlo", *K64, "--sigma", "0.3", "--trials", "20", "--seed", "0"], None),
         "montecarlo_two_g_sigma0.3": (["montecarlo", "--preset", "two_gaussians", "--n", "N", "--sigma", "0.3",
@@ -134,9 +136,9 @@ SUITES = {
 }
 
 
-def run_child(args: list[str], src: str, cwd: str) -> tuple[float, float, bytes]:
-    """Wall seconds, peak RSS in MiB and stdout of one ``python`` child run in ``cwd`` with ``src`` on
-    PYTHONPATH, which must succeed."""
+def run_child(args: list[str], src: str, cwd: str) -> tuple[float, float, str]:
+    """Wall seconds, peak RSS in MiB and the SHA-256 of the stdout of one ``python`` child run in ``cwd`` with
+    ``src`` on PYTHONPATH, which must succeed."""
     env = {**os.environ, "PYTHONPATH": src}
     with tempfile.TemporaryFile() as out:
         start = perf_counter()
@@ -146,7 +148,12 @@ def run_child(args: list[str], src: str, cwd: str) -> tuple[float, float, bytes]
         if code := os.waitstatus_to_exitcode(status):
             raise SystemExit(f"ledger: python {' '.join(args)} exited with {code}")
         out.seek(0)
-        return wall, usage.ru_maxrss / 1024.0, out.read()
+        # hashed a block at a time: a child's peak RSS is at least this process's, so this process never holds a
+        # whole report (an analyze report at N = 10^5 is 15.6 MB)
+        digest = hashlib.sha256()
+        while block := out.read(2**20):
+            digest.update(block)
+        return wall, usage.ru_maxrss / 1024.0, digest.hexdigest()
 
 
 def summary(args: list[str], runs: list[tuple[float, float]], digest: str) -> dict:
@@ -179,8 +186,7 @@ def measure(suite: str, trees: dict[str, str], repeats: int, n: int) -> dict:
         for round_ in range(repeats):
             for name in (list(trees) if round_ % 2 == 0 else list(reversed(trees))):
                 for cmd, argv in argvs.items():
-                    wall, rss, report = run_child(argv, trees[name], tmp)
-                    digest = hashlib.sha256(report).hexdigest()
+                    wall, rss, digest = run_child(argv, trees[name], tmp)
                     if digests.setdefault(cmd, digest) != digest:
                         raise SystemExit(f"ledger: {name} {cmd} does not reproduce {table[cmd][1] or 'its first run'}")
                     runs[name][cmd].append((wall, rss))

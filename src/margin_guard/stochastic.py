@@ -17,10 +17,12 @@ of the chunk steps in 128-bit arithmetic on uint64 pairs, and each raw output
 becomes the draw the trial's Generator would make, bit for bit. A trial builds
 its own Generator only if it makes more than ``_REPLAY_RAWS`` = 24 draws (n d
 normals, plus n uniforms for the ball), or if one of its normals is 0 or
-leaves the ziggurat's first-raw branch, as about 1.5% of normals do. Trial
-chunks come from ``geometry._row_blocks`` with n * (k + d) entries per trial,
-so the one budget ``_BLOCK_ENTRIES`` bounds both the kernel's row blocks and a
-chunk's noise, labels, raws and generators.
+leaves the ziggurat's first-raw branch, as about 1.5% of normals do. The
+ziggurat's two tables are not copied here: ``_ziggurat`` reads them back from
+numpy's own standard_normal, once per process, when a chunk is first
+replayed. Trial chunks come from ``geometry._row_blocks`` with n * (k + d)
+entries per trial, so the one budget ``_BLOCK_ENTRIES`` bounds both the
+kernel's row blocks and a chunk's noise, labels, raws and generators.
 
 Monte Carlo and sweep re-assign only the points that can switch. By the paper's
 necessity theorem, noise shorter than a point's switch radius r_i cannot change
@@ -38,6 +40,7 @@ reports are those of the unpruned loop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -223,105 +226,29 @@ def _pcg64_raws(words: np.ndarray, count: int) -> np.ndarray:
 
 # numpy's ziggurat for standard_normal (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), 256 layers. Of a raw r,
 # layer idx = r & 0xff, the sign is bit 8 and rabs = r >> 9 over 52 bits. If rabs < ki[idx], the normal is
-# +-rabs * wi[idx] from that raw alone; else numpy draws more. wi is written as wi * 2^52, an exact scaling.
-_KI = np.array([
-    0xEF33D8025EF6A, 0x0000000000000, 0xC08BE98FBC6A8, 0xDA354FABD8142, 0xE51F67EC1EEEA, 0xEB255E9D3F77E,
-    0xEEF4B817ECAB9, 0xF19470AFA44AA, 0xF37ED61FFCB18, 0xF4F469561255C, 0xF61A5E41BA396, 0xF707A755396A4,
-    0xF7CB2EC28449A, 0xF86F10C6357D3, 0xF8FA6578325DE, 0xF9724C74DD0DA, 0xF9DA907DBF509, 0xFA360F581FA74,
-    0xFA86FDE5B4BF8, 0xFACF160D354DC, 0xFB0FB6718B90F, 0xFB49F8D5374C6, 0xFB7EC2366FE77, 0xFBAECE9A1E50E,
-    0xFBDAB9D040BED, 0xFC03060FF6C57, 0xFC2821037A248, 0xFC4A67AE25BD1, 0xFC6A2977AEE31, 0xFC87AA92896A4,
-    0xFCA325E4BDE85, 0xFCBCCE902231A, 0xFCD4D12F839C4, 0xFCEB54D8FEC99, 0xFD007BF1DC930, 0xFD1464DD6C4E6,
-    0xFD272A8E2F450, 0xFD38E4FF0C91E, 0xFD49A9990B478, 0xFD598B8920F53, 0xFD689C08E99EC, 0xFD76EA9C8E832,
-    0xFD848547B08E8, 0xFD9178BAD2C8C, 0xFD9DD07A7ADD2, 0xFDA9970105E8C, 0xFDB4D5DC02E20, 0xFDBF95C5BFCD0,
-    0xFDC9DEBB99A7D, 0xFDD3B8118729D, 0xFDDD288342F90, 0xFDE6364369F64, 0xFDEEE708D514E, 0xFDF7401A6B42E,
-    0xFDFF46599ED40, 0xFE06FE4BC24F2, 0xFE0E6C225A258, 0xFE1593C28B84C, 0xFE1C78CBC3F99, 0xFE231E9DB1CAA,
-    0xFE29885DA1B91, 0xFE2FB8FB54186, 0xFE35B33558D4A, 0xFE3B799D0002A, 0xFE410E99EAD7F, 0xFE46746D47734,
-    0xFE4BAD34C095C, 0xFE50BAED29524, 0xFE559F74EBC78, 0xFE5A5C8E41212, 0xFE5EF3E138689, 0xFE6366FD91078,
-    0xFE67B75C6D578, 0xFE6BE661E11AA, 0xFE6FF55E5F4F2, 0xFE73E5900A702, 0xFE77B823E9E39, 0xFE7B6E37070A2,
-    0xFE7F08D774243, 0xFE8289053F08C, 0xFE85EFB35173A, 0xFE893DC840864, 0xFE8C741F0CEBC, 0xFE8F9387D4EF6,
-    0xFE929CC879B1D, 0xFE95909D388EA, 0xFE986FB939AA2, 0xFE9B3AC714866, 0xFE9DF2694B6D5, 0xFEA0973ABE67C,
-    0xFEA329CF166A4, 0xFEA5AAB32952C, 0xFEA81A6D5741A, 0xFEAA797DE1CF0, 0xFEACC85F3D920, 0xFEAF07865E63C,
-    0xFEB13762FEC13, 0xFEB3585FE2A4A, 0xFEB56AE3162B4, 0xFEB76F4E284FA, 0xFEB965FE62014, 0xFEBB4F4CF9D7C,
-    0xFEBD2B8F449D0, 0xFEBEFB16E2E3E, 0xFEC0BE31EBDE8, 0xFEC2752B15A15, 0xFEC42049DAFD3, 0xFEC5BFD29F196,
-    0xFEC75406CEEF4, 0xFEC8DD2500CB4, 0xFECA5B6911F12, 0xFECBCF0C427FE, 0xFECD38454FB15, 0xFECE97488C8B3,
-    0xFECFEC47F91B7, 0xFED1377358528, 0xFED278F844903, 0xFED3B10242F4C, 0xFED4DFBAD586E, 0xFED605498C3DD,
-    0xFED721D414FE8, 0xFED8357E4A982, 0xFED9406A42CC8, 0xFEDA42B85B704, 0xFEDB3C8746AB4, 0xFEDC2DF416652,
-    0xFEDD171A46E52, 0xFEDDF813C8AD3, 0xFEDED0F909980, 0xFEDFA1E0FD414, 0xFEE06AE124BC4, 0xFEE12C0D95A06,
-    0xFEE1E579006E0, 0xFEE29734B6524, 0xFEE34150AE4BC, 0xFEE3E3DB89B3C, 0xFEE47EE2982F4, 0xFEE51271DB086,
-    0xFEE59E9407F41, 0xFEE623528B42E, 0xFEE6A0B5897F1, 0xFEE716C3E077A, 0xFEE7858327B82, 0xFEE7ECF7B06BA,
-    0xFEE84D2484AB2, 0xFEE8A60B66343, 0xFEE8F7ACCC851, 0xFEE94207E25DA, 0xFEE9851A829EA, 0xFEE9C0E13485C,
-    0xFEE9F557273F4, 0xFEEA22762CCAE, 0xFEEA4836B42AC, 0xFEEA668FC2D71, 0xFEEA7D76ED6FA, 0xFEEA8CE04FA0A,
-    0xFEEA94BE8333B, 0xFEEA950296410, 0xFEEA8D9C0075E, 0xFEEA7E7897654, 0xFEEA678481D24, 0xFEEA48AA29E83,
-    0xFEEA21D22E4DA, 0xFEE9F2E352024, 0xFEE9BBC26AF2E, 0xFEE97C524F2E4, 0xFEE93473C0A3A, 0xFEE8E40557516,
-    0xFEE88AE369C7A, 0xFEE828E7F3DFD, 0xFEE7BDEA7B888, 0xFEE749BFF37FF, 0xFEE6CC3A9BD5E, 0xFEE64529E007E,
-    0xFEE5B45A32888, 0xFEE51994E57B6, 0xFEE474A0006CF, 0xFEE3C53E12C50, 0xFEE30B2E02AD8, 0xFEE2462AD8205,
-    0xFEE175EB83C5A, 0xFEE09A22A1447, 0xFEDFB27E349CC, 0xFEDEBEA76216C, 0xFEDDBE422047E, 0xFEDCB0ECE39D3,
-    0xFEDB964042CF4, 0xFEDA6DCE938C9, 0xFED937237E98D, 0xFED7F1C38A836, 0xFED69D2B9C02B, 0xFED538D06AE00,
-    0xFED3C41DEA422, 0xFED23E76A2FD8, 0xFED0A732FE644, 0xFECEFDA07FE34, 0xFECD4100EB7B8, 0xFECB708956EB4,
-    0xFEC98B61230C1, 0xFEC790A0DA978, 0xFEC57F50F31FE, 0xFEC356686C962, 0xFEC114CB4B335, 0xFEBEB948E6FD0,
-    0xFEBC429A0B692, 0xFEB9AF5EE0CDC, 0xFEB6FE1C98542, 0xFEB42D3AD1F9E, 0xFEB13B00B2D4B, 0xFEAE2591A02E9,
-    0xFEAAEAE992257, 0xFEA788D8EE326, 0xFEA3FCFFD73E5, 0xFEA044C8DD9F6, 0xFE9C5D62F563B, 0xFE9843BA947A4,
-    0xFE93F471D4728, 0xFE8F6BD76C5D6, 0xFE8AA5DC4E8E6, 0xFE859E07AB1EA, 0xFE804F690A940, 0xFE7AB488233C0,
-    0xFE74C751F6AA5, 0xFE6E8102AA202, 0xFE67DA0B6ABD8, 0xFE60C9F38307E, 0xFE5947338F742, 0xFE51470977280,
-    0xFE48BD436F458, 0xFE3F9BFFD1E37, 0xFE35D35EEB19C, 0xFE2B5122FE4FE, 0xFE20003995557, 0xFE13C82788314,
-    0xFE068C4EE67B0, 0xFDF82B02B71AA, 0xFDE87C57EFEAA, 0xFDD7509C63BFD, 0xFDC46E529BF13, 0xFDAF8F82E0282,
-    0xFD985E1B2BA75, 0xFD7E6EF48CF04, 0xFD613ADBD650B, 0xFD40149E2F012, 0xFD1A1A7B4C7AC, 0xFCEE204761F9E,
-    0xFCBA8D85E11B2, 0xFC7D26ECD2D22, 0xFC32B2F1E22ED, 0xFBD6581C0B83A, 0xFB606C4005434, 0xFAC40582A2874,
-    0xF9E971E014598, 0xF89FA48A41DFC, 0xF66C5F7F0302C, 0xF1A5A4B331C4A,
-], dtype=np.uint64)
-_WI = np.ldexp([
-    3.910757959524912, 0.21524189598488003, 0.2861745917920715, 0.33573751921442435, 0.3751213328783798,
-    0.40838913461199033, 0.4375184022078708, 0.4636343367908815, 0.4874439661392353, 0.509423329602091,
-    0.5299097206615574, 0.5491517023271645, 0.5673382570538182, 0.5846167661063788, 0.6011046177559921,
-    0.6168969900077509, 0.6320722363860606, 0.6466957148949931, 0.6608225742444191, 0.6744998228372932,
-    0.6877678927957878, 0.7006618411068143, 0.7132122851909752, 0.7254461409099988, 0.7373872114342949,
-    0.7490566620178146, 0.7604734064301074, 0.7716544242245675, 0.7826150233072324, 0.7933690588406226,
-    0.8039291169899705, 0.8143066701352146, 0.8245122087522915, 0.8345553540863815, 0.8444449549091533,
-    0.8541891710081632, 0.8637955455533082, 0.87327106808886, 0.882622229585165, 0.891855070732941, 0.9009752244612214,
-    0.9099879534967181, 0.9188981836495902, 0.9277105334019996, 0.9364293402865748, 0.945058684468165,
-    0.9536024098810856, 0.9620641432230401, 0.970447311064224, 0.9787551552942242, 0.986990747099062,
-    0.9951569996350904, 1.0032566795446725, 1.011292417439995, 1.0192667174654835, 1.027181966035645, 1.03504043983344,
-    1.0428443131441483, 1.0505956645909291, 1.0582964833306743, 1.0659486747621219, 1.0735540657924356,
-    1.0811144097034033, 1.0886313906539793, 1.0961066278520208, 1.103541679424639, 1.110938046013575,
-    1.1182971741193444, 1.1256204592155326, 1.1329092486525332, 1.1401648443681507, 1.1473885054208484,
-    1.1545814503599272, 1.161744859445611, 1.1688798767308328, 1.1759876120154515, 1.1830691426826863,
-    1.1901255154266914, 1.1971577478794408, 1.2041668301443809, 1.2111537262436987, 1.218119375485481,
-    1.2250646937565302, 1.2319905747461355, 1.2388978911056867, 1.2457874955486268, 1.2526602218948968,
-    1.2595168860637138, 1.266358287018229, 1.273185207665356, 1.2799984157138176, 1.2867986644932434,
-    1.2935866937369476, 1.300363230330837, 1.307128989030731, 1.3138846731502203, 1.3206309752210559,
-    1.3273685776279256, 1.3340981532193599, 1.3408203658964037, 1.347535871180587, 1.3542453167626347,
-    1.3609493430332826, 1.3676485835974759, 1.374343665773166, 1.381035211075855, 1.3877238356899757,
-    1.3944101509281406, 1.4010947636792506, 1.4077782768463984, 1.4144612897754707, 1.4211443986753085,
-    1.4278281970302555, 1.4345132760058918, 1.4412002248487237, 1.4478896312805758, 1.45458208188841,
-    1.4612781625102753, 1.4679784586180793, 1.4746835556978553, 1.481394039628187, 1.4881104970574472,
-    1.4948335157804935, 1.5015636851154637, 1.5083015962813113, 1.5150478427767144, 1.5218030207609978,
-    1.528567729437712, 1.5353425714415139, 1.5421281532290017, 1.5489250854741732, 1.5557339834691761,
-    1.5625554675310445, 1.5693901634151233, 1.576238702735906, 1.583101723396029, 1.5899798700241905,
-    1.5968737944227878, 1.6037841560260941, 1.6107116223698297, 1.617656869573015, 1.624620582833034,
-    1.6316034569348727, 1.638606196775547, 1.6456295179047817, 1.6526741470830553, 1.659740822858182,
-    1.666830296161665, 1.6739433309261247, 1.6810807047251735, 1.688243209437195, 1.6954316519345614,
-    1.702646854799923, 1.7098896570713016, 1.7171609150178229, 1.7244615029480448, 1.7317923140529632,
-    1.7391542612859117, 1.7465482782817225, 1.7539753203176716, 1.7614363653189102, 1.7689324149112684,
-    1.7764644955245228, 1.7840336595494415, 1.7916409865521625, 1.7992875845497203, 1.8069745913508208,
-    1.8147031759662826, 1.8224745400938858, 1.830289919682757, 1.8381505865828067, 1.8460578502851857,
-    1.8540130597602023, 1.8620176053996746, 1.8700729210712674, 1.8781804862929965, 1.8863418285367834,
-    1.8945585256707052, 1.9028322085504297, 1.9111645637712535, 1.9195573365931882, 1.9280123340526658,
-    1.9365314282756947, 1.9451165600086784, 1.9537697423846467, 1.962493064944363, 1.9712886979336592,
-    1.9801588969004766, 1.989106007617438, 1.9981324713584196, 2.0072408305605287, 2.016433734906204,
-    2.025713947863854, 2.035084353729619, 2.0445479652175313, 2.054107931650652, 2.063767547811732, 2.0735302635187427,
-    2.083399693998304, 2.0933796311387916, 2.1034740557148766, 2.1136871506866526, 2.1240233156895227,
-    2.134487182846016, 2.145083634047888, 2.1558178198767366, 2.1666951803543077, 2.1777214677402923,
-    2.1889027716263603, 2.200245546611276, 2.2117566428841604, 2.22344334009251, 2.235313384929921, 2.247375032947389,
-    2.259637095173787, 2.2721089902283813, 2.284800802724492, 2.2977233489028634, 2.310888250601372,
-    2.3243080188711325, 2.3379961487965284, 2.3519672273791445, 2.366237056717291, 2.3808227951720857,
-    2.3957431197819274, 2.4110184139011195, 2.4266709849371466, 2.442725318200364, 2.459208374334705,
-    2.476149939670523, 2.4935830412710467, 2.511544441626694, 2.530075232159854, 2.549221550324783, 2.5690354526818435,
-    2.589575986708286, 2.610910518488823, 2.6331163936315822, 2.656283037576743, 2.6805146432857447, 2.705933656123062,
-    2.7326853590440114, 2.7609440052799865, 2.7909211740019275, 2.8228773968264433, 2.857138730873225,
-    2.8941210536134125, 2.934366867208888, 2.9786032798818436, 3.027837791769594, 3.0835261320021434,
-    3.147889289518001, 3.224575052047802, 3.320244733839826, 3.4492782985614316, 3.654152885361009,
-], -52)
-_SIGNED_WI = np.concatenate([_WI, -_WI])  # indexed by r & 0x1ff, layer and sign bit
+# +-rabs * wi[idx] from that raw alone; else numpy draws more.
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """(ki, signed wi): numpy's two tables, read back from its own standard_normal by the first replayed chunk,
+    once per process. A private PCG64 whose next two raws are idx | 1 << 9 (rabs 1, sign 0) and 0 draws exactly
+    wi[idx]: every layer but 1 accepts that first raw, and layer 1, which never does, accepts its wedge at the
+    uniform 0. ki[i] is rint(2^52 wi[i - 1] / wi[i]), layer 0 taken against layer 255, and 0 for layer 1.
+    Signed wi is indexed by r & 0x1ff, layer and sign bit."""
+    bit_generator = PCG64(0)
+    rng, back = Generator(bit_generator), pow(_PCG_MULT, -1, 2**128)
+
+    def normal(raw):
+        # state (raw - inc) / multiplier steps to raw, which outputs raw, and inc takes raw to state 0
+        inc = -raw * _PCG_MULT % 2**128
+        state = {"state": (raw - inc) * back % 2**128, "inc": inc}
+        bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        return rng.standard_normal()
+
+    wi = np.array([normal(idx | 1 << 9) for idx in range(256)])
+    ki = np.rint(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
+    ki[1] = 0
+    return ki, np.concatenate([wi, -wi])
+
 
 # A trial replays its stream if it makes at most this many draws (n d normals, plus n uniforms for the ball). Each
 # normal leaves the first-raw branch with probability about 1.5%, so more draws mean more fallbacks as well as more
@@ -345,8 +272,9 @@ def _replay(model: PerturbationModel, n: int, words: np.ndarray):
     raws = _pcg64_raws(words, count)
     zig = raws[:, :normals]
     rabs = zig >> 9 & 2**52 - 1
-    fallback = np.flatnonzero(~((0 < rabs) & (rabs < _KI[zig & 0xFF])).all(axis=1))
-    g = (rabs * _SIGNED_WI[zig & 0x1FF]).reshape(len(words), n, model.dim)
+    ki, signed_wi = _ziggurat()
+    fallback = np.flatnonzero(~((0 < rabs) & (rabs < ki[zig & 0xFF])).all(axis=1))
+    g = (rabs * signed_wi[zig & 0x1FF]).reshape(len(words), n, model.dim)
     u = (raws[:, normals:] >> 11) * 2.0**-53
     return _generators(words[fallback]), (g, u, fallback)
 

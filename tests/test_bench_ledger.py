@@ -12,8 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "coldstart": {"analyze", "trajectory", "sweep", "montecarlo_rho", "montecarlo_sigma"},
-    "scale": {"montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3", "montecarlo_two_g_sigma0.3", "sweep_two_g",
-              "montecarlo_near_boundary_trials", "trajectory_k8_T10", "trajectory_k8_T100", "trajectory_k8_T100_json"},
+    "scale": {"analyze_two_g", "analyze_k64", "montecarlo_k64_sigma0.05", "montecarlo_k64_sigma0.3",
+              "montecarlo_two_g_sigma0.3", "sweep_two_g", "montecarlo_near_boundary_trials", "trajectory_k8_T10",
+              "trajectory_k8_T100", "trajectory_k8_T100_json"},
 }
 ENTRY = {"command", "wall_s", "wall_quartiles", "peak_rss_mb", "report_sha256"}
 

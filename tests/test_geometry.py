@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,6 +354,76 @@ class TestDistanceKernel:
         result = assign_nearest(anchored_config, two_centers)
         assert calls == [2, 1]  # row blocks of 2 points
         assert list(result.labels) == [1, 2, 2] and result.margins.tolist() == pytest.approx([2.0, 2.0, 0.2])
+
+
+def exact_labels(points, centers) -> list[int]:
+    """Test oracle: 1-based nearest-center labels in exact rational arithmetic over the float inputs, ties to the
+    lowest index."""
+    exact_centers = [[Fraction(v) for v in c] for c in np.asarray(centers, dtype=float).tolist()]
+    labels = []
+    for x in np.asarray(points, dtype=float).tolist():
+        sq = [sum((Fraction(a) - b) ** 2 for a, b in zip(x, c)) for c in exact_centers]
+        labels.append(sq.index(min(sq)) + 1)
+    return labels
+
+
+@st.composite
+def integer_inputs(draw):
+    """Points and centers with integer coordinates in [-2^20, 2^20], d <= 3 and k <= 12. Squared distances then
+    stay below 3 * 2^42, exact in float64, and their square roots keep distinct integers apart, so the kernel's
+    labels must be the exact ones. Ties: repeated centers, points on centers, and points halfway between two
+    centers of even coordinates."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    bound = draw(st.sampled_from([2, 2**4, 2**10, 2**20]))
+    even = draw(st.booleans())
+    coordinate = st.integers(-bound // 2, bound // 2).map(lambda v: 2 * v) if even else st.integers(-bound, bound)
+    row = st.lists(coordinate, min_size=d, max_size=d)
+    centers = draw(st.lists(row, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        centers[-1] = centers[0]
+    points = draw(st.lists(row, min_size=1, max_size=30))
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    for i, j in draw(st.lists(pairs, max_size=10)):
+        points.append([(a + b) // 2 for a, b in zip(centers[i], centers[j])])  # exact midpoints when even
+    points += [centers[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=3))]
+    return np.array(points, dtype=float), np.array(centers, dtype=float)
+
+
+# ROADMAP item 1's construction at s = 1e4 with default_rng(5): a point near the bisector of the first two centers
+_NEAR_BISECTOR = [-4861.501580429685, 5479.175958831333]
+_NEAR_BISECTOR_CENTERS = [[282.77176638597666, 13887.914074068098], [-8073.454068248964, -3840.3619145497864],
+                          [-19343.45813755787, 13846.020936877398]]
+
+
+class TestExactOracle:
+    @given(inputs=integer_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_on_integer_coordinates_are_exact(self, inputs):
+        points, centers = inputs
+        want = exact_labels(points, centers)
+        for mode in (geometry._LABELS, geometry._MARGINS, geometry._RADII):
+            assert geometry._nearest(points, centers, mode)[0].tolist() == want
+
+    def test_oracle_ties_go_to_the_lowest_index(self):
+        centers = [[0.0, 2.0], [2.0, 0.0], [0.0, 2.0], [-2.0, 0.0]]
+        assert exact_labels([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0], [-1.0, 1.0], [0.5, 0.0]], centers) == [1, 1, 1, 1, 2]
+
+    def test_the_near_bisector_case_is_exactly_center_2s(self):
+        # the two smallest squared distances differ by 4.08e-9 over rationals, below an ulp of either (1.5e-8)
+        point, (a, b, _) = _NEAR_BISECTOR, _NEAR_BISECTOR_CENTERS
+        sq = [sum((Fraction(x) - Fraction(c)) ** 2 for x, c in zip(point, center)) for center in (a, b)]
+        assert 4.08e-9 < sq[0] - sq[1] < 4.09e-9 < math.ulp(float(sq[1]))
+        assert exact_labels([point], _NEAR_BISECTOR_CENTERS) == [2]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the kernel labels this point 1 with a margin of 1.82e-12, above "
+                              "_FRAGILE_MARGIN = 1e-12, so the wrong label goes unflagged")
+    def test_a_wrong_label_near_a_bisector_is_flagged_as_fragile(self):
+        config = PointConfig([_NEAR_BISECTOR, _NEAR_BISECTOR_CENTERS[2]])
+        result = assign_nearest(config, CenterSet(_NEAR_BISECTOR_CENTERS))
+        exact = exact_labels(config.points, _NEAR_BISECTOR_CENTERS)
+        wrong = {i + 1 for i, (got, want) in enumerate(zip(result.labels.tolist(), exact)) if got != want}
+        assert wrong <= set(result.fragile_indices())
 
 
 _POINTS, _CENTERS = [[-2.0, 0.0], [2.0, 0.0], [0.1, 0.0]], [[-1.0, 0.0], [1.0, 0.0]]

@@ -1,9 +1,14 @@
 import dataclasses
 import functools
+import json
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -245,7 +250,8 @@ class TestReplay:
 
     def test_tables_are_numpys(self):
         # numpy's standard normal of one chosen raw: rabs = 1 gives +-wi[idx] exactly, and rabs = ki - 1 against ki
-        # brackets the first-raw acceptance, seen by whether the stream moved exactly one raw
+        # brackets the first-raw acceptance, seen by whether the stream moved exactly one raw; so each layer's ki,
+        # the rounded ratio of the read-back wi, is checked against numpy's own acceptance
         bit_generator = np.random.PCG64(0)
         rng = np.random.Generator(bit_generator)
 
@@ -253,7 +259,9 @@ class TestReplay:
             next_raw_is(bit_generator, raw, inc)
             return rng.standard_normal(), bit_generator.state["state"]["state"]
 
-        ki, wi = stochastic._KI.tolist(), stochastic._WI
+        ki, signed_wi = stochastic._ziggurat()
+        assert (ki.dtype, ki.shape, signed_wi.dtype, signed_wi.shape) == (np.uint64, (256,), np.float64, (512,))
+        ki, wi = ki.tolist(), signed_wi[:256]
         assert ki.count(0) == 1 and ki[1] == 0  # layer 1 never takes its first raw
         for idx in range(256):
             for sign in (0, 1):
@@ -262,7 +270,7 @@ class TestReplay:
                     assert normal(raw | 1 << 9) == (signed, raw | 1 << 9)
                     assert normal(raw | (ki[idx] - 1) << 9) == ((ki[idx] - 1) * signed, raw | (ki[idx] - 1) << 9)
                 assert normal(raw | ki[idx] << 9)[1] != raw | ki[idx] << 9
-                assert stochastic._SIGNED_WI[raw] == signed
+                assert signed_wi[raw] == signed
         # layer 1's wedge test accepts when the next raw is 0, so rabs = 1 then gives wi[1] after two raws
         raw = 1 | 1 << 9
         assert normal(raw, inc=-raw * PCG_MULT % U128) == (wi[1], 0)
@@ -286,7 +294,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("kind", ["gaussian", "bounded_disk"])
     def test_forced_fallbacks_match_the_generators(self, kind):
-        ki = stochastic._KI.tolist()
+        ki = stochastic._ziggurat()[0].tolist()
         raws = [
             [1 | 5 << 9, 4 | 7 << 9],  # layer 1
             [7 | ki[7] << 9, 8 | 3 << 9],  # rejected on the first raw: numpy draws more
@@ -303,6 +311,29 @@ class TestReplay:
         oracle = [3, 4, 5, 6] + [t + 4 for t in fallback_trials(lambda t: trial_rng(5, t), range(3, 40), 6)]
         assert replayed[2].tolist() == sorted(oracle) and len(rngs) == len(oracle)
         assert_same_arrays(_noise(model, n, rngs, replayed), _noise(model, n, stochastic._generators(words)))
+
+    def test_tables_are_built_once_and_only_by_a_replayed_chunk(self):
+        # a fresh interpreter, so no earlier test has filled the cache: importing the CLI and a sweep at n = 2,000
+        # (6,000 draws a trial, every trial on its own Generator) leave it empty; two replayed runs build it once
+        script = """if True:
+            import json
+            import margin_guard.cli
+            from margin_guard import PerturbationModel, make_preset, monte_carlo, stochastic, sweep_table
+            seen = [stochastic._ziggurat.cache_info()]
+            sweep = sweep_table(*make_preset("two_gaussians", n=2000, seed=0), [0.4, 1.0], trials=3, seed=0)
+            assert sweep.rows[-1].max_distance > 0  # drawn, not skipped
+            seen.append(stochastic._ziggurat.cache_info())
+            config, centers = make_preset("near_boundary")
+            for seed in (0, 1):
+                monte_carlo(config, centers, PerturbationModel.bounded_disk(0.15), trials=50, seed=seed)
+            seen.append(stochastic._ziggurat.cache_info())
+            print(json.dumps([(info.hits, info.misses, info.currsize) for info in seen]))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        # each monte_carlo run replays one chunk of 50 trials, so the second takes the tables from the cache
+        assert json.loads(done.stdout) == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
 
     def test_one_replayed_chunk_stays_within_a_few_budgets(self):
         # n = 3, k = 2, d = 2: the default chunk of 2^16 // 12 = 5,461 trials replays 9 raws each, 49,149 uint64
