@@ -5,8 +5,10 @@ Two independent-noise models are supported: uniform on the ball of radius rho
 standard deviation sigma. The switching probability of a point is bounded by
 the tail P(norm(noise) >= margin / 2); both tails are evaluated exactly, and
 the Monte Carlo estimators exist to be compared against those bounds. Only the
-Gaussian tail needs scipy (its regularized incomplete gamma function), so
-scipy is imported on the first Gaussian tail bound, not with this module.
+Gaussian tail needs scipy (its regularized incomplete gamma function), and
+``_gammaincc`` loads it on the first Gaussian tail bound, not with this module,
+from scipy's compiled ufunc extension alone: ``import scipy.special`` would also
+load numpy.f2py, numpy.testing and some 280 other modules.
 
 Randomness discipline: one master seed; the stream for trial t is derived
 from (seed, t) by seed-sequence splitting, so reports are reproducible
@@ -39,8 +41,12 @@ reports are those of the unpruned loop.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import asdict, dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -348,6 +354,35 @@ def switch_probability_bound(gamma: float, model: PerturbationModel) -> float:
     return float(_tail_bounds(np.array([gamma], dtype=float), model)[0][0])
 
 
+# the compiled extension that holds scipy.special's gammaincc (and ndtr) ufunc objects
+_SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
+
+
+@cache
+def _gammaincc():
+    """scipy's regularized upper incomplete gamma ufunc, the very object ``scipy.special.gammaincc`` names.
+
+    Loaded from its extension module without running scipy.special's ``__init__``, whose array-API layer
+    clones numpy's namespace: found by a FileFinder over scipy's special/ directory (importlib.util.find_spec
+    on the dotted name would import the package), and registered under its own name before it runs, so a
+    later ``import scipy.special`` reuses it."""
+    module = sys.modules.get(_SPECIAL_UFUNCS)
+    if module is None:
+        import scipy
+
+        finder = FileFinder(os.path.join(scipy.__path__[0], "special"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        if (spec := finder.find_spec(_SPECIAL_UFUNCS)) is not None:
+            module = sys.modules[_SPECIAL_UFUNCS] = module_from_spec(spec)
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_SPECIAL_UFUNCS]
+                raise
+    if (ufunc := getattr(module, "gammaincc", None)) is None:  # older scipy kept it in the Cython _ufuncs
+        from scipy.special import gammaincc as ufunc
+    return ufunc
+
+
 def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndarray, float]:
     """Per-index tail bounds of switch_probability_bound and their total, summed left to right: builtin
     sum() is compensated from Python 3.12 on, so its last bits would depend on the Python version. Powers
@@ -359,16 +394,13 @@ def _tail_bounds(margins: np.ndarray, model: PerturbationModel) -> tuple[np.ndar
     elif model.scale == 0.0:
         bounds = np.zeros(margins.shape)
     else:
-        # imported at its only use, so that no other path pays for loading scipy.special
-        from scipy.special import gammaincc
-
-        # an x that overflows to inf has the exact tail 0
+        # scipy is loaded here on first use, by _gammaincc; an x that overflows to inf has the exact tail 0
         with np.errstate(over="ignore"):
             if (denominator := 8.0 * model.scale**2) >= np.finfo(float).tiny:
                 x = np.array([g**2 for g in margins.tolist()]) / denominator
             else:  # below about 5.3e-155, 8 sigma^2 is subnormal or 0 and rounds coarsely: scale the margins first
                 x = (margins / model.scale) ** 2 / 8.0
-            bounds = gammaincc(model.dim / 2.0, x)
+            bounds = _gammaincc()(model.dim / 2.0, x)
     bounds[margins == 0.0] = 1.0
     return bounds, float(np.cumsum(bounds)[-1])
 

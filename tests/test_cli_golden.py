@@ -102,13 +102,13 @@ def test_long_trajectory_pins_budget_summation_order():
 
 
 # Runs in a fresh interpreter: imports the CLI, then runs each argv of argv[1] (a JSON list) through
-# main(), and prints the scipy modules loaded after the import and after each run.
+# main(), and prints the scipy, numpy.f2py and numpy.testing modules loaded after the import and after each run.
 SCIPY_PROBE = """
 import json, sys
 import margin_guard, margin_guard.cli
 
 def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+    return sorted(name for name in sys.modules if name.startswith(("scipy", "numpy.f2py", "numpy.testing")))
 
 steps = [["import", 0, scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
@@ -118,8 +118,9 @@ print(json.dumps(steps))
 
 
 def test_only_gaussian_montecarlo_loads_scipy(tmp_path):
-    """scipy serves only the Gaussian tail bound, and loading it about doubles a cold CLI process's
-    start-up, so every other subcommand must run without it."""
+    """scipy serves only the Gaussian tail bound, and scipy.special's __init__ about doubles a cold CLI
+    process's start-up (it loads numpy.f2py and numpy.testing too), so every other subcommand runs without
+    scipy, and the Gaussian run loads gammaincc's extension module alone."""
     names = ["analyze_near_boundary.json", "trajectory.json", "sweep_two_gaussians_n300.json",
              "preset_many_point_m3.json", "construct_near_boundary.json", "montecarlo_rho_near_boundary.json",
              "montecarlo_sigma_near_boundary.json"]
@@ -132,7 +133,8 @@ def test_only_gaussian_montecarlo_loads_scipy(tmp_path):
     assert [step[0] for step in without] == ["import", "analyze", "trajectory", "sweep", "preset", "construct",
                                              "montecarlo"]
     assert without == [[step[0], 0, []] for step in without]
-    assert (command, code) == ("montecarlo", 0) and "scipy.special" in loaded
+    assert (command, code) == ("montecarlo", 0) and "scipy.special._special_ufuncs" in loaded
+    assert not {"scipy.special", "numpy.f2py", "numpy.testing"} & set(loaded)
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 

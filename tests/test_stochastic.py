@@ -527,10 +527,76 @@ class TestExpectedBounds:
             calls.append(np.size(x))
             return tail(a, x)
 
-        monkeypatch.setattr("scipy.special.gammaincc", counted)
+        monkeypatch.setattr(stochastic, "_gammaincc", lambda: counted)
         monkeypatch.setattr(stochastic, "switch_probability_bound", None)
         monte_carlo(anchored_config, two_centers, PerturbationModel.gaussian(0.2, dim=2), trials=2, seed=0)
         assert calls == [anchored_config.n]
+
+
+# Each runs in a fresh interpreter: this module imports scipy.special, after which _gammaincc takes the ufunc
+# from sys.modules. gaussian_run is one Gaussian monte_carlo; each script prints a JSON value.
+LOADER_PRELUDE = """if True:
+    import json, sys
+    from margin_guard import PerturbationModel, make_preset, monte_carlo, stochastic
+
+    def gaussian_run():
+        monte_carlo(*make_preset("near_boundary"), PerturbationModel.gaussian(0.1), trials=20, seed=0)
+"""
+LOADER_SCRIPTS = {
+    "extension_first": """
+    gaussian_run()
+    gaussian_run()
+    info = stochastic._gammaincc.cache_info()
+    alone = [name in sys.modules for name in (stochastic._SPECIAL_UFUNCS, "scipy.special", "numpy.f2py")]
+    import scipy.special
+    from scipy.special import _special_ufuncs
+    print(json.dumps([info.misses, alone, scipy.special.gammaincc is stochastic._gammaincc(),
+                      _special_ufuncs is sys.modules[stochastic._SPECIAL_UFUNCS]]))
+""",
+    "package_first": """
+    import scipy.special
+    gaussian_run()
+    print(json.dumps(scipy.special.gammaincc is stochastic._gammaincc()))
+""",
+    "missing_extension": """
+    stochastic._SPECIAL_UFUNCS = "scipy.special._no_such_ufuncs"
+    gaussian_run()
+    import scipy.special
+    print(json.dumps([scipy.special.gammaincc is stochastic._gammaincc(), stochastic._SPECIAL_UFUNCS in sys.modules]))
+""",
+    "failed_load": """
+    import scipy  # its own extension modules load before the refusing loader is in place
+
+    def fail(self, module):
+        raise ImportError("refused")
+    exec_module, stochastic.ExtensionFileLoader.exec_module = stochastic.ExtensionFileLoader.exec_module, fail
+    try:
+        gaussian_run()
+    except ImportError as error:
+        refused = [str(error), stochastic._SPECIAL_UFUNCS in sys.modules]
+    stochastic.ExtensionFileLoader.exec_module = exec_module
+    gaussian_run()
+    import scipy.special
+    print(json.dumps([refused, scipy.special.gammaincc is stochastic._gammaincc()]))
+""",
+}
+
+
+class TestGammainccLoader:
+    @pytest.mark.parametrize(("case", "want"), [
+        # two runs load the extension once, without scipy.special; a later scipy.special reuses that module
+        ("extension_first", [1, [True, False, False], True, True]),
+        ("package_first", True),
+        # a scipy without the extension: the loader falls back to scipy.special's own name
+        ("missing_extension", [True, False]),
+        # a load that fails leaves no half-made module behind, and is not cached
+        ("failed_load", [["refused", False], True]),
+    ])
+    def test_fresh_interpreter(self, case, want):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", LOADER_PRELUDE + LOADER_SCRIPTS[case]], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert json.loads(done.stdout) == want
 
 
 class TestLabelPairDistance:
